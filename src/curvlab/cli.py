@@ -36,6 +36,16 @@ EXIT_HYPOTHESIS = 4
 EXIT_VERIFY = 5
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _env_seed() -> int:
     raw = os.environ.get("CURVLAB_SEED")
     return int(raw, 0) if raw else DEFAULT_SEED
@@ -270,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curv", help="curvature report for an immersion spec")
     p.add_argument("spec", help="immersion spec JSON file")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_positive_int, default=None,
                    help="direction grid density override")
-    p.add_argument("--points", type=int, default=20, help="basepoint count")
+    p.add_argument("--points", type=_positive_int, default=20, help="basepoint count")
     common(p)
 
     p = sub.add_parser("design", help="degree-4 spherical design tools")
@@ -294,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("file")
     pt.add_argument("--curv", action="store_true",
                     help="also run the curvature report on the result")
-    pt.add_argument("--grid", type=int, default=None)
-    pt.add_argument("--points", type=int, default=20)
+    pt.add_argument("--grid", type=_positive_int, default=None)
+    pt.add_argument("--points", type=_positive_int, default=20)
     common(pt)
 
     p = sub.add_parser("curve", help="discrete-curve inequality checkers")
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pb, tol=1e-9)
     pc = csub.add_parser("crofton", help="height-function critical point count")
     pc.add_argument("file")
-    pc.add_argument("--dirs", type=int, default=10_000)
+    pc.add_argument("--dirs", type=_positive_int, default=10_000)
     common(pc, tol=0.05)
 
     p = sub.add_parser("bounds", help="curvature bound tables")

@@ -65,6 +65,24 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [
+    ("curv", "SPEC", "--points", "0"),
+    ("curv", "SPEC", "--grid", "0"),
+    ("design", "torus", "SPEC", "--curv", "--points", "-3"),
+    ("design", "torus", "SPEC", "--curv", "--grid", "0"),
+    ("curve", "crofton", "SPEC", "--dirs", "0"),
+])
+def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys):
+    argv = [sphere_spec if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith("must be a positive integer, got "
+                                         + argv[-1])
+
+
 # ---------------------------------------------------------------------------
 # design pipeline
 

@@ -161,6 +161,52 @@ def test_gauss_map_tilt_matches_normal_curvature():
     assert abs(got - 0.5) < 1e-4
 
 
+def test_global_sup_matches_pointwise_search():
+    # the batched search over all basepoints and the one-basepoint search agree;
+    # this product's quartic form has two basins (the circle and the 2-sphere)
+    spec = im.sphere_product([(1, 0.5), (2, 2.0)])
+    us = im.sample_params(spec, 8, np.random.default_rng(cv.DEFAULT_SEED))
+    pointwise = [cv.normal_curvature_at(fd_at(spec, u)) for u in us]
+    res = cv.normal_curvature_global(spec, n_points=8)
+    assert res["sup"] == pytest.approx(max(pointwise), abs=1e-12)
+    assert res["per_point_spread"] == pytest.approx(
+        max(pointwise) - min(pointwise), abs=1e-12)
+
+
+def test_rejects_nonpositive_counts():
+    spec = im.round_sphere(2, 1.0)
+    with pytest.raises(ValueError):
+        cv.normal_curvature_global(spec, n_points=0)
+    with pytest.raises(ValueError):
+        cv.normal_curvature_at(fd_at(spec, [1.0, 0.5]), grid_density=0)
+
+
+def test_direction_search_is_stationary_on_random_forms():
+    # random Hessian stacks as in verify.check_gauss_petrunin; the returned
+    # direction beats the best grid direction and is stationary to tol
+    rng = np.random.default_rng(cv.DEFAULT_SEED)
+    tol = 1e-9
+    for trial in range(30):
+        n = 2 + trial % 5
+        N = n + 3 + trial % 4
+        J = rng.standard_normal((N, n))
+        H = rng.standard_normal((N, n, n))
+        H = 0.5 * (H + np.swapaxes(H, 1, 2))
+        fd = cv.fundamental_data(im.Jet2(point=np.zeros(N), jac=J, hess=H))
+        curv, tau = cv.normal_curvature_at(fd, tol=tol, return_direction=True)
+        M = fd.whitened_form()
+        grid = cv._direction_grid(n, 10_000 if n <= 3 else 100_000,
+                                  np.random.default_rng(cv.DEFAULT_SEED))
+        vals = np.einsum("si,cij,sj->sc", grid, M, grid)
+        assert curv * curv >= float(np.max(np.einsum("sc,sc->s", vals, vals)))
+        w = np.linalg.solve(fd.whitener, tau)
+        q = np.einsum("cij,i,j->c", M, w, w)
+        G = np.einsum("c,cij,j->i", q, M, w)
+        F = float(q @ q)
+        assert math.isclose(math.sqrt(F), curv, rel_tol=1e-12)
+        assert 2.0 * np.linalg.norm(G - F * w) / math.sqrt(F) <= tol + 1e-14
+
+
 def test_determinism_same_seed():
     spec = im.clifford_torus(3)
     a = cv.normal_curvature_global(spec, n_points=4, seed=42)
