@@ -36,14 +36,20 @@ EXIT_HYPOTHESIS = 4
 EXIT_VERIFY = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive")
+_nonnegative_int = _int_at_least(0, "a non-negative")
 
 
 def _env_seed() -> int:
@@ -136,7 +142,7 @@ def _curvature_payload(spec, args) -> dict:
 def cmd_curv(args) -> int:
     try:
         spec = immersions.spec_from_json(_load_json(args.spec))
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {args.spec}: {e}", file=sys.stderr)
         return EXIT_PARSE
     payload = _curvature_payload(spec, args)
@@ -316,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = csub.add_parser("arm", help="convex-arc straightening check")
     pa.add_argument("q", nargs="?", help="spatial arc file")
     pa.add_argument("p", nargs="?", help="planar convex comparison arc file")
-    pa.add_argument("--random", type=int, default=0,
-                    help="run this many generated instances instead of files")
+    pa.add_argument("--random", type=_nonnegative_int, default=0,
+                    help="run this many generated instances instead of files "
+                         "(0: read the files)")
     pa.add_argument("--ambient", type=int, default=3)
     common(pa, tol=1e-9)
     pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")

@@ -1,22 +1,26 @@
 """Catalog of explicitly parametrized immersions with analytic 2-jets.
 
-Every immersion is described by an :class:`ImmersionSpec` and evaluated through
-``evaluate`` / ``jet2``.  The catalog covers round spheres, products of spheres,
-Clifford tori, linear sub-tori of Clifford tori (the design-torus construction),
-quadratic Veronese embeddings of projective spaces, and tube encirclings of
-round spheres.
+Every immersion is an :class:`ImmersionSpec`: one small frozen dataclass per
+kind, holding only that kind's parameters.  A kind owns its dimensions, its
+analytic jet, its hyperspherical charts, its containment radius and its JSON
+form; ``_KINDS`` maps each JSON ``kind`` to its class and constructor.  The
+catalog covers round spheres, products of spheres, Clifford tori, linear
+sub-tori of Clifford tori (the design-torus construction), quadratic Veronese
+embeddings of projective spaces, and tube encirclings of round spheres.
 
 Parameter domains are unbounded; angle coordinates wrap.  Hyperspherical charts
-are singular at the poles (``sin`` of a leading angle vanishing), so samplers
+are singular at the poles (``sin`` of a polar angle vanishing), so samplers
 keep away from chart boundaries.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,78 +66,290 @@ class Jet2:
             raise ValueError("Jacobian is rank deficient: not an immersion point")
 
 
-@dataclass(frozen=True)
-class ImmersionSpec:
-    """Symbolic description of a catalog immersion (kind plus parameters)."""
+# ---------------------------------------------------------------------------
+# JSON field parsers: each returns a clean value or raises ValueError
 
-    kind: str
-    n: int | None = None
-    R: float | None = None
-    factors: tuple[tuple[int, float], ...] | None = None
-    N: int | None = None
-    rows: tuple[tuple[float, ...], ...] | None = None
-    scale: float | None = None
-    weights: tuple[float, ...] | None = None
-    m: int | None = None
-    base_r: float | None = None
-    n1: int | None = None
-    n2: int | None = None
-    rho: float | None = None
+def _to_float(x) -> float:
+    if isinstance(x, str):
+        return float(Fraction(x))
+    return float(x)
+
+
+def _count(x) -> int:
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
+def _real(x) -> float:
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            v = _to_float(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        else:
+            if math.isfinite(v):
+                return v
+    raise ValueError(f"expected a finite number or a 'p/q' string, got {json.dumps(x)}")
+
+
+def _list(item):
+    def parse(x):
+        if not isinstance(x, list):
+            raise ValueError(f"expected a list, got {json.dumps(x)}")
+        return [item(v) for v in x]
+    return parse
+
+
+def _optional(parse):
+    return lambda x: None if x is None else parse(x)
+
+
+def _factor(x) -> tuple[int, float]:
+    if not (isinstance(x, list) and len(x) == 2):
+        raise ValueError(f"expected an [n, R] pair, got {json.dumps(x)}")
+    return _count(x[0]), _real(x[1])
+
+
+# ---------------------------------------------------------------------------
+# hyperspherical chart jets
+
+def _sphere_chart_jet(u: np.ndarray, R: float):
+    """Position/Jacobian/Hessian of the angle chart of S^m(R) in R^{m+1}.
+
+    x_0 = R cos u_0, x_k = R cos u_k * prod_{j<k} sin u_j, x_m = R prod sin u_j.
+    Coordinate i is the product over j of f[i, j]: sin u_j for j < i, cos u_i
+    at j = i, and 1 for j > i.  Derivatives replace factors (f' at the
+    differentiated angles, f'' = -f on a repeated one) and never divide, so
+    the chart stays finite at its poles.
+    """
+    m = len(u)
+    i, j = np.arange(m + 1)[:, None], np.arange(m)
+    s, c = np.sin(u), np.cos(u)
+    f = np.where(j < i, s, np.where(j == i, c, 1.0))  # (m+1) x m
+    df = np.where(j < i, c, np.where(j == i, -s, 0.0))
+    ddf = np.where(j <= i, -f, 0.0)
+    eye = np.eye(m, dtype=bool)
+    point = R * f.prod(axis=1)
+    jac = R * np.where(eye, df[:, None, :], f[:, None, :]).prod(axis=2)
+    pair = eye[:, None, :] | eye[None, :, :]  # factor j is differentiated for (a, b)
+    hess = R * np.where(pair, df[:, None, None, :], f[:, None, None, :]).prod(axis=3)
+    diag = np.arange(m)
+    hess[:, diag, diag] = R * np.where(eye, ddf[:, None, :], f[:, None, :]).prod(axis=2)
+    return point, jac, hess
+
+
+def _block_diag_jet(parts):
+    """Stack independent chart jets into one jet with block-diagonal structure."""
+    point = np.concatenate([p for p, _, _ in parts])
+    N, n = point.shape[0], sum(J.shape[1] for _, J, _ in parts)
+    jac, hess = np.zeros((N, n)), np.zeros((N, n, n))
+    ro = co = 0
+    for _, J, H in parts:
+        Ni, ni = J.shape
+        jac[ro : ro + Ni, co : co + ni] = J
+        hess[ro : ro + Ni, co : co + ni, co : co + ni] = H
+        ro, co = ro + Ni, co + ni
+    return point, jac, hess
+
+
+def _torus_jet(u: np.ndarray, L: np.ndarray, scale: float, w: np.ndarray):
+    """Factor i is amp_i (cos, sin)(theta_i) with theta = sqrt(M) scale L u."""
+    M, n = L.shape
+    g = math.sqrt(M) * scale * L  # M x n, gradient of each angle
+    theta = g @ u
+    amp = np.sqrt(w)
+    ac, as_ = amp * np.cos(theta), amp * np.sin(theta)
+    gg = g[:, :, None] * g[:, None, :]
+    point = np.stack([ac, as_], axis=1).reshape(2 * M)
+    jac = np.stack([-as_[:, None] * g, ac[:, None] * g], axis=1).reshape(2 * M, n)
+    hess = np.stack([-ac[:, None, None] * gg, -as_[:, None, None] * gg], axis=1)
+    return point, jac, hess.reshape(2 * M, n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _veronese_basis(m: int) -> np.ndarray:
+    """Orthonormal basis (Frobenius) of traceless symmetric (m+1)x(m+1) matrices."""
+    d = m + 1
+    mats = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            B = np.zeros((d, d))
+            B[i, j] = B[j, i] = 1.0 / math.sqrt(2.0)
+            mats.append(B)
+    for k in range(1, d):
+        v = np.zeros(d)
+        v[:k] = 1.0
+        v[k] = -k
+        v /= math.sqrt(k * (k + 1))
+        mats.append(np.diag(v))
+    return np.stack(mats)
+
+
+# ---------------------------------------------------------------------------
+# kinds
+
+class ImmersionSpec:
+    """Symbolic description of a catalog immersion; one subclass per kind.
+
+    A kind sets ``kind`` (its JSON name), ``wire`` (the JSON key and parser of
+    each field, in field order), ``chart_dims`` (the dimensions of its
+    hyperspherical charts, in parameter order; none for tori), its
+    ``ambient_dim``, its ``declared_radius`` and its analytic ``_jet``.
+    """
+
+    kind: ClassVar[str]
+    wire: ClassVar[tuple]
+    chart_dims: tuple[int, ...] = ()
 
     @property
     def intrinsic_dim(self) -> int:
-        if self.kind == "round_sphere":
-            return self.n
-        if self.kind == "sphere_product":
-            return sum(ni for ni, _ in self.factors)
-        if self.kind == "clifford_torus":
-            return self.N
-        if self.kind == "torus_linear":
-            return len(self.rows[0])
-        if self.kind == "veronese":
-            return self.m
-        if self.kind == "tube":
-            return self.n1 + self.n2
-        raise ValueError(f"unknown kind {self.kind!r}")
+        return sum(self.chart_dims)
 
     @property
-    def ambient_dim(self) -> int:
-        if self.kind == "round_sphere":
-            return self.n + 1
-        if self.kind == "sphere_product":
-            return sum(ni + 1 for ni, _ in self.factors)
-        if self.kind == "clifford_torus":
-            return 2 * self.N
-        if self.kind == "torus_linear":
-            return 2 * len(self.rows)
-        if self.kind == "veronese":
-            return (self.m + 1) * (self.m + 2) // 2 - 1
-        if self.kind == "tube":
-            return self.n1 + 1 + self.n2
-        raise ValueError(f"unknown kind {self.kind!r}")
+    def polar_columns(self) -> list[int]:
+        """Parameter columns holding a chart's polar angles: all but its last."""
+        ends = np.cumsum(self.chart_dims, dtype=int)
+        return [c for m, e in zip(self.chart_dims, ends) for c in range(e - m, e - 1)]
+
+
+@dataclass(frozen=True)
+class RoundSphere(ImmersionSpec):
+    n: int
+    R: float
+    kind = "round_sphere"
+    wire = (("n", _count), ("R", _real))
+    chart_dims = property(lambda self: (self.n,))
+    ambient_dim = property(lambda self: self.n + 1)
+    declared_radius = property(lambda self: self.R)
+
+    def _jet(self, u):
+        return _sphere_chart_jet(u, self.R)
+
+
+@dataclass(frozen=True)
+class SphereProduct(ImmersionSpec):
+    factors: tuple[tuple[int, float], ...]
+    kind = "sphere_product"
+    wire = (("factors", _list(_factor)),)
+    chart_dims = property(lambda self: tuple(ni for ni, _ in self.factors))
+    ambient_dim = property(lambda self: self.intrinsic_dim + len(self.factors))
+    declared_radius = property(lambda self: math.sqrt(sum(R * R for _, R in self.factors)))
+
+    def _jet(self, u):
+        ends = np.cumsum(self.chart_dims)
+        return _block_diag_jet([_sphere_chart_jet(u[e - ni : e], Ri)
+                                for (ni, Ri), e in zip(self.factors, ends)])
+
+
+@dataclass(frozen=True)
+class CliffordTorus(ImmersionSpec):
+    N: int
+    kind = "clifford_torus"
+    wire = (("N", _count),)
+    intrinsic_dim = property(lambda self: self.N)
+    ambient_dim = property(lambda self: 2 * self.N)
+    declared_radius = 1.0
+
+    def _jet(self, u):
+        return _torus_jet(u, np.eye(self.N), 1.0, np.full(self.N, 1.0 / self.N))
+
+
+@dataclass(frozen=True)
+class TorusLinear(ImmersionSpec):
+    rows: tuple[tuple[float, ...], ...]
+    scale: float
+    weights: tuple[float, ...]
+    kind = "torus_linear"
+    wire = (("rows", _list(_list(_real))), ("scale", _optional(_real)),
+            ("weights", _optional(_list(_real))))
+    intrinsic_dim = property(lambda self: len(self.rows[0]))
+    ambient_dim = property(lambda self: 2 * len(self.rows))
+    declared_radius = 1.0
+
+    def _jet(self, u):
+        return _torus_jet(u, np.array(self.rows), self.scale, np.array(self.weights))
+
+
+@dataclass(frozen=True)
+class Veronese(ImmersionSpec):
+    m: int
+    kind = "veronese"
+    wire = (("m", _count),)
+    chart_dims = property(lambda self: (self.m,))
+    ambient_dim = property(lambda self: (self.m + 1) * (self.m + 2) // 2 - 1)
+    declared_radius = 1.0
+
+    def _jet(self, u):
+        m = self.m
+        x, Jx, Hx = _sphere_chart_jet(u, 1.0)
+        basis = _veronese_basis(m)  # K x d x d, K = ambient dim
+        alpha = math.sqrt((m + 1) / m)
+        # f_k = alpha * x^T B_k x  (the -I/(m+1) shift is killed by tracelessness)
+        point = alpha * np.einsum("kab,a,b->k", basis, x, x)
+        Bx = np.einsum("kab,b->ka", basis, x)  # K x d
+        jac = 2.0 * alpha * Bx @ Jx
+        hess = 2.0 * alpha * (np.einsum("ka,aij->kij", Bx, Hx)
+                              + np.einsum("kab,ai,bj->kij", basis, Jx, Jx))
+        return point, jac, hess
+
+
+@dataclass(frozen=True)
+class Tube(ImmersionSpec):
+    base_r: float
+    n1: int
+    n2: int
+    rho: float
+    kind = "tube"
+    wire = (("r", _real), ("n1", _count), ("n2", _count), ("rho", _real))
+    chart_dims = property(lambda self: (self.n1, self.n2))
+    ambient_dim = property(lambda self: self.n1 + 1 + self.n2)
+    declared_radius = property(lambda self: self.base_r + self.rho)
+
+    def _jet(self, u):
+        n1, r, rho = self.n1, self.base_r, self.rho
+        s, Js, Hs = _sphere_chart_jet(u[:n1], r)  # base sphere S^{n1}(r)
+        w, Jw, Hw = _sphere_chart_jet(u[n1:], 1.0)  # normal sphere S^{n2}(1)
+        a = 1.0 + (rho / r) * w[0]
+        da = (rho / r) * Jw[0]  # length n2
+        dda = (rho / r) * Hw[0]  # n2 x n2
+        point = np.concatenate([a * s, rho * w[1:]])
+        N, n = self.ambient_dim, self.intrinsic_dim
+        jac, hess = np.zeros((N, n)), np.zeros((N, n, n))
+        jac[: n1 + 1, :n1] = a * Js
+        jac[: n1 + 1, n1:] = np.outer(s, da)
+        jac[n1 + 1 :, n1:] = rho * Jw[1:]
+        hess[: n1 + 1, :n1, :n1] = a * Hs
+        cross = np.einsum("ci,j->cij", Js, da)
+        hess[: n1 + 1, :n1, n1:] = cross
+        hess[: n1 + 1, n1:, :n1] = np.swapaxes(cross, 1, 2)
+        hess[: n1 + 1, n1:, n1:] = np.einsum("c,ij->cij", s, dda)
+        hess[n1 + 1 :, n1:, n1:] = rho * Hw[1:]
+        return point, jac, hess
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
-
 def round_sphere(n: int, R: float) -> ImmersionSpec:
     if n < 1 or R <= 0:
         raise ValueError("round sphere needs n >= 1 and R > 0")
-    return ImmersionSpec(kind="round_sphere", n=int(n), R=float(R))
+    return RoundSphere(n=int(n), R=float(R))
 
 
 def sphere_product(factors) -> ImmersionSpec:
     factors = tuple((int(ni), float(Ri)) for ni, Ri in factors)
     if not factors or any(ni < 1 or Ri <= 0 for ni, Ri in factors):
         raise ValueError("each factor needs n_i >= 1 and R_i > 0")
-    return ImmersionSpec(kind="sphere_product", factors=factors)
+    return SphereProduct(factors=factors)
 
 
 def clifford_torus(N: int) -> ImmersionSpec:
     if N < 1:
         raise ValueError("clifford torus needs N >= 1")
-    return ImmersionSpec(kind="clifford_torus", N=int(N))
+    return CliffordTorus(N=int(N))
 
 
 def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpec:
@@ -160,21 +376,17 @@ def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpe
     if weights is None:
         w = np.full(M, 1.0 / M)
     else:
-        w = np.asarray([float(x) for x in weights], dtype=float)
+        w = np.asarray([_to_float(x) for x in weights], dtype=float)
         if w.shape != (M,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-10:
             raise ValueError("weights must be nonnegative and sum to 1")
-    return ImmersionSpec(
-        kind="torus_linear",
-        rows=tuple(tuple(row) for row in L),
-        scale=float(scale),
-        weights=tuple(w),
-    )
+    return TorusLinear(rows=tuple(tuple(row) for row in L), scale=float(scale),
+                       weights=tuple(w))
 
 
 def veronese(m: int) -> ImmersionSpec:
     if m < 1:
         raise ValueError("veronese needs m >= 1")
-    return ImmersionSpec(kind="veronese", m=int(m))
+    return Veronese(m=int(m))
 
 
 def tube_encircle(base_r: float, n1: int, n2: int, rho: float) -> ImmersionSpec:
@@ -184,158 +396,17 @@ def tube_encircle(base_r: float, n1: int, n2: int, rho: float) -> ImmersionSpec:
         raise ValueError("tube radius rho must satisfy rho < base_r (immersed encircling)")
     if n1 < 1 or n2 < 1:
         raise ValueError("sphere dimensions must be >= 1")
-    return ImmersionSpec(
-        kind="tube", base_r=float(base_r), n1=int(n1), n2=int(n2), rho=float(rho)
-    )
+    return Tube(base_r=float(base_r), n1=int(n1), n2=int(n2), rho=float(rho))
 
 
-def _to_float(x) -> float:
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
-
-
-# ---------------------------------------------------------------------------
-# hyperspherical chart jets
-
-def _sphere_chart_jet(u: np.ndarray, R: float):
-    """Position/Jacobian/Hessian of the angle chart of S^m(R) in R^{m+1}.
-
-    x_0 = R cos u_0, x_k = R cos u_k * prod_{j<k} sin u_j, x_m = R prod sin u_j.
-    Each ambient coordinate is a product of trig factors of distinct angles,
-    so derivatives follow from the product rule with factor replacement.
-    """
-    m = len(u)
-    s, c = np.sin(u), np.cos(u)
-    point = np.empty(m + 1)
-    jac = np.zeros((m + 1, m))
-    hess = np.zeros((m + 1, m, m))
-    for i in range(m + 1):
-        # factor list for coordinate i: sin(u_j) for j < i, then cos(u_i) if i < m
-        idx = list(range(i)) + ([i] if i < m else [])
-        val = np.array([s[j] for j in range(i)] + ([c[i]] if i < m else []))
-        dva = np.array([c[j] for j in range(i)] + ([-s[i]] if i < m else []))
-        point[i] = R * np.prod(val)
-        for a, ja in enumerate(idx):
-            va = val.copy()
-            va[a] = dva[a]
-            jac[i, ja] = R * np.prod(va)
-            # diagonal second derivative: trig factors satisfy f'' = -f
-            vaa = val.copy()
-            vaa[a] = -val[a]
-            hess[i, ja, ja] = R * np.prod(vaa)
-            for b in range(a + 1, len(idx)):
-                jb = idx[b]
-                vab = val.copy()
-                vab[a] = dva[a]
-                vab[b] = dva[b]
-                v = R * np.prod(vab)
-                hess[i, ja, jb] = v
-                hess[i, jb, ja] = v
-    return point, jac, hess
-
-
-def _block_diag_jet(parts):
-    """Stack independent chart jets into one jet with block-diagonal structure."""
-    Ns = [p[0].shape[0] for p in parts]
-    ns = [p[1].shape[1] for p in parts]
-    N, n = sum(Ns), sum(ns)
-    point = np.concatenate([p[0] for p in parts])
-    jac = np.zeros((N, n))
-    hess = np.zeros((N, n, n))
-    ro = co = 0
-    for (pt, J, H), Ni, ni in zip(parts, Ns, ns):
-        jac[ro : ro + Ni, co : co + ni] = J
-        hess[ro : ro + Ni, co : co + ni, co : co + ni] = H
-        ro += Ni
-        co += ni
-    return point, jac, hess
-
-
-def _torus_jet(u: np.ndarray, L: np.ndarray, scale: float, w: np.ndarray):
-    M, n = L.shape
-    dtheta = math.sqrt(M) * scale * L  # M x n, gradient of each angle
-    theta = dtheta @ u
-    amp = np.sqrt(w)
-    point = np.empty(2 * M)
-    jac = np.empty((2 * M, n))
-    hess = np.empty((2 * M, n, n))
-    cs, sn = np.cos(theta), np.sin(theta)
-    for i in range(M):
-        g = dtheta[i]
-        gg = np.outer(g, g)
-        point[2 * i] = amp[i] * cs[i]
-        point[2 * i + 1] = amp[i] * sn[i]
-        jac[2 * i] = -amp[i] * sn[i] * g
-        jac[2 * i + 1] = amp[i] * cs[i] * g
-        hess[2 * i] = -amp[i] * cs[i] * gg
-        hess[2 * i + 1] = -amp[i] * sn[i] * gg
-    return point, jac, hess
-
-
-_VERONESE_BASIS: dict[int, np.ndarray] = {}
-
-
-def _veronese_basis(m: int) -> np.ndarray:
-    """Orthonormal basis (Frobenius) of traceless symmetric (m+1)x(m+1) matrices."""
-    if m in _VERONESE_BASIS:
-        return _VERONESE_BASIS[m]
-    d = m + 1
-    mats = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            B = np.zeros((d, d))
-            B[i, j] = B[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(B)
-    for k in range(1, d):
-        v = np.zeros(d)
-        v[:k] = 1.0
-        v[k] = -k
-        v /= math.sqrt(k * (k + 1))
-        mats.append(np.diag(v))
-    basis = np.stack(mats)
-    _VERONESE_BASIS[m] = basis
-    return basis
-
-
-def _veronese_jet(u: np.ndarray, m: int):
-    x, Jx, Hx = _sphere_chart_jet(u, 1.0)
-    basis = _veronese_basis(m)  # K x d x d, K = ambient dim
-    alpha = math.sqrt((m + 1) / m)
-    # f_k = alpha * x^T B_k x  (the -I/(m+1) shift is killed by tracelessness)
-    point = alpha * np.einsum("kab,a,b->k", basis, x, x)
-    Bx = np.einsum("kab,b->ka", basis, x)  # K x d
-    jac = 2.0 * alpha * Bx @ Jx
-    hess = 2.0 * alpha * (
-        np.einsum("ka,aij->kij", Bx, Hx)
-        + np.einsum("kab,ai,bj->kij", basis, Jx, Jx)
-    )
-    return point, jac, hess
-
-
-def _tube_jet(u: np.ndarray, spec: ImmersionSpec):
-    n1, n2 = spec.n1, spec.n2
-    r, rho = spec.base_r, spec.rho
-    s, Js, Hs = _sphere_chart_jet(u[:n1], r)  # base sphere S^{n1}(r)
-    w, Jw, Hw = _sphere_chart_jet(u[n1:], 1.0)  # normal sphere S^{n2}(1)
-    a = 1.0 + (rho / r) * w[0]
-    da = (rho / r) * Jw[0]  # length n2
-    dda = (rho / r) * Hw[0]  # n2 x n2
-    n = n1 + n2
-    N = n1 + 1 + n2
-    point = np.concatenate([a * s, rho * w[1:]])
-    jac = np.zeros((N, n))
-    hess = np.zeros((N, n, n))
-    jac[: n1 + 1, :n1] = a * Js
-    jac[: n1 + 1, n1:] = np.outer(s, da)
-    jac[n1 + 1 :, n1:] = rho * Jw[1:]
-    hess[: n1 + 1, :n1, :n1] = a * Hs
-    cross = np.einsum("ci,j->cij", Js, da)
-    hess[: n1 + 1, :n1, n1:] = cross
-    hess[: n1 + 1, n1:, :n1] = np.swapaxes(cross, 1, 2)
-    hess[: n1 + 1, n1:, n1:] = np.einsum("c,ij->cij", s, dda)
-    hess[n1 + 1 :, n1:, n1:] = rho * Hw[1:]
-    return point, jac, hess
+_KINDS = {cls.kind: (cls, make) for cls, make in (
+    (RoundSphere, round_sphere),
+    (SphereProduct, sphere_product),
+    (CliffordTorus, clifford_torus),
+    (TorusLinear, torus_linear),
+    (Veronese, veronese),
+    (Tube, tube_encircle),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -352,61 +423,17 @@ def _check_params(spec: ImmersionSpec, u) -> np.ndarray:
     return u
 
 
-def _full_jet(spec: ImmersionSpec, u: np.ndarray):
-    if spec.kind == "round_sphere":
-        return _sphere_chart_jet(u, spec.R)
-    if spec.kind == "sphere_product":
-        parts = []
-        o = 0
-        for ni, Ri in spec.factors:
-            parts.append(_sphere_chart_jet(u[o : o + ni], Ri))
-            o += ni
-        return _block_diag_jet(parts)
-    if spec.kind == "clifford_torus":
-        N = spec.N
-        L = np.eye(N)
-        return _torus_jet(u, L, 1.0, np.full(N, 1.0 / N))
-    if spec.kind == "torus_linear":
-        return _torus_jet(u, np.array(spec.rows), spec.scale, np.array(spec.weights))
-    if spec.kind == "veronese":
-        return _veronese_jet(u, spec.m)
-    if spec.kind == "tube":
-        return _tube_jet(u, spec)
-    raise ValueError(f"unknown kind {spec.kind!r}")
-
-
 def evaluate(spec: ImmersionSpec, u) -> np.ndarray:
     """Position f(u) in R^{ambient_dim}."""
     u = _check_params(spec, u)
-    return _full_jet(spec, u)[0]
+    return spec._jet(u)[0]
 
 
 def jet2(spec: ImmersionSpec, u) -> Jet2:
     """Analytic 2-jet of the parametrization at u."""
     u = _check_params(spec, u)
-    point, jac, hess = _full_jet(spec, u)
+    point, jac, hess = spec._jet(u)
     return Jet2(point=point, jac=jac, hess=hess)
-
-
-def _near_chart_boundary(spec: ImmersionSpec, u: np.ndarray, h: float) -> bool:
-    # leading angles of any hyperspherical chart must stay away from the poles
-    slices = []
-    if spec.kind == "round_sphere":
-        slices.append((u[: spec.n - 1],))
-    elif spec.kind == "veronese":
-        slices.append((u[: spec.m - 1],))
-    elif spec.kind == "sphere_product":
-        o = 0
-        for ni, _ in spec.factors:
-            slices.append((u[o : o + ni - 1],))
-            o += ni
-    elif spec.kind == "tube":
-        slices.append((u[: spec.n1 - 1],))
-        slices.append((u[spec.n1 : spec.n1 + spec.n2 - 1],))
-    for (angles,) in slices:
-        if angles.size and np.any(np.abs(np.sin(angles)) < 10.0 * h):
-            return True
-    return False
 
 
 def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
@@ -414,7 +441,8 @@ def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
     if h <= 0:
         raise ValueError("step size h must be positive")
     u = _check_params(spec, u)
-    if _near_chart_boundary(spec, u, h):
+    # polar angles of any hyperspherical chart must stay away from the poles
+    if np.any(np.abs(np.sin(u[spec.polar_columns])) < 10.0 * h):
         raise ValueError("parameter too close to a chart boundary for finite differences")
     n = u.shape[0]
     f0 = evaluate(spec, u)
@@ -441,38 +469,20 @@ def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
 
 def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator,
                   margin: float = 0.4) -> np.ndarray:
-    """Random parameter points, kept away from chart boundaries."""
-    n = spec.intrinsic_dim
-    u = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))
-    def clamp_chart(cols_interior):
-        for c in cols_interior:
-            u[:, c] = rng.uniform(margin, math.pi - margin, size=n_samples)
-    if spec.kind == "round_sphere":
-        clamp_chart(range(spec.n - 1))
-    elif spec.kind == "veronese":
-        clamp_chart(range(spec.m - 1))
-    elif spec.kind == "sphere_product":
-        o = 0
-        for ni, _ in spec.factors:
-            clamp_chart(range(o, o + ni - 1))
-            o += ni
-    elif spec.kind == "tube":
-        clamp_chart(range(spec.n1 - 1))
-        clamp_chart(range(spec.n1, spec.n1 + spec.n2 - 1))
+    """Random parameter points, kept away from chart boundaries.
+
+    The draw order is part of the output: one uniform (n_samples, n) draw,
+    then one draw per polar column in increasing column order.
+    """
+    u = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, spec.intrinsic_dim))
+    for c in spec.polar_columns:
+        u[:, c] = rng.uniform(margin, math.pi - margin, size=n_samples)
     return u
 
 
 def declared_containment_radius(spec: ImmersionSpec) -> float:
     """Analytic supremum of the ambient norm over the image."""
-    if spec.kind == "round_sphere":
-        return spec.R
-    if spec.kind == "sphere_product":
-        return math.sqrt(sum(R * R for _, R in spec.factors))
-    if spec.kind in ("clifford_torus", "torus_linear", "veronese"):
-        return 1.0
-    if spec.kind == "tube":
-        return spec.base_r + spec.rho
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    return spec.declared_radius
 
 
 def containment_radius(spec: ImmersionSpec, n_samples: int = 1000, seed: int = 0) -> float:
@@ -481,17 +491,9 @@ def containment_radius(spec: ImmersionSpec, n_samples: int = 1000, seed: int = 0
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = spec.intrinsic_dim
-    best = 0.0
-    corners = [np.zeros(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = math.pi / 2
-        corners.append(e)
-    for u in corners:
-        best = max(best, float(np.linalg.norm(evaluate(spec, u))))
-    for u in rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n)):
-        best = max(best, float(np.linalg.norm(evaluate(spec, u))))
-    return best
+    us = np.vstack([np.zeros((1, n)), np.eye(n) * (math.pi / 2),
+                    rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))])
+    return max(float(np.linalg.norm(evaluate(spec, u))) for u in us)
 
 
 # ---------------------------------------------------------------------------
@@ -505,47 +507,30 @@ def spec_from_json(data) -> ImmersionSpec:
     {"kind":"torus_linear","rows":[[...]],"scale":...},
     {"kind":"veronese","m":2},
     {"kind":"tube","r":0.6667,"n1":1,"n2":1,"rho":0.3333}.
-    Numbers may be decimals or exact "p/q" strings.
+    Numbers may be decimals or exact "p/q" strings.  Any malformed input
+    raises ValueError with a one-line message; unknown extra keys are ignored.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "round_sphere":
-        return round_sphere(data["n"], _to_float(data["R"]))
-    if kind == "sphere_product":
-        return sphere_product([(f[0], _to_float(f[1])) for f in data["factors"]])
-    if kind == "clifford_torus":
-        return clifford_torus(data["N"])
-    if kind == "torus_linear":
-        scale = data.get("scale")
-        return torus_linear(
-            data["rows"],
-            scale=None if scale is None else _to_float(scale),
-            weights=data.get("weights"),
-        )
-    if kind == "veronese":
-        return veronese(data["m"])
-    if kind == "tube":
-        return tube_encircle(_to_float(data["r"]), data["n1"], data["n2"], _to_float(data["rho"]))
-    raise ValueError(f"unknown immersion kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown immersion kind {json.dumps(kind)}")
+    cls, make = _KINDS[kind]
+    args = []
+    for key, parse in cls.wire:
+        try:
+            args.append(parse(data.get(key)))
+        except ValueError as e:
+            raise ValueError(f"{kind} {key!r}: {e if key in data else 'missing'}") from None
+    return make(*args)
+
+
+def _plain(v):
+    return [_plain(x) for x in v] if isinstance(v, tuple) else v
 
 
 def spec_to_json(spec: ImmersionSpec) -> dict:
-    if spec.kind == "round_sphere":
-        return {"kind": "round_sphere", "n": spec.n, "R": spec.R}
-    if spec.kind == "sphere_product":
-        return {"kind": "sphere_product", "factors": [list(f) for f in spec.factors]}
-    if spec.kind == "clifford_torus":
-        return {"kind": "clifford_torus", "N": spec.N}
-    if spec.kind == "torus_linear":
-        return {
-            "kind": "torus_linear",
-            "rows": [list(r) for r in spec.rows],
-            "scale": spec.scale,
-            "weights": list(spec.weights),
-        }
-    if spec.kind == "veronese":
-        return {"kind": "veronese", "m": spec.m}
-    if spec.kind == "tube":
-        return {"kind": "tube", "r": spec.base_r, "n1": spec.n1, "n2": spec.n2, "rho": spec.rho}
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    values = (getattr(spec, f.name) for f in fields(spec))
+    return {"kind": spec.kind, **{key: _plain(v) for (key, _), v in zip(spec.wire, values)}}

@@ -65,6 +65,24 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("spec", [
+    [{"kind": "clifford_torus", "N": 2}],
+    {"kind": "clifford_torus", "N": None},
+    {"kind": "sphere_product", "factors": 5},
+    {"kind": "sphere_product", "factors": [[1]]},
+    {"kind": "clifford_torus", "N": True},
+    {"kind": "veronese", "m": 2.5},
+], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m"])
+def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "curv", str(path), "--points", "2")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("curv", "SPEC", "--points", "0"),
     ("curv", "SPEC", "--grid", "0"),
@@ -81,6 +99,17 @@ def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith("must be a positive integer, got "
                                          + argv[-1])
+
+
+def test_negative_random_count_exits_2_with_one_line_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve", "arm", "--random", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith("must be a non-negative integer, got -1")
+    # 0 still means "no generated instances": the curve files are then required
+    assert cli.main(["curve", "arm", "--random", "0"]) == cli.EXIT_PARSE
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ ALL_SPECS = [
     im.round_sphere(1, 1.0),
     im.round_sphere(2, 1.0),
     im.round_sphere(3, 2.0),
+    im.round_sphere(6, 1.0),
     im.sphere_product([(1, 0.6), (1, 0.8)]),
     im.sphere_product([(2, 1.0), (1, 0.5)]),
     im.clifford_torus(2),
     im.clifford_torus(4),
+    im.clifford_torus(6),
     im.torus_linear([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
     im.veronese(2),
     im.veronese(3),
@@ -24,7 +26,26 @@ ALL_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.intrinsic_dim))
+def spec_id(spec):
+    return spec.kind + str(spec.intrinsic_dim)
+
+
+# polar-angle columns of each ALL_SPECS entry, written out per kind: every
+# hyperspherical chart angle but the chart's last one
+POLAR_COLUMNS = {
+    "round_sphere1": [], "round_sphere2": [0], "round_sphere3": [0, 1],
+    "round_sphere6": [0, 1, 2, 3, 4],
+    "sphere_product2": [],  # S^1 x S^1
+    "sphere_product3": [0],  # S^2 x S^1
+    "clifford_torus2": [], "clifford_torus4": [], "clifford_torus6": [],
+    "torus_linear2": [],
+    "veronese2": [0], "veronese3": [0, 1],
+    "tube2": [],  # S^1 base, S^1 normal circle
+    "tube3": [0],  # S^2 base, S^1 normal circle
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_jet_matches_finite_differences(spec):
     rng = np.random.default_rng(7)
     for u in im.sample_params(spec, 4, rng):
@@ -36,7 +57,7 @@ def test_jet_matches_finite_differences(spec):
         assert np.allclose(j.hess, jf.hess, atol=1e-5)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.intrinsic_dim))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_dimensions_consistent(spec):
     u = np.full(spec.intrinsic_dim, 0.8)
     j = im.jet2(spec, u)
@@ -45,13 +66,91 @@ def test_dimensions_consistent(spec):
     assert j.hess.shape == (spec.ambient_dim,) + (spec.intrinsic_dim,) * 2
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.intrinsic_dim))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_containment_radius(spec):
     declared = im.declared_containment_radius(spec)
     sampled = im.containment_radius(spec, n_samples=500)
     assert sampled <= declared + 1e-9
     # spheres, tori and the tube boundary circle actually attain the radius
     assert sampled >= 0.5 * declared
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+def test_sample_params_draw_order(spec):
+    # one (n_samples, n) uniform draw, then one draw per polar column in
+    # increasing column order; a single (n_samples, k) draw for the k polar
+    # columns gives other basepoints and so moves every sampled curvature
+    rng = np.random.default_rng(11)
+    ref = rng.uniform(0.0, 2.0 * math.pi, size=(5, spec.intrinsic_dim))
+    for c in POLAR_COLUMNS[spec_id(spec)]:
+        ref[:, c] = rng.uniform(0.4, math.pi - 0.4, size=5)
+    got = im.sample_params(spec, 5, np.random.default_rng(11))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("spec", [
+    im.round_sphere(3, 2.0), im.veronese(3), im.tube_encircle(1.0, 2, 2, 0.4),
+], ids=spec_id)
+def test_jet_is_finite_at_chart_poles(spec):
+    # u = 0 puts every polar angle on a pole, where sin vanishes
+    with np.errstate(all="raise"):
+        j = im.jet2(spec, np.zeros(spec.intrinsic_dim))
+        near = im.jet2(spec, np.full(spec.intrinsic_dim, 1e-9))
+    for a, b in ((j.point, near.point), (j.jac, near.jac), (j.hess, near.hess)):
+        assert np.all(np.isfinite(a))
+        assert np.allclose(a, b, atol=1e-7)
+
+
+def _sphere_chart_jet_loop(u, R):
+    # per-coordinate product-rule loop: the reference for the factor-matrix form
+    m = len(u)
+    s, c = np.sin(u), np.cos(u)
+    point, jac, hess = np.empty(m + 1), np.zeros((m + 1, m)), np.zeros((m + 1, m, m))
+    for i in range(m + 1):
+        idx = list(range(i)) + ([i] if i < m else [])
+        val = np.array([s[j] for j in range(i)] + ([c[i]] if i < m else []))
+        dva = np.array([c[j] for j in range(i)] + ([-s[i]] if i < m else []))
+        point[i] = R * np.prod(val)
+        for a, ja in enumerate(idx):
+            va = val.copy()
+            va[a] = dva[a]
+            jac[i, ja] = R * np.prod(va)
+            vaa = val.copy()
+            vaa[a] = -val[a]
+            hess[i, ja, ja] = R * np.prod(vaa)
+            for b in range(a + 1, len(idx)):
+                vab = val.copy()
+                vab[a], vab[b] = dva[a], dva[b]
+                hess[i, ja, idx[b]] = hess[i, idx[b], ja] = R * np.prod(vab)
+    return point, jac, hess
+
+
+def _torus_jet_loop(u, L, scale, w):
+    # per-factor loop: the reference for the stacked-array form
+    M, n = L.shape
+    g = math.sqrt(M) * scale * L
+    theta, amp = g @ u, np.sqrt(w)
+    point, jac, hess = np.empty(2 * M), np.empty((2 * M, n)), np.empty((2 * M, n, n))
+    for i in range(M):
+        cs, sn, gg = math.cos(theta[i]), math.sin(theta[i]), np.outer(g[i], g[i])
+        point[2 * i], point[2 * i + 1] = amp[i] * cs, amp[i] * sn
+        jac[2 * i], jac[2 * i + 1] = -amp[i] * sn * g[i], amp[i] * cs * g[i]
+        hess[2 * i], hess[2 * i + 1] = -amp[i] * cs * gg, -amp[i] * sn * gg
+    return point, jac, hess
+
+
+def test_chart_and_torus_jets_match_loop_references():
+    # same arithmetic up to the order of a product's factors: a few ulps
+    rng = np.random.default_rng(3)
+    for m in range(1, 7):
+        for u in [np.zeros(m), np.full(m, math.pi / 2), *rng.uniform(-7, 7, (20, m))]:
+            for got, ref in zip(im._sphere_chart_jet(u, 1.5), _sphere_chart_jet_loop(u, 1.5)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=6 * 1.5 * np.finfo(float).eps)
+    L = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    w = np.array([0.2, 0.3, 0.5])
+    for u in rng.uniform(-7, 7, (20, 2)):
+        for got, ref in zip(im._torus_jet(u, L, 0.7, w), _torus_jet_loop(u, L, 0.7, w)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps)
 
 
 def test_sphere_points_have_declared_norm():
@@ -116,7 +215,7 @@ def test_param_dimension_checked():
         im.evaluate(im.clifford_torus(2), np.zeros(3))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.intrinsic_dim))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_spec_json_round_trip(spec):
     again = im.spec_from_json(im.spec_to_json(spec))
     assert again == spec
@@ -129,6 +228,9 @@ def test_spec_json_accepts_exact_fractions():
     assert spec.rows[0] == (0.6, 0.8)
     tube = im.spec_from_json({"kind": "tube", "r": "2/3", "n1": 1, "n2": 1, "rho": "1/3"})
     assert math.isclose(tube.base_r, 2.0 / 3.0)
+    halves = im.spec_from_json({"kind": "torus_linear", "rows": [[1, 0], [0, 1]],
+                                "weights": ["1/2", "1/2"]})
+    assert halves.weights == (0.5, 0.5)
 
 
 def test_spec_json_unknown_kind():
