@@ -3,7 +3,9 @@
 Exit codes: 0 success; 1 input parse error; 2 optimizer non-convergence;
 3 infeasible / height-exhausted exact construction; 4 checker hypothesis
 violation; 5 verification or consistency failure.  (Flag errors exit 2 via
-argparse.)  The default random seed is 0xC0FFEE; the CURVLAB_SEED environment
+argparse.)  A missing or malformed input file (spec, design or curve) exits 1
+with a one-line ``error:`` message, as does an input outside a routine's
+domain.  The default random seed is 0xC0FFEE; the CURVLAB_SEED environment
 variable overrides it, and an explicit --seed flag wins over both.
 """
 
@@ -87,34 +89,33 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """parse(text) of a file; a missing or malformed file raises a one-line ValueError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise ValueError(f"no such file: {path}") from None
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from None
+    try:
+        return parse(text)
     except json.JSONDecodeError as e:
-        print(f"error: {path}: line {e.lineno} column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise ValueError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
     if path.endswith(".csv"):
-        try:
-            with open(path) as fh:
-                return curves.curve_from_csv(fh.read(), closed=closed)
-        except FileNotFoundError:
-            print(f"error: no such file: {path}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
-        except ValueError as e:
-            print(f"error: {path}: {e}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE)
-    data = _load_json(path)
-    if closed:
-        data = dict(data, closed=True)
-    return curves.curve_from_json(data)
+        return _load(path, lambda text: curves.curve_from_csv(text, closed=closed))
+
+    def parse(text):
+        data = json.loads(text)
+        if closed and isinstance(data, dict):
+            data = dict(data, closed=True)
+        return curves.curve_from_json(data)
+    return _load(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +141,7 @@ def _curvature_payload(spec, args) -> dict:
 
 
 def cmd_curv(args) -> int:
-    try:
-        spec = immersions.spec_from_json(_load_json(args.spec))
-    except ValueError as e:
-        print(f"error: {args.spec}: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    spec = _load(args.spec, immersions.spec_from_json)
     payload = _curvature_payload(spec, args)
     _emit(payload, args)
     return 0 if payload["status"] == "OK" else EXIT_NON_CONVERGED
@@ -152,7 +149,7 @@ def cmd_curv(args) -> int:
 
 def cmd_design(args) -> int:
     if args.design_cmd == "verify":
-        d = designs.design_from_json(_load_json(args.file))
+        d = _load(args.file, designs.design_from_json)
         res = designs.is_degree4_design(d, tol=args.tol)
         _emit({"ok": res["ok"], "residual": float(res["residual"]),
                "exact": isinstance(d, designs.RationalDesign)}, args)
@@ -177,7 +174,7 @@ def cmd_design(args) -> int:
         _emit(payload, args)
         return 0
     if args.design_cmd == "torus":
-        d = designs.design_from_json(_load_json(args.file))
+        d = _load(args.file, designs.design_from_json)
         try:
             spec = designs.torus_immersion_from_design(d)
         except ValueError as e:
@@ -297,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("file")
     common(pv, tol=1e-10)
     po = dsub.add_parser("optimize", help="search for a floating design")
-    po.add_argument("--n", type=int, required=True)
-    po.add_argument("--cardinality", type=int, required=True)
-    po.add_argument("--iters", type=int, default=40)
+    po.add_argument("--n", type=_positive_int, required=True)
+    po.add_argument("--cardinality", type=_positive_int, required=True)
+    po.add_argument("--iters", type=_positive_int, default=40)
     common(po)
     ph = dsub.add_parser("hilbert", help="exact rational design construction")
-    ph.add_argument("--n", type=int, required=True)
-    ph.add_argument("--height-start", type=int, default=1)
-    ph.add_argument("--height-max", type=int, default=8)
+    ph.add_argument("--n", type=_positive_int, required=True)
+    ph.add_argument("--height-start", type=_positive_int, default=1)
+    ph.add_argument("--height-max", type=_positive_int, default=8)
     common(ph)
     pt = dsub.add_parser("torus", help="flat-torus immersion from a design")
     pt.add_argument("file")
@@ -354,8 +351,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SystemExit as e:  # file loaders bail out with a coded exit
-        return e.code
+    except ValueError as e:  # malformed input, or an argument outside a routine's domain
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def _dispatch(args) -> int:

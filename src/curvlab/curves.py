@@ -55,6 +55,8 @@ class PolyCurve:
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[0] < 2:
             raise ValueError("need at least two vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite")
         if self.closed and v.shape[0] < 3:
             raise ValueError("closed curve needs at least three vertices")
         if np.any(np.linalg.norm(self.edges, axis=1) < 1e-12):
@@ -427,10 +429,16 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
 # I/O
 
 def curve_from_json(data) -> PolyCurve:
+    """Parse {"vertices": [[x, ...], ...], "closed": bool}; malformed input raises ValueError."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    return PolyCurve(vertices=np.asarray(data["vertices"], dtype=float),
-                     closed=bool(data.get("closed", False)))
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise ValueError("curve must be a JSON object with a 'vertices' list")
+    try:
+        vertices = np.asarray(data["vertices"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("curve 'vertices' must be equal-length rows of numbers") from None
+    return PolyCurve(vertices=vertices, closed=bool(data.get("closed", False)))
 
 
 def curve_to_json(curve: PolyCurve) -> dict:

@@ -17,11 +17,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import scipy.optimize
 
 from . import immersions
+from .immersions import _count, _fields, _list, _optional, _real
 
 __all__ = [
     "Design",
@@ -124,62 +126,59 @@ def multi_indices(n: int, degree: int = 4):
     return out
 
 
+def _exponents(n: int) -> np.ndarray:
+    """(K, n) exponent matrix E: row k is multi_indices(n)[k]."""
+    return np.array(multi_indices(n), dtype=np.int64)
+
+
+def _quartic_monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(K, N) monomials s_i^alpha_k of the (N, n) points P.
+
+    P is float64, or an object array of Fraction for exact arithmetic.
+    """
+    return np.prod(P[None] ** E.astype(P.dtype)[:, None, :], axis=-1)
+
+
 @dataclass(frozen=True)
 class MomentTensor4:
-    """Degree-4 moment tensor in monomial multi-index storage (C(n+3,4) entries)."""
+    """Degree-4 moment tensor: one value per multi-index, ordered by multi_indices(n)."""
 
     n: int
-    entries: dict
+    values: np.ndarray  # C(n+3, 4) entries; float64, or object of Fraction
+
+    @property
+    def entries(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(multi_indices(self.n), self.values.tolist())))
 
     def residual_inf(self, other: "MomentTensor4"):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return max(abs(self.entries[a] - other.entries[a]) for a in self.entries)
+        return np.max(np.abs(self.values - other.values))
 
 
 def quartic_moment_tensor(d) -> MomentTensor4:
     """Weighted degree-4 monomial moments; exact for a RationalDesign."""
+    E = _exponents(d.n)
     if isinstance(d, RationalDesign):
-        Q = Fraction(d.Q)
-        entries = {}
-        for alpha in multi_indices(d.n):
-            acc = Fraction(0)
-            for p, P in zip(d.points, d.multiplicities):
-                term = Fraction(P)
-                for x, a in zip(p, alpha):
-                    if a:
-                        term *= x**a
-                acc += term
-            entries[alpha] = acc / Q
-        return MomentTensor4(n=d.n, entries=entries)
-    entries = {}
-    for alpha in multi_indices(d.n):
-        mono = np.prod(d.points ** np.asarray(alpha, dtype=float), axis=1)
-        entries[alpha] = float(d.weights @ mono)
-    return MomentTensor4(n=d.n, entries=entries)
+        M = _quartic_monomials(np.array(d.points, dtype=object), E)
+        mult = np.array(d.multiplicities, dtype=object)
+        return MomentTensor4(n=d.n, values=np.vecdot(M, mult) / Fraction(d.Q))
+    # one dot per row: a matrix-vector product sums in another order
+    return MomentTensor4(n=d.n, values=np.vecdot(_quartic_monomials(d.points, E), d.weights))
 
 
 def isotropic_moment_tensor(n: int, exact: bool = False) -> MomentTensor4:
     """Degree-4 moments of the uniform measure on S^{n-1}.
 
-    3/(n(n+2)) on pure quartics, 1/(n(n+2)) on the (2,2) mixed monomials, zero
-    whenever an exponent is odd.
+    prod_i (a_i - 1)!! / (n(n+2)) when every exponent a_i is even, else zero:
+    3/(n(n+2)) on pure quartics, 1/(n(n+2)) on the (2,2) mixed monomials.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pure = Fraction(3, n * (n + 2))
-    mixed = Fraction(1, n * (n + 2))
-    entries = {}
-    for alpha in multi_indices(n):
-        nz = sorted(a for a in alpha if a)
-        if nz == [4]:
-            v = pure
-        elif nz == [2, 2]:
-            v = mixed
-        else:
-            v = Fraction(0)
-        entries[alpha] = v if exact else float(v)
-    return MomentTensor4(n=n, entries=entries)
+    # (a - 1)!! for a = 0..4, with 0 at the odd exponents
+    numer = np.prod(np.array([1, 0, 1, 0, 3])[_exponents(n)], axis=1)
+    values = [Fraction(int(k), n * (n + 2)) for k in numer]
+    return MomentTensor4(n=n, values=np.array(values, dtype=object if exact else float))
 
 
 def is_degree4_design(d, tol: float = 1e-10) -> dict:
@@ -191,7 +190,7 @@ def is_degree4_design(d, tol: float = 1e-10) -> dict:
     res = quartic_moment_tensor(d).residual_inf(isotropic_moment_tensor(d.n, exact=exact))
     if exact:
         return {"ok": res == 0, "residual": res}
-    return {"ok": res <= tol, "residual": float(res)}
+    return {"ok": bool(res <= tol), "residual": float(res)}
 
 
 def design_ratio(d, c) -> float:
@@ -316,25 +315,15 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    iso = isotropic_moment_tensor(n, exact=True)
-    alphas = multi_indices(n)
-    b = [iso.entries[a] for a in alphas] + [Fraction(1)]
+    E = _exponents(n)
+    b = np.append(isotropic_moment_tensor(n, exact=True).values, Fraction(1))
     last_residual = None
     height = height_start
     while height <= height_max:
         pts = rational_sphere_points(n, height)
-        cols = []
-        for s in pts:
-            col = []
-            for alpha in alphas:
-                term = Fraction(1)
-                for x, a in zip(s, alpha):
-                    if a:
-                        term *= x**a
-                col.append(term)
-            col.append(Fraction(1))
-            cols.append(col)
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(len(b))]
+        # moment rows, then the normalization row
+        A = np.vstack([_quartic_monomials(np.array(pts, dtype=object), E),
+                       np.full(len(pts), Fraction(1), dtype=object)])
         p = exact_lp_feasible(A, b)
         if p is not None:
             keep = [(s, w) for s, w in zip(pts, p) if w > 0]
@@ -348,8 +337,7 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
                 multiplicities=tuple(mult),
             )
         # report how close a least-squares relaxation got, for diagnostics
-        Af = np.array([[float(x) for x in row] for row in A])
-        bf = np.array([float(x) for x in b])
+        Af, bf = A.astype(float), b.astype(float)
         sol, *_ = np.linalg.lstsq(Af, bf, rcond=None)
         last_residual = float(np.linalg.norm(Af @ np.clip(sol, 0, None) - bf, ord=np.inf))
         height *= 2
@@ -362,12 +350,8 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
 # ---------------------------------------------------------------------------
 # floating-point design optimization
 
-def _moment_residual_vec(pts: np.ndarray, alphas, iso_vec: np.ndarray) -> np.ndarray:
-    N = pts.shape[0]
-    vec = np.array(
-        [np.mean(np.prod(pts ** np.asarray(a, dtype=float), axis=1)) for a in alphas]
-    )
-    return vec - iso_vec
+def _moment_residual(pts: np.ndarray, E: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    return _quartic_monomials(pts, E).mean(axis=1) - iso
 
 
 def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
@@ -380,14 +364,15 @@ def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
     """
     if N < n + 1:
         raise ValueError("need N >= n+1 points")
-    alphas = multi_indices(n)
-    iso = isotropic_moment_tensor(n)
-    iso_vec = np.array([iso.entries[a] for a in alphas])
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    E = _exponents(n)
+    iso = isotropic_moment_tensor(n).values
 
     def residual(v):
         pts = v.reshape(N, n)
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return _moment_residual_vec(pts, alphas, iso_vec)
+        return _moment_residual(pts, E, iso)
 
     rng = np.random.default_rng(seed)
     best_v, best_f = None, np.inf
@@ -436,25 +421,39 @@ def pentagon_design() -> Design:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
+def _rational(x) -> Fraction:
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"expected an exact 'p/q' string, got {json.dumps(x)}")
+
+
 def design_from_json(data):
     """Parse the design file format.
 
     Rational mode: {"n":2,"points":[["3/5","4/5"],...],"multiplicities":[...]}
     with exact "p/q" strings.  Float mode: decimal points and optional
-    "weights" (default uniform).
+    "weights" (default uniform).  Any malformed input raises ValueError with a
+    one-line message.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    n = int(data["n"])
-    if "multiplicities" in data:
-        pts = tuple(tuple(Fraction(x) for x in p) for p in data["points"])
-        return RationalDesign(n=n, points=pts,
-                              multiplicities=tuple(int(m) for m in data["multiplicities"]))
-    pts = np.array([[float(x) for x in p] for p in data["points"]], dtype=float)
-    w = data.get("weights")
-    if w is None:
-        w = np.full(len(pts), 1.0 / len(pts))
-    return Design(n=n, points=pts, weights=np.asarray(w, dtype=float))
+    if not isinstance(data, dict):
+        raise ValueError(f"design must be a JSON object, got {type(data).__name__}")
+    exact = "multiplicities" in data
+    n, pts, extra = _fields("design", data, (
+        ("n", _count),
+        ("points", _list(_list(_rational if exact else _real))),
+        ("multiplicities", _list(_count)) if exact else ("weights", _optional(_list(_real))),
+    ))
+    if not pts or any(len(p) != n for p in pts):
+        raise ValueError(f"design 'points': expected a non-empty list of {n}-coordinate points")
+    if exact:
+        return RationalDesign(n=n, points=tuple(map(tuple, pts)), multiplicities=tuple(extra))
+    w = np.full(len(pts), 1.0 / len(pts)) if extra is None else np.array(extra)
+    return Design(n=n, points=np.array(pts), weights=w)
 
 
 def design_to_json(d) -> dict:

@@ -107,6 +107,17 @@ def _optional(parse):
     return lambda x: None if x is None else parse(x)
 
 
+def _fields(what: str, data: dict, wire) -> list:
+    """Each (key, parse) of wire applied to data[key]; errors name the field."""
+    out = []
+    for key, parse in wire:
+        try:
+            out.append(parse(data.get(key)))
+        except ValueError as e:
+            raise ValueError(f"{what} {key!r}: {e if key in data else 'missing'}") from None
+    return out
+
+
 def _factor(x) -> tuple[int, float]:
     if not (isinstance(x, list) and len(x) == 2):
         raise ValueError(f"expected an [n, R] pair, got {json.dumps(x)}")
@@ -518,13 +529,7 @@ def spec_from_json(data) -> ImmersionSpec:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown immersion kind {json.dumps(kind)}")
     cls, make = _KINDS[kind]
-    args = []
-    for key, parse in cls.wire:
-        try:
-            args.append(parse(data.get(key)))
-        except ValueError as e:
-            raise ValueError(f"{kind} {key!r}: {e if key in data else 'missing'}") from None
-    return make(*args)
+    return make(*_fields(kind, data, cls.wire))
 
 
 def _plain(v):

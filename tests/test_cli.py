@@ -58,6 +58,12 @@ def test_curv_missing_file_exits_parse(capsys):
     assert "no such file" in err
 
 
+def test_directory_as_input_file_exits_parse(tmp_path, capsys):
+    code, out, err = run(capsys, "design", "verify", str(tmp_path))
+    assert code == cli.EXIT_PARSE
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "mystery", "n": 2}))
@@ -72,7 +78,9 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     {"kind": "sphere_product", "factors": [[1]]},
     {"kind": "clifford_torus", "N": True},
     {"kind": "veronese", "m": 2.5},
-], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m"])
+    {"kind": "clifford_torus", "N": 7},
+], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m",
+        "N7-beyond-direction-search"])
 def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -89,6 +97,12 @@ def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     ("design", "torus", "SPEC", "--curv", "--points", "-3"),
     ("design", "torus", "SPEC", "--curv", "--grid", "0"),
     ("curve", "crofton", "SPEC", "--dirs", "0"),
+    ("design", "optimize", "--cardinality", "5", "--n", "0"),
+    ("design", "optimize", "--n", "2", "--cardinality", "0"),
+    ("design", "optimize", "--n", "2", "--cardinality", "5", "--iters", "0"),
+    ("design", "hilbert", "--n", "0"),
+    ("design", "hilbert", "--n", "2", "--height-start", "0"),
+    ("design", "hilbert", "--n", "2", "--height-max", "-1"),
 ])
 def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys):
     argv = [sphere_spec if a == "SPEC" else a for a in argv]
@@ -110,6 +124,65 @@ def test_negative_random_count_exits_2_with_one_line_error(capsys):
     assert err.splitlines()[-1].endswith("must be a non-negative integer, got -1")
     # 0 still means "no generated instances": the curve files are then required
     assert cli.main(["curve", "arm", "--random", "0"]) == cli.EXIT_PARSE
+
+
+def _assert_one_line_parse_error(code, out, err):
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "torus"])
+@pytest.mark.parametrize("design", [
+    [1, 2],
+    {"n": 2},
+    {"points": [[1.0, 0.0]]},
+    {"n": 2, "points": [[1.0, 0.0], [0.0]]},
+    {"n": 2, "points": [[1.0, "x"], [0.0, 1.0]]},
+    {"n": 2, "points": [[1.0, None], [0.0, 1.0]]},
+    {"n": 2, "points": [[1.0 + 1e-9, 0.0], [0.0, 1.0]]},
+    {"n": 2, "points": [["3/5", "4/5"], ["1/0", "1"]], "multiplicities": [1, 1]},
+    {"n": 2, "points": [["3/5", "4/5"]], "multiplicities": ["one"]},
+], ids=["list", "missing-points", "missing-n", "ragged", "string-coordinate",
+        "null-coordinate", "off-unit-1e-9", "zero-denominator", "bad-multiplicity"])
+def test_malformed_design_file_exits_parse_with_one_line(design, command, tmp_path,
+                                                         capsys):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    _assert_one_line_parse_error(*run(capsys, "design", command, str(path)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "fenchel", "FILE"),
+    ("curve", "bow", "FILE", "--R", "1.0"),
+    ("curve", "crofton", "FILE"),
+])
+@pytest.mark.parametrize("curve", [
+    [1, 2],
+    {"closed": True},
+    {"vertices": [[0, 0], [1, 0], [1]]},
+    {"vertices": [[0, 0], [1, None], [1, 1]]},
+], ids=["list", "missing-vertices", "ragged", "null-coordinate"])
+def test_malformed_curve_file_exits_parse_with_one_line(curve, argv, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    _assert_one_line_parse_error(*run(capsys, *argv))
+
+
+def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_text("x0,x1\n0,0\n1,nan\n1,1\n")
+    _assert_one_line_parse_error(*run(capsys, "curve", "crofton", str(path)))
+
+
+def test_design_torus_on_non_design_exits_4(tmp_path, capsys):
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps({"n": 2, "points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}))
+    code, out, err = run(capsys, "design", "torus", str(path))
+    assert code == cli.EXIT_HYPOTHESIS
+    assert out == "" and err.startswith("error: input is not a degree-4 design")
 
 
 # ---------------------------------------------------------------------------

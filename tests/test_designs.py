@@ -111,6 +111,95 @@ def test_rotation_invariance():
 
 
 # ---------------------------------------------------------------------------
+# one monomial kernel: the per-multi-index loops it replaced, kept as references
+
+def loop_float_moments(d):
+    return np.array([float(d.weights @ np.prod(d.points ** np.asarray(a, dtype=float), axis=1))
+                     for a in dg.multi_indices(d.n)])
+
+
+def loop_residual(pts, iso_vec):
+    return np.array([np.mean(np.prod(pts ** np.asarray(a, dtype=float), axis=1))
+                     for a in dg.multi_indices(pts.shape[1])]) - iso_vec
+
+
+def loop_monomial(s, alpha):
+    term = Fraction(1)
+    for x, a in zip(s, alpha):
+        if a:
+            term *= x**a
+    return term
+
+
+def loop_exact_moments(rd):
+    return [sum((P * loop_monomial(p, a) for p, P in zip(rd.points, rd.multiplicities)),
+                Fraction(0)) / Fraction(rd.Q)
+            for a in dg.multi_indices(rd.n)]
+
+
+def loop_hilbert_matrix(pts, n):
+    return [[loop_monomial(s, a) for s in pts] for a in dg.multi_indices(n)] + [[1] * len(pts)]
+
+
+def random_unit_designs(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, N = int(rng.integers(1, 7)), int(rng.integers(2, 120))
+        pts = rng.standard_normal((N, n))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        w = rng.random(N)
+        yield dg.Design(n=n, points=pts, weights=w / w.sum())
+
+
+def test_kernel_float_moments_and_residual_are_bit_identical_to_loops():
+    designs = list(random_unit_designs(200, seed=11))
+    designs += [dg.pentagon_design()] + [dg.hilbert_rational_design(n).to_float()
+                                         for n in (2, 3)]
+    for d in designs:
+        assert np.array_equal(dg.quartic_moment_tensor(d).values, loop_float_moments(d))
+        iso = dg.isotropic_moment_tensor(d.n)
+        iso_vec = np.array([iso.entries[a] for a in dg.multi_indices(d.n)])
+        assert np.array_equal(dg._moment_residual(d.points, dg._exponents(d.n), iso.values),
+                              loop_residual(d.points, iso_vec))
+
+
+def test_kernel_exact_moments_equal_loops():
+    rng = np.random.default_rng(12)
+    designs = [dg.hilbert_rational_design(n) for n in (1, 2, 3)]
+    for n, h in [(2, 2), (3, 1), (4, 1)]:
+        pts = dg.rational_sphere_points(n, h)
+        mult = tuple(int(m) for m in rng.integers(1, 6, len(pts)))
+        designs.append(dg.RationalDesign(n=n, points=tuple(pts), multiplicities=mult))
+    for rd in designs:
+        values = dg.quartic_moment_tensor(rd).values
+        assert list(values) == loop_exact_moments(rd)
+        assert all(isinstance(v, Fraction) for v in values)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hilbert_lp_matrix_equals_loop_columns(n, monkeypatch):
+    calls = []
+    real = dg.exact_lp_feasible
+    monkeypatch.setattr(dg, "exact_lp_feasible",
+                        lambda A, b: calls.append((A, b)) or real(A, b))
+    dg.hilbert_rational_design(n)
+    iso = dg.isotropic_moment_tensor(n, exact=True)
+    b_ref = [iso.entries[a] for a in dg.multi_indices(n)] + [Fraction(1)]
+    for k, (A, b) in enumerate(calls):
+        pts = dg.rational_sphere_points(n, 2**k)
+        assert A.tolist() == loop_hilbert_matrix(pts, n)
+        assert list(b) == b_ref
+
+
+def test_moment_tensor_entries_are_read_only_and_ordered():
+    mt = dg.quartic_moment_tensor(dg.pentagon_design())
+    assert list(mt.entries) == dg.multi_indices(2)
+    assert list(mt.entries.values()) == mt.values.tolist()
+    with pytest.raises(TypeError):
+        mt.entries[(4, 0)] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # rational machinery
 
 def test_rational_sphere_points_exactly_unit():
@@ -227,6 +316,11 @@ def test_optimize_design_four_points_on_sphere_cannot_converge():
 def test_optimize_design_needs_enough_points():
     with pytest.raises(ValueError):
         dg.optimize_design(3, 3)
+
+
+def test_optimize_design_needs_a_restart():
+    with pytest.raises(ValueError):
+        dg.optimize_design(2, 5, iters=0)
 
 
 # ---------------------------------------------------------------------------
