@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
 __all__ = [
     "BoundEntry",
@@ -138,12 +136,17 @@ def bessel_j_zero(nu: float) -> float:
     """
     if nu < -0.5:
         raise ValueError("nu must be >= -1/2")
+    import scipy.optimize
+    import scipy.special
+
     lo, hi = _first_sign_change(nu)
     return float(scipy.optimize.brentq(
         lambda x: scipy.special.jv(nu, x), lo, hi, xtol=1e-14, rtol=1e-15))
 
 
 def _first_sign_change(nu: float, step: float = 0.05):
+    import scipy.special
+
     x = max(1e-6, 0.5 * nu)
     f_prev = scipy.special.jv(nu, x)
     limit = nu + 25.0

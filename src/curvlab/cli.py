@@ -56,7 +56,12 @@ _nonnegative_int = _int_at_least(0, "a non-negative")
 
 def _env_seed() -> int:
     raw = os.environ.get("CURVLAB_SEED")
-    return int(raw, 0) if raw else DEFAULT_SEED
+    if not raw:
+        return DEFAULT_SEED
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise ValueError(f"CURVLAB_SEED must be an integer literal, got {raw!r}") from None
 
 
 def _meta(args) -> dict:
@@ -274,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, tol=1e-3):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=_env_seed())
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+                       help="random seed (default: CURVLAB_SEED, else 0xC0FFEE)")
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
@@ -350,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return _dispatch(args)
     except ValueError as e:  # malformed input, or an argument outside a routine's domain
         print(f"error: {e}", file=sys.stderr)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .immersions import ImmersionSpec, Jet2, jet2, sample_params
 
@@ -386,6 +385,8 @@ def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    import scipy.linalg
+
     u = np.asarray(u, dtype=float).reshape(-1)
     fd = fundamental_data(jet2(spec, u))
     n = fd.n

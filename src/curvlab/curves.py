@@ -302,24 +302,30 @@ def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
 
 
 def _spatial_arc(sides, turns, ambient_n, rng) -> PolyCurve:
-    """Arc with given side lengths and turn magnitudes, bending planes random."""
-    tangent = np.zeros(ambient_n)
-    tangent[0] = 1.0
-    pts = [np.zeros(ambient_n)]
-    for i, L in enumerate(sides):
-        pts.append(pts[-1] + L * tangent)
-        if i < len(turns):
-            raw = rng.standard_normal(ambient_n)
-            perp = raw - (raw @ tangent) * tangent
-            nperp = np.linalg.norm(perp)
-            if nperp < 1e-12:
-                perp = np.zeros(ambient_n)
-                perp[1] = 1.0
-            else:
-                perp /= nperp
-            tangent = math.cos(turns[i]) * tangent + math.sin(turns[i]) * perp
-            tangent /= np.linalg.norm(tangent)
-    return PolyCurve(vertices=np.array(pts), closed=False)
+    """Arc with given side lengths and turn magnitudes, bending planes random.
+
+    One turn between consecutive sides.  The bending normals are one
+    (len(turns), ambient_n) draw, the same stream as one draw per step.
+    """
+    raws = rng.standard_normal((len(turns), ambient_n))
+    tangents = np.zeros((len(sides), ambient_n))
+    tangents[0, 0] = 1.0
+    tangent = tangents[0]
+    for i, (turn, raw) in enumerate(zip(turns, raws), start=1):
+        # numpy's dot, not a plain-float sum: BLAS may sum in another order
+        perp = raw - (raw @ tangent) * tangent
+        nperp = math.sqrt(perp @ perp)
+        if nperp < 1e-12:
+            perp = np.zeros(ambient_n)
+            perp[1] = 1.0
+        else:
+            perp /= nperp
+        tangent = math.cos(turn) * tangent + math.sin(turn) * perp
+        tangent /= math.sqrt(tangent @ tangent)
+        tangents[i] = tangent
+    steps = np.asarray(sides)[:, None] * tangents
+    vertices = np.vstack([np.zeros(ambient_n), np.cumsum(steps, axis=0)])
+    return PolyCurve(vertices=vertices, closed=False)
 
 
 # ---------------------------------------------------------------------------

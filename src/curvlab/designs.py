@@ -20,7 +20,6 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
-import scipy.optimize
 
 from . import immersions
 from .immersions import _count, _fields, _list, _optional, _real
@@ -249,59 +248,85 @@ def rational_sphere_points(n: int, height: int):
 # ---------------------------------------------------------------------------
 # exact feasibility simplex
 
+def _lowest_terms(row, d):
+    """The integer row over d, with row and d divided by their common gcd."""
+    g = math.gcd(*row, d)
+    return (row, d) if g == 1 else ([x // g for x in row], d // g)
+
+
 def exact_lp_feasible(A, b):
     """Exact nonnegative solution of A p = b over the rationals, or None.
 
     Phase-1 simplex with Bland's anti-cycling rule.  A is m x k (lists of
     Fraction-coercible entries), b has length m.  Returns a list of k exact
     Fractions with A p = b and p >= 0, or None if infeasible.
+
+    The tableau [A | I | b] holds Python ints: row i is R_i / d_i with integer
+    entries R_i and one positive integer d_i, and the phase-1 cost row is held
+    the same way.  A positive denominator leaves every sign unchanged, so
+    Bland's entering column is read off the integers; the ratio test compares
+    R_i[rhs] / R_i[e] by cross-multiplying positive entries and breaks ties by
+    the smallest basis index.  Each pivot is therefore the one the same simplex
+    takes in Fraction arithmetic, and the vertex is the same.  A pivot replaces
+    R_i by p R_i - a R_l and d_i by d_i p, then divides both by their gcd
+    (fraction-free elimination, Edmonds 1967 / Bareiss 1968): one gcd per row,
+    not one per entry.
     """
-    A = [[Fraction(x) for x in row] for row in A]
-    b = [Fraction(x) for x in b]
-    m, k = len(A), len(A[0]) if A else 0
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # tableau: [A | I | b], basis = artificials; minimize sum of artificials
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [k + i for i in range(m)]
+    rows, dens = [], []
+    m = len(A)
+    for i, (row, bi) in enumerate(zip(A, b)):
+        row = [Fraction(x) for x in row] + [Fraction(bi)]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        R = [x.numerator * (d // x.denominator) for x in row]
+        # [A_i | e_i | b_i] over d; the artificials start as the basis
+        rows.append(R[:-1] + [d * (j == i) for j in range(m)] + R[-1:])
+        dens.append(d)
+    k = len(rows[0]) - m - 1 if rows else 0
     ncols = k + m
-    # reduced cost row for objective sum(artificials): z_j - c_j
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        for j in range(ncols + 1):
-            cost[j] += T[i][j]
+    basis = [k + i for i in range(m)]
+    # reduced cost row for objective sum(artificials): z_j - c_j, over dc
+    dc = math.lcm(*dens)
+    cost = [0] * (ncols + 1)
+    for R, d in zip(rows, dens):
+        s = dc // d
+        cost = [c + s * x for c, x in zip(cost, R)]
     for j in range(k, ncols):
-        cost[j] -= 1
+        cost[j] -= dc
     while True:
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
             break
-        leave, best = None, None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        leave = None
+        for i, R in enumerate(rows):
+            if R[enter] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = R[ncols] * rows[leave][enter]
+                rhs = rows[leave][ncols] * R[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             break  # unbounded cannot happen in phase 1; defensive
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        Rl, piv = _lowest_terms(rows[leave], rows[leave][enter])
+        rows[leave], dens[leave] = Rl, piv
+        for i, R in enumerate(rows):
+            a = R[enter]
+            if i != leave and a:
+                rows[i], dens[i] = _lowest_terms([piv * x - a * y for x, y in zip(R, Rl)],
+                                                 dens[i] * piv)
+        a = cost[enter]
+        if a:
+            cost, dc = _lowest_terms([piv * x - a * y for x, y in zip(cost, Rl)], dc * piv)
         basis[leave] = enter
     if cost[ncols] != 0:
         return None
     p = [Fraction(0)] * k
     for i, bi in enumerate(basis):
         if bi < k:
-            p[bi] = T[i][ncols]
+            p[bi] = Fraction(rows[i][ncols], dens[i])
     return p
 
 
@@ -366,6 +391,8 @@ def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
         raise ValueError("need N >= n+1 points")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    import scipy.optimize
+
     E = _exponents(n)
     iso = isotropic_moment_tensor(n).values
 

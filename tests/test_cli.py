@@ -2,8 +2,13 @@
 and the design pipeline (exact construction -> verify -> torus -> curvature).
 """
 
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +213,23 @@ def test_design_pipeline_hilbert_verify_torus_curv(tmp_path, capsys):
     assert abs(payload["curv"] - math.sqrt(1.5)) < 1e-6
 
 
+# sha256 of the --no-meta output, recorded before the exact LP moved from
+# Fraction to integer arithmetic: the same pivots give the same designs
+HILBERT_SHA256 = {
+    ("--n", "2"): "3078b909a1e9d7224c5bda189191baaed838d2e64079945c80362f71c1b37a59",
+    ("--n", "3"): "f2cc4b8b8317348750af90bb833d5f237c23857ced0432f82745c6be232e8a22",
+    ("--n", "4", "--height-max", "1"):
+        "0599101407e7dc6b083ce6333b4989bc33516ba391e164bae618aa8ccbd50c17",
+}
+
+
+@pytest.mark.parametrize("args", list(HILBERT_SHA256), ids=" ".join)
+def test_hilbert_no_meta_output_is_pinned(args, capsys):
+    code, out, _ = run(capsys, "design", "hilbert", *args, "--no-meta")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HILBERT_SHA256[args]
+
+
 def test_design_optimize_converges(capsys):
     code, out, _ = run(capsys, "design", "optimize", "--n", "2",
                        "--cardinality", "5", "--iters", "10", "--seed", "1")
@@ -335,6 +357,28 @@ def test_env_seed_override(sphere_spec, capsys, monkeypatch):
     code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4",
                        "--no-meta")
     assert json.loads(out)["meta"]["seed"] == 0x42
+
+
+def test_malformed_env_seed_exits_parse_with_one_line(sphere_spec, capsys, monkeypatch):
+    monkeypatch.setenv("CURVLAB_SEED", "zz")
+    code, out, err = run(capsys, "verify-paper", "--only", "scope")
+    assert code == cli.EXIT_PARSE
+    assert not out
+    assert err == "error: CURVLAB_SEED must be an integer literal, got 'zz'\n"
+    # an explicit --seed wins, and the environment is then not read
+    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4", "--seed", "5",
+                       "--no-meta")
+    assert code == 0 and json.loads(out)["meta"]["seed"] == 5
+
+
+def test_cli_import_does_not_load_scipy():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import curvlab.cli, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_output_format(sphere_spec, capsys):

@@ -228,6 +228,54 @@ def test_bow_random_bounded_curves():
         assert res["chord_ok"], seed
 
 
+def loop_spatial_arc(sides, turns, ambient_n, rng):
+    """The per-step construction that _spatial_arc replaced, kept as its reference."""
+    tangent = np.zeros(ambient_n)
+    tangent[0] = 1.0
+    pts = [np.zeros(ambient_n)]
+    for i, L in enumerate(sides):
+        pts.append(pts[-1] + L * tangent)
+        if i < len(turns):
+            raw = rng.standard_normal(ambient_n)
+            perp = raw - (raw @ tangent) * tangent
+            nperp = np.linalg.norm(perp)
+            if nperp < 1e-12:
+                perp = np.zeros(ambient_n)
+                perp[1] = 1.0
+            else:
+                perp /= nperp
+            tangent = math.cos(turns[i]) * tangent + math.sin(turns[i]) * perp
+            tangent /= np.linalg.norm(tangent)
+    return cu.PolyCurve(vertices=np.array(pts), closed=False)
+
+
+class ParallelDraws:
+    """Every bending normal along e_1, so the first one is parallel to the tangent."""
+
+    def standard_normal(self, shape):
+        out = np.zeros(shape)
+        out[..., 0] = 1.0
+        return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_spatial_arc_matches_per_step_loop(dim, monkeypatch):
+    seeds = list(range(20)) + [0xC0FFEE, 5003, 7001]
+
+    def draw():
+        bounded = [cu.random_bounded_curve(R=1.0, length=5.0, n=200, dim=dim, seed=s)
+                   for s in seeds]
+        arms = [cu.random_arm_instance(k, dim, seed=s)[1] for s in seeds for k in (3, 8)]
+        return [c.vertices for c in bounded + arms]
+
+    fast, real = draw(), cu._spatial_arc
+    monkeypatch.setattr(cu, "_spatial_arc", loop_spatial_arc)
+    assert all(np.array_equal(a, b) for a, b in zip(fast, draw(), strict=True))
+    sides, turns = np.linspace(0.5, 1.0, 6), np.linspace(0.1, 0.6, 5)
+    assert np.array_equal(real(sides, turns, dim, ParallelDraws()).vertices,
+                          loop_spatial_arc(sides, turns, dim, ParallelDraws()).vertices)
+
+
 def test_bow_skips_when_curvature_cap_fails():
     tight = cu.circular_arc(R=0.5, arc_length=2.0, n=200)
     res = cu.bow_check(tight, R=2.0)

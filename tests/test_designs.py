@@ -246,6 +246,99 @@ def test_exact_lp_solution_is_exact():
     assert all(x >= 0 for x in p)
 
 
+def fraction_bland_simplex(A, b):
+    """The phase-1 Bland simplex in Fraction arithmetic that the integer
+    tableau replaced, kept as the reference for its pivots."""
+    A = [[Fraction(x) for x in row] for row in A]
+    b = [Fraction(x) for x in b]
+    m, k = len(A), len(A[0]) if A else 0
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [k + i for i in range(m)]
+    ncols = k + m
+    cost = [Fraction(0)] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            cost[j] += T[i][j]
+    for j in range(k, ncols):
+        cost[j] -= 1
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][ncols] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            break
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        basis[leave] = enter
+    if cost[ncols] != 0:
+        return None
+    p = [Fraction(0)] * k
+    for i, bi in enumerate(basis):
+        if bi < k:
+            p[bi] = T[i][ncols]
+    return p
+
+
+def random_lp_systems(count, seed):
+    """Small systems A p = b: b in the cone of A (often on a face, so ratio
+    ties and degenerate pivots), random b of either sign, and repeated
+    columns, which tie every ratio of the copies."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m, k = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        A = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(k)]
+             for _ in range(m)]
+        if t % 3 == 0:
+            dup = rng.integers(0, k, size=int(rng.integers(1, 4)))
+            A = [row + [row[j] for j in dup] for row in A]
+        if t % 2 == 0:
+            x = [Fraction(int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+                 if rng.random() < 0.5 else Fraction(0) for _ in range(len(A[0]))]
+            b = [sum((a * xi for a, xi in zip(row, x)), Fraction(0)) for row in A]
+        else:
+            b = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(m)]
+        yield A, b
+
+
+def test_exact_lp_matches_fraction_reference(monkeypatch):
+    systems = list(random_lp_systems(200, seed=7))
+    outcomes = [dg.exact_lp_feasible(A, b) for A, b in systems]
+    assert outcomes == [fraction_bland_simplex(A, b) for A, b in systems]
+    feasible = sum(p is not None for p in outcomes)
+    assert min(feasible, len(outcomes) - feasible) >= 30  # both outcomes are exercised
+    # a ratio tie that decides the vertex: the smaller basis index leaves
+    A, b = [[-1, 0, -1, 1], [-1, -1, 2, 1], [1, 2, 2, 0]], [0, 2, 2]
+    vertex = [Fraction(2, 3), Fraction(0), Fraction(2, 3), Fraction(4, 3)]
+    assert dg.exact_lp_feasible(A, b) == fraction_bland_simplex(A, b) == vertex
+    calls = []
+    real = dg.exact_lp_feasible
+    monkeypatch.setattr(dg, "exact_lp_feasible",
+                        lambda A, b: calls.append((A, b)) or real(A, b))
+    for n in (1, 2, 3):
+        dg.hilbert_rational_design(n)
+    dg.hilbert_rational_design(4, height_max=1)
+    assert [A.shape for A, _ in calls] == [(2, 2), (6, 4), (6, 8), (16, 14), (16, 78), (36, 48)]
+    for A, b in calls:
+        assert real(A, b) == fraction_bland_simplex(A, b)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hilbert_rational_design(n):
     rd = dg.hilbert_rational_design(n)
