@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 __all__ = [
     "BoundEntry",
     "UNBOUNDED",
@@ -319,7 +317,7 @@ def _applicable(lo: BoundEntry, up: BoundEntry) -> bool:
     return lo.ambient == up.ambient
 
 
-def report(n_min: int, n_max: int, out_path=None) -> dict:
+def report(n_min: int, n_max: int) -> dict:
     """Bound table with all lower<=upper cross-checks for n in [n_min, n_max].
 
     Every applicable (lower, upper) pair is asserted; violations are listed
@@ -354,7 +352,7 @@ def report(n_min: int, n_max: int, out_path=None) -> dict:
         })
         if not recip_ok:
             violations.append(checks[-1])
-    out = {
+    return {
         "n_min": n_min,
         "n_max": n_max,
         "rows": rows,
@@ -366,12 +364,6 @@ def report(n_min: int, n_max: int, out_path=None) -> dict:
             "band_note": "band entries below 1 are weak; informative for n >= 9",
         },
     }
-    if out_path is not None:
-        text = report_to_csv(out) if str(out_path).endswith(".csv") \
-            else report_to_json(out)
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    return out
 
 
 def report_to_csv(rep: dict) -> str:

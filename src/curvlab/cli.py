@@ -127,8 +127,7 @@ def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
 # commands
 
 def _curvature_payload(spec, args) -> dict:
-    res = normal_curvature_global(spec, n_points=args.points, seed=args.seed,
-                                  grid_density=args.grid)
+    res = normal_curvature_global(spec, n_points=args.points, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     fd = fundamental_data(jet2(spec, sample_params(spec, 1, rng)[0]))
     H = mean_curvature(fd)
@@ -289,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curv", help="curvature report for an immersion spec")
     p.add_argument("spec", help="immersion spec JSON file")
-    p.add_argument("--grid", type=_positive_int, default=None,
-                   help="direction grid density override")
     p.add_argument("--points", type=_positive_int, default=20, help="basepoint count")
     common(p)
 
@@ -313,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("file")
     pt.add_argument("--curv", action="store_true",
                     help="also run the curvature report on the result")
-    pt.add_argument("--grid", type=_positive_int, default=None)
     pt.add_argument("--points", type=_positive_int, default=20)
     common(pt)
 

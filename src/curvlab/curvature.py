@@ -93,26 +93,15 @@ def curv_dir(fd: FundamentalData, tau) -> float:
 # ---------------------------------------------------------------------------
 # direction search
 
-def _direction_grid(n: int, density: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        ang = np.linspace(0.0, math.pi, density, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if n == 3:
-        # Fibonacci lattice on S^2
-        k = np.arange(density)
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-        z = 1.0 - 2.0 * (k + 0.5) / density
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    pts = rng.standard_normal((density, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+def _random_directions(n: int, count: int, seed: int) -> np.ndarray:
+    """count unit vectors in R^n drawn from default_rng(seed): (count, n)."""
+    w = np.random.default_rng(seed).standard_normal((count, n))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-_N_STARTS = 8
-_GRID_BLOCK = 4096  # most directions per grid block
-_BLOCK_FLOATS = 1 << 18  # bound on a block's (directions, B, C) values
+_N_CANDIDATES = 256  # seeded directions scored per basepoint
+_N_STARTS = 8  # best candidates that start the ascent
+_MAX_ASCENT_STEPS = 120
 
 
 def _quartic(M: np.ndarray, w: np.ndarray):
@@ -123,43 +112,6 @@ def _quartic(M: np.ndarray, w: np.ndarray):
     V = np.einsum("bcij,bkj->bkci", M, w)
     q = np.einsum("bkci,bki->bkc", V, w)
     return V, q, np.einsum("bkc,bkc->bk", q, q)
-
-
-def _grid_starts(M: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The best grid directions of every basepoint, best first: (B, K, n).
-
-    F(d) = |A m(d)|^2, where m(d) holds the quadratic monomials d_i d_j
-    (i <= j) and row c of A the matching entries of M_c, off-diagonal ones
-    doubled.  With A = U S V^T, |A m| = |S V^T m|; the rows of S V^T past the
-    numerical rank are dropped, so a basepoint carries at most min(C - n, P)
-    rows (q lies in the normal space) whatever its ambient dimension C.  The
-    grid goes through as a matrix product, block by block, a block holding at
-    most _BLOCK_FLOATS values, and only a running top K per basepoint is kept.
-    """
-    iu, ju = np.triu_indices(M.shape[-1])
-    A = M[:, :, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = max(1, int((sv > 1e-14 * sv[:, :1]).sum(axis=1).max()))
-    R = sv[:, :rank, None] * Vt[:, :rank]
-    B, C = R.shape[:2]
-    coef = R.reshape(B * C, -1)
-    rows = min(_GRID_BLOCK, max(1, _BLOCK_FLOATS // (B * C)))
-    k = min(_N_STARTS, len(dirs))
-    top_val = np.empty((B, 0))
-    top_idx = np.empty((B, 0), dtype=np.intp)
-    for s in range(0, len(dirs), rows):
-        d = dirs[s:s + rows].T
-        q = (coef @ (d[iu] * d[ju])).reshape(B, C, -1)
-        F = np.einsum("bcs,bcs->bs", q, q)
-        cut = max(F.shape[1] - k, 0)
-        blk = np.argpartition(F, cut, axis=1)[:, cut:]
-        vals = np.concatenate([top_val, np.take_along_axis(F, blk, axis=1)], axis=1)
-        idx = np.concatenate([top_idx, blk + s], axis=1)
-        keep = np.argpartition(vals, vals.shape[1] - k, axis=1)[:, -k:]
-        top_val = np.take_along_axis(vals, keep, axis=1)
-        top_idx = np.take_along_axis(idx, keep, axis=1)
-    order = np.argsort(-top_val, axis=1, kind="stable")
-    return dirs[np.take_along_axis(top_idx, order, axis=1)]
 
 
 def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
@@ -223,29 +175,29 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
     return _quartic(M, w)[2], w
 
 
-def _direction_search(M: np.ndarray, grid_density: int | None, polish_iters: int,
-                      tol: float, seed: int):
+def _direction_search(M: np.ndarray, tol: float, seed: int):
     """Max over unit w of F_b(w) = sum_c (w^T M_bc w)^2 for a (B, C, n, n) stack.
 
-    One direction grid, drawn from default_rng(seed), serves every basepoint;
-    its best _N_STARTS directions per basepoint start the ascent, all lanes at
-    once.  Returns F (B,) and the maximizing unit directions (B, n); a form
-    below _ZERO_FORM_TOL gives F = 0 along e_0.
+    _N_CANDIDATES unit directions, drawn once from default_rng(seed), serve
+    every basepoint; F at all of them is one matrix product of the flattened
+    M_c with the candidates' outer products, (B*C, n*n) @ (n*n, K).  The best
+    _N_STARTS per basepoint start the ascent, all lanes at once.  Returns F
+    (B,) and the maximizing unit directions (B, n); a form below
+    _ZERO_FORM_TOL gives F = 0 along e_0.
     """
-    B, _, n, _ = M.shape
-    if n > 6:
-        raise ValueError("direction search supports intrinsic dimension <= 6")
-    if grid_density is None:
-        grid_density = 10_000 if n <= 3 else 100_000
-    if grid_density < 1:
-        raise ValueError("grid density must be positive")
+    B, C, n, _ = M.shape
     F = np.zeros(B)
     w = np.zeros((B, n))
     w[:, 0] = 1.0
     live = np.sqrt(np.einsum("bcij,bcij->b", M, M)) >= _ZERO_FORM_TOL
     if live.any():
-        dirs = _direction_grid(n, grid_density, np.random.default_rng(seed))
-        Fk, wk = _ascend(M[live], _grid_starts(M[live], dirs), polish_iters, tol)
+        Ml = M[live]
+        cand = _random_directions(n, _N_CANDIDATES, seed)
+        outer = np.einsum("ki,kj->ijk", cand, cand).reshape(n * n, -1)
+        q = (Ml.reshape(-1, n * n) @ outer).reshape(len(Ml), C, -1)
+        top = np.argsort(-np.einsum("bck,bck->bk", q, q), axis=1,
+                         kind="stable")[:, :_N_STARTS]
+        Fk, wk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol)
         best = np.argmax(Fk, axis=1)
         F[live] = Fk[np.arange(len(best)), best]
         w[live] = wk[np.arange(len(best)), best]
@@ -254,8 +206,6 @@ def _direction_search(M: np.ndarray, grid_density: int | None, polish_iters: int
 
 def normal_curvature_at(
     fd: FundamentalData,
-    grid_density: int | None = None,
-    polish_iters: int = 120,
     tol: float = _STATIONARY_TOL,
     seed: int = DEFAULT_SEED,
     return_direction: bool = False,
@@ -264,18 +214,16 @@ def normal_curvature_at(
 
     What the value certifies: it is ||II(t,t)|| at a g-unit direction t that
     was found, so it is a lower bound on the sup, never an upper bound.  It is
-    at least the best value over the direction grid (``grid_density``
-    directions, by default 10k for n <= 3 and 100k above, drawn from
-    ``seed``), because the 8 best grid directions start a monotone ascent:
-    Newton steps where ||II||^2 is concave on the unit sphere, shifted power
-    steps (SS-HOPM with an adaptive shift) elsewhere.  Each start stops once
-    the tangential gradient of ||II(t,t)|| is at most ``tol``, so t is
-    stationary to ``tol`` unless ``polish_iters`` steps ran out first.  A
-    stationary point can be a lesser local maximum that no grid start led
-    away from.  Raises ValueError for intrinsic dimension above 6.
+    at least ||II|| at every one of 256 unit directions drawn from ``seed``,
+    because the 8 best of them start a monotone ascent: Newton steps where
+    ||II||^2 is concave on the unit sphere, shifted power steps (SS-HOPM with
+    an adaptive shift) elsewhere.  Each start stops once the tangential
+    gradient of ||II(t,t)|| is at most ``tol``, so t is stationary to ``tol``
+    unless 120 steps ran out first.  A stationary point can be a lesser local
+    maximum whose basin no start fell in.  Any intrinsic dimension is
+    accepted.
     """
-    F, w = _direction_search(fd.whitened_form()[None], grid_density,
-                             polish_iters, tol, seed)
+    F, w = _direction_search(fd.whitened_form()[None], tol, seed)
     curv = math.sqrt(F[0])  # F = ||II(w,w)||^2 = curv^2
     if return_direction:
         return curv, fd.whitener @ w[0]
@@ -286,8 +234,6 @@ def normal_curvature_global(
     spec: ImmersionSpec,
     n_points: int = 20,
     seed: int = DEFAULT_SEED,
-    grid_density: int | None = None,
-    polish_iters: int = 120,
 ) -> dict:
     """Supremum of the pointwise normal curvature over sampled basepoints.
 
@@ -299,7 +245,7 @@ def normal_curvature_global(
     rng = np.random.default_rng(seed)
     M = np.stack([fundamental_data(jet2(spec, u)).whitened_form()
                   for u in sample_params(spec, n_points, rng)])
-    F, _ = _direction_search(M, grid_density, polish_iters, _STATIONARY_TOL, seed)
+    F, _ = _direction_search(M, _STATIONARY_TOL, seed)
     vals = np.sqrt(F)
     return {
         "sup": float(vals.max()),
@@ -375,31 +321,34 @@ def spherical_curvature(curv_euclid: float, R_sphere: float) -> float:
     return math.sqrt(max(0.0, curv_euclid**2 - inv * inv))
 
 
+def _largest_principal_angle(Qa: np.ndarray, Qb: np.ndarray) -> float:
+    """Largest principal angle between the equal-dimension column spans of
+    orthonormal Qa and Qb: arcsin |Qb - Qa Qa^T Qb|_2, accurate for small
+    angles, where the cosine form loses them to rounding."""
+    sin = np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2)
+    return math.asin(min(1.0, float(sin)))
+
+
 def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
                         n_dirs: int = 256, seed: int = DEFAULT_SEED) -> float:
     """Finite-difference operator norm of the tangent-plane variation.
 
     For each g-unit direction, the rate of tilt of span(jac) is the largest
     principal angle between nearby tangent planes over the arclength step.
-    The sup over directions matches the normal curvature.
+    The candidates are ``n_dirs`` unit directions drawn from ``seed`` and the
+    maximizer of normal_curvature_at; the sup over directions matches the
+    normal curvature.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    import scipy.linalg
-
     u = np.asarray(u, dtype=float).reshape(-1)
     fd = fundamental_data(jet2(spec, u))
-    n = fd.n
-    rng = np.random.default_rng(seed)
-    dirs = _direction_grid(n, n_dirs, rng)
     _, tau_best = normal_curvature_at(fd, return_direction=True, seed=seed)
-    candidates = [fd.whitener @ w for w in dirs] + [tau_best]
+    candidates = [fd.whitener @ w for w in _random_directions(fd.n, n_dirs, seed)]
     best = 0.0
-    for tau in candidates:
+    for tau in candidates + [tau_best]:
         # tau is g-unit, so u +- h*tau moves h in arclength to first order
-        Jp = jet2(spec, u + h * tau).jac
-        Jm = jet2(spec, u - h * tau).jac
-        angles = scipy.linalg.subspace_angles(Jp, Jm)
-        if angles.size:
-            best = max(best, float(angles.max()) / (2.0 * h))
+        Qp, _ = np.linalg.qr(jet2(spec, u + h * tau).jac)
+        Qm, _ = np.linalg.qr(jet2(spec, u - h * tau).jac)
+        best = max(best, _largest_principal_angle(Qp, Qm) / (2.0 * h))
     return best

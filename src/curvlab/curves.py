@@ -339,8 +339,10 @@ def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
     of the adjacent side lengths.  When the curvature precondition or the
     length bound (at most 2 pi R) fails, the chord check is skipped rather
     than raised.  Conclusion: chord >= 2 R sin(length / 2R); equality is
-    flagged for planar circular arcs.
+    flagged for planar circular arcs.  R must be finite and positive.
     """
+    if not (0.0 < R < math.inf):
+        raise ValueError(f"curvature radius R must be finite and positive, got {R}")
     L = curve.length()
     angs = external_angles(curve)
     sides = curve.side_lengths()

@@ -243,16 +243,13 @@ def test_report_is_consistent_over_range():
     assert abs(rep["annotations"]["j0_first_zero"] - 2.404826) < 1e-6
 
 
-def test_report_csv_and_file_output(tmp_path):
-    path = tmp_path / "bounds.csv"
-    rep = bd.report(2, 3, out_path=str(path))
-    text = path.read_text()
+def test_report_csv_and_file_output():
+    rep = bd.report(2, 3)
+    text = bd.report_to_csv(rep)
     header = text.splitlines()[0]
     assert header == "n,ambient,side,label,value,source_tag"
     assert len(text.splitlines()) == 1 + len(rep["rows"])
-    jpath = tmp_path / "bounds.json"
-    bd.report(2, 2, out_path=str(jpath))
-    assert '"rows"' in jpath.read_text()
+    assert '"rows"' in bd.report_to_json(bd.report(2, 2))
 
 
 def test_report_range_validation():

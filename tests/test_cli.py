@@ -83,9 +83,7 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     {"kind": "sphere_product", "factors": [[1]]},
     {"kind": "clifford_torus", "N": True},
     {"kind": "veronese", "m": 2.5},
-    {"kind": "clifford_torus", "N": 7},
-], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m",
-        "N7-beyond-direction-search"])
+], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m"])
 def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -96,11 +94,19 @@ def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "clifford_torus", "N": 12}))
+    code, out, _ = run(capsys, "curv", str(path), "--no-meta")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["curv"] - math.sqrt(12.0)) < 1e-9
+    assert payload["status"] == "OK"
+
+
 @pytest.mark.parametrize("argv", [
     ("curv", "SPEC", "--points", "0"),
-    ("curv", "SPEC", "--grid", "0"),
     ("design", "torus", "SPEC", "--curv", "--points", "-3"),
-    ("design", "torus", "SPEC", "--curv", "--grid", "0"),
     ("curve", "crofton", "SPEC", "--dirs", "0"),
     ("design", "optimize", "--cardinality", "5", "--n", "0"),
     ("design", "optimize", "--n", "2", "--cardinality", "0"),
@@ -293,6 +299,14 @@ def test_curve_bow_ok_and_hypothesis_paths(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "curve", "bow", str(f), "--R", "3.0")
     assert code == cli.EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("R", ["0", "-1", "nan", "inf"])
+def test_curve_bow_rejects_nonpositive_or_nonfinite_radius(R, tmp_path, capsys):
+    from curvlab import curves as cu
+    f = tmp_path / "arc.csv"
+    f.write_text(cu.curve_to_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
+    _assert_one_line_parse_error(*run(capsys, "curve", "bow", str(f), "--R", R))
 
 
 def test_curve_crofton_circle(tmp_path, capsys):

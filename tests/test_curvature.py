@@ -6,6 +6,10 @@ identities linking II, H, Pi and scalar curvature.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,26 +181,46 @@ def test_rejects_nonpositive_counts():
     spec = im.round_sphere(2, 1.0)
     with pytest.raises(ValueError):
         cv.normal_curvature_global(spec, n_points=0)
-    with pytest.raises(ValueError):
-        cv.normal_curvature_at(fd_at(spec, [1.0, 0.5]), grid_density=0)
+
+
+def direction_grid(n, density, rng):
+    """Dense reference directions: an even half-circle (n = 2), a Fibonacci
+    lattice (n = 3), else uniform random unit vectors."""
+    if n == 1:
+        return np.array([[1.0]])
+    if n == 2:
+        ang = np.linspace(0.0, math.pi, density, endpoint=False)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if n == 3:
+        k = np.arange(density)
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+        z = 1.0 - 2.0 * (k + 0.5) / density
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    pts = rng.standard_normal((density, n))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def random_form(rng, n, N):
+    """Fundamental data of a random jet in R^N, as in verify.check_gauss_petrunin."""
+    J = rng.standard_normal((N, n))
+    H = rng.standard_normal((N, n, n))
+    H = 0.5 * (H + np.swapaxes(H, 1, 2))
+    return cv.fundamental_data(im.Jet2(point=np.zeros(N), jac=J, hess=H))
 
 
 def test_direction_search_is_stationary_on_random_forms():
-    # random Hessian stacks as in verify.check_gauss_petrunin; the returned
-    # direction beats the best grid direction and is stationary to tol
+    # the returned direction beats the best direction of a dense reference
+    # grid and is stationary to tol
     rng = np.random.default_rng(cv.DEFAULT_SEED)
     tol = 1e-9
     for trial in range(30):
         n = 2 + trial % 5
-        N = n + 3 + trial % 4
-        J = rng.standard_normal((N, n))
-        H = rng.standard_normal((N, n, n))
-        H = 0.5 * (H + np.swapaxes(H, 1, 2))
-        fd = cv.fundamental_data(im.Jet2(point=np.zeros(N), jac=J, hess=H))
+        fd = random_form(rng, n, n + 3 + trial % 4)
         curv, tau = cv.normal_curvature_at(fd, tol=tol, return_direction=True)
         M = fd.whitened_form()
-        grid = cv._direction_grid(n, 10_000 if n <= 3 else 100_000,
-                                  np.random.default_rng(cv.DEFAULT_SEED))
+        grid = direction_grid(n, 10_000 if n <= 3 else 100_000,
+                              np.random.default_rng(cv.DEFAULT_SEED))
         vals = np.einsum("si,cij,sj->sc", grid, M, grid)
         assert curv * curv >= float(np.max(np.einsum("sc,sc->s", vals, vals)))
         w = np.linalg.solve(fd.whitener, tau)
@@ -214,7 +238,65 @@ def test_determinism_same_seed():
     assert a == b
 
 
-def test_rejects_high_intrinsic_dimension():
-    fd = fd_at(im.clifford_torus(7), np.linspace(0.1, 2.0, 7))
-    with pytest.raises(ValueError):
-        cv.normal_curvature_at(fd)
+@pytest.mark.parametrize("N", [7, 8, 12])
+def test_clifford_beyond_six_dimensions(N):
+    fd = fd_at(im.clifford_torus(N), np.linspace(0.1, 2.0, N))
+    assert abs(cv.normal_curvature_at(fd) - math.sqrt(N)) < 1e-9
+
+
+def many_start_max(M, n_starts, rng):
+    """Largest ||II(w,w)|| reached from n_starts random unit starts: 100
+    shifted power steps (SS-HOPM, Kolda-Mayo shift) per start find the basins,
+    and the ascent then polishes the 16 best."""
+    C, n = M.shape[:2]
+    Mf = M.reshape(C * n, n).T
+    shift = 3.0 * float(np.sum(M * M))
+    w = direction_grid(n, n_starts, rng)
+    for _ in range(100):
+        V = (w @ Mf).reshape(n_starts, C, n)
+        q = np.einsum("kci,ki->kc", V, w)
+        w = np.einsum("kc,kci->ki", q, V) + shift * w
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+    q = np.einsum("kci,ki->kc", (w @ Mf).reshape(n_starts, C, n), w)
+    best = np.argsort(np.einsum("kc,kc->k", q, q))[-16:]
+    F, _ = cv._ascend(M[None], w[best][None], 500, 1e-9)
+    return math.sqrt(float(F.max()))
+
+
+def test_direction_search_matches_many_start_oracle_above_six_dimensions():
+    rng = np.random.default_rng(7)
+    for trial in range(8):
+        n = 7 + trial % 4
+        fd = random_form(rng, n, n + 2 + trial % 3)
+        oracle = many_start_max(fd.whitened_form(), 2000, rng)
+        assert cv.normal_curvature_at(fd) >= oracle - 1e-9
+
+
+def test_largest_principal_angle_matches_scipy():
+    import scipy.linalg
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = 1 + trial % 4
+        N = n + 1 + trial % 3
+        A = rng.standard_normal((N, n))
+        # tilts from 1e-4 up to O(1) rad
+        B = A + 10.0 ** -(trial % 5) * rng.standard_normal((N, n))
+        Qa, Qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+        want = float(scipy.linalg.subspace_angles(A, B).max())
+        assert cv._largest_principal_angle(Qa, Qb) == pytest.approx(want, rel=1e-9,
+                                                                    abs=1e-15)
+
+
+def test_curv_and_gauss_map_import_no_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "clifford_torus", "N": 3}')
+    code = ("import sys\n"
+            "from curvlab import cli, curvature as cv, immersions as im\n"
+            f"assert cli.main(['curv', {str(spec)!r}, '--points', '2', '--no-meta']) == 0\n"
+            "cv.gauss_map_diff_norm(im.clifford_torus(3), [0.1, 0.2, 0.3], n_dirs=4)\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -320,6 +320,12 @@ def test_crofton_skew_polygon():
     assert res["rel_err"] < 0.03
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_bow_rejects_nonpositive_or_nonfinite_radius(R):
+    with pytest.raises(ValueError, match="finite and positive"):
+        cu.bow_check(cu.circular_arc(R=1.0, arc_length=2.0, n=20), R=R)
+
+
 def test_crofton_rejects_open_and_high_dim():
     with pytest.raises(ValueError):
         cu.crofton_check(cu.PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0]])))
