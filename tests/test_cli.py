@@ -106,7 +106,9 @@ def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("curv", "SPEC", "--points", "0"),
+    ("curv", "SPEC", "--points", "-1"),
     ("design", "torus", "SPEC", "--curv", "--points", "-3"),
+    ("design", "torus", "SPEC", "--curv", "--points", "0"),
     ("curve", "crofton", "SPEC", "--dirs", "0"),
     ("design", "optimize", "--cardinality", "5", "--n", "0"),
     ("design", "optimize", "--n", "2", "--cardinality", "0"),
