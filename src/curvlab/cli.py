@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -52,6 +53,16 @@ def _int_at_least(low: int, what: str):
 
 _positive_int = _int_at_least(1, "a positive")
 _nonnegative_int = _int_at_least(0, "a non-negative")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
+    return value
 
 
 def _env_seed() -> int:
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tol=1e-3):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                        help="random seed (default: CURVLAB_SEED, else 0xC0FFEE)")
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_tolerance, default=tol)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--no-meta", action="store_true",

@@ -131,7 +131,7 @@ def _exponents(n: int) -> np.ndarray:
 
 
 def _quartic_monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """(K, N) monomials s_i^alpha_k of the (N, n) points P.
+    """(K, N) monomials s_i^alpha_k of the (N, n) points P, one per row of E.
 
     P is float64, or an object array of Fraction for exact arithmetic.
     """
@@ -375,17 +375,41 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
 # ---------------------------------------------------------------------------
 # floating-point design optimization
 
+# a design's moment residual must be below this (infinity norm) to count as found
+_RESIDUAL_TOL = 1e-10
+
+
 def _moment_residual(pts: np.ndarray, E: np.ndarray, iso: np.ndarray) -> np.ndarray:
     return _quartic_monomials(pts, E).mean(axis=1) - iso
+
+
+def _moment_jacobian(v: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(K, N*n) derivative of the moment residual of s_i = v_i/|v_i| in the raw (N, n) v.
+
+    d r_k / d s_ij = alpha_kj s_i^(alpha_k - e_j) / N, one kernel call on the lowered
+    exponents (clipped at 0 where alpha_kj = 0, which the factor alpha_kj zeroes);
+    then the chain rule through the normalisation, (D_i - (D_i . s_i) s_i) / |v_i|.
+    """
+    (N, n), K = v.shape, len(E)
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    s = v / norm
+    low = np.maximum(E[:, None, :] - np.eye(n, dtype=E.dtype), 0).reshape(K * n, n)
+    # D[k, i, j] = d r_k / d s_ij
+    D = E[:, None, :] * _quartic_monomials(s, low).reshape(K, n, N).transpose(0, 2, 1) / N
+    J = (D - np.sum(D * s, axis=2, keepdims=True) * s) / norm
+    return J.reshape(K, N * n)
 
 
 def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
     """Search for an N-point uniform design on S^{n-1} by residual minimization.
 
     Gauss-Newton (trust-region least squares) on the moment residual vector
-    over points parametrized as normalized raw vectors, with random restarts.
-    Returns {"design", "residual", "status"}; NON_CONVERGED is a reported
-    status, not an exception.
+    over points parametrized as normalized raw vectors, with the analytic
+    Jacobian (_moment_jacobian) and up to ``iters`` random restarts; the
+    search stops at the first restart whose residual is below _RESIDUAL_TOL in
+    the infinity norm.  Returns {"design", "residual", "status"}: status is OK
+    iff the residual of the returned design is below _RESIDUAL_TOL.
+    NON_CONVERGED is a reported status, not an exception.
     """
     if N < n + 1:
         raise ValueError("need N >= n+1 points")
@@ -401,21 +425,24 @@ def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         return _moment_residual(pts, E, iso)
 
+    def jacobian(v):
+        return _moment_jacobian(v.reshape(N, n), E)
+
     rng = np.random.default_rng(seed)
-    best_v, best_f = None, np.inf
+    best = None
     for _ in range(iters):
         v0 = rng.standard_normal(N * n)
         res = scipy.optimize.least_squares(
-            residual, v0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if res.cost < best_f:
-            best_f, best_v = res.cost, res.x
-        if best_f < 1e-28:
+            residual, v0, jac=jacobian, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if best is None or res.cost < best.cost:
+            best = res
+        if np.max(np.abs(best.fun)) < _RESIDUAL_TOL:
             break
-    pts = best_v.reshape(N, n)
+    pts = best.x.reshape(N, n)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     d = Design(n=n, points=pts, weights=np.full(N, 1.0 / N))
     residual = is_degree4_design(d, tol=np.inf)["residual"]
-    status = "OK" if residual < 1e-10 else "NON_CONVERGED"
+    status = "OK" if residual < _RESIDUAL_TOL else "NON_CONVERGED"
     return {"design": d, "residual": residual, "status": status}
 
 

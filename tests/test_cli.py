@@ -139,6 +139,31 @@ def test_negative_random_count_exits_2_with_one_line_error(capsys):
     assert cli.main(["curve", "arm", "--random", "0"]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["curv", "design verify", "curve bow"])
+def test_bad_tolerance_exits_2_with_one_line_error(command, tol, sphere_spec, tmp_path,
+                                                   capsys):
+    from curvlab import curves as cu, designs as dg
+    design = tmp_path / "pentagon.json"
+    design.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
+    arc = tmp_path / "arc.csv"
+    arc.write_text(cu.curve_to_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
+    argv = {"curv": ["curv", sphere_spec],
+            "design verify": ["design", "verify", str(design)],
+            "curve bow": ["curve", "bow", str(arc), "--R", "1.0"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", tol])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("usage: ")
+    assert err.splitlines()[-1].endswith(
+        "argument --tol: must be a finite non-negative number, got " + tol)
+    # the same call with a valid tolerance runs
+    assert cli.main(argv + ["--tol", "1e-3", "--no-meta"]) == 0
+
+
 def _assert_one_line_parse_error(code, out, err):
     assert code == cli.EXIT_PARSE
     assert out == ""

@@ -406,6 +406,71 @@ def test_optimize_design_four_points_on_sphere_cannot_converge():
     assert res["residual"] > 1e-3
 
 
+def central_difference_jacobian(v, E, h=1e-5):
+    """Central differences of the moment residual of v_i/|v_i| in the raw (N, n) v."""
+    N, n = v.shape
+    iso = dg.isotropic_moment_tensor(n).values
+
+    def residual(x):
+        pts = x.reshape(N, n)
+        return dg._moment_residual(pts / np.linalg.norm(pts, axis=1, keepdims=True), E, iso)
+
+    x = v.ravel()
+    cols = []
+    for m in range(x.size):
+        step = np.zeros_like(x)
+        step[m] = h * np.linalg.norm(v[m // n])  # relative to the point's own norm
+        cols.append((residual(x + step) - residual(x - step)) / (2 * step[m]))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_moment_jacobian_matches_central_differences(n):
+    rng = np.random.default_rng(100 + n)
+    E = dg._exponents(n)
+    # mixed norms: the residual is scale-free per point, its Jacobian scales as 1/|v_i|
+    v = rng.standard_normal((9, n)) * np.exp(rng.uniform(-3, 3, (9, 1)))
+    J = dg._moment_jacobian(v, E)
+    assert J.shape == (len(E), v.size)
+    col_scale = np.repeat(np.linalg.norm(v, axis=1), n)
+    assert np.max(np.abs(J - central_difference_jacobian(v, E)) * col_scale) < 1e-9
+    # points with exact zero coordinates: no division by a coordinate, nothing raises
+    axes = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((3, n))])
+    with np.errstate(all="raise"):
+        J = dg._moment_jacobian(axes, E)
+    assert np.all(np.isfinite(J))
+    assert np.max(np.abs(J - central_difference_jacobian(axes, E))) < 1e-9
+
+
+def test_optimize_design_passes_a_callable_jacobian(monkeypatch):
+    import scipy.optimize
+    real, seen = scipy.optimize.least_squares, []
+
+    def spy(fun, x0, **kwargs):
+        seen.append(kwargs.get("jac"))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    assert dg.optimize_design(3, 11, seed=0)["status"] == "OK"
+    assert seen and all(callable(jac) for jac in seen)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_optimize_design_stops_at_first_converged_restart(seed, monkeypatch):
+    import scipy.optimize
+    real, calls = scipy.optimize.least_squares, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+    res = dg.optimize_design(4, 23, seed=seed)
+    assert len(calls) == 1
+    assert res["status"] == "OK"
+    assert res["residual"] < 1e-12
+
+
 def test_optimize_design_needs_enough_points():
     with pytest.raises(ValueError):
         dg.optimize_design(3, 3)
