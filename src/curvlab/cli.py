@@ -212,11 +212,10 @@ def cmd_curve(args) -> int:
     if args.curve_cmd == "arm":
         if args.random:
             rng = np.random.default_rng(args.seed)
-            results = []
-            for i in range(args.random):
-                k = int(rng.integers(3, 11))
-                p, q = curves.random_arm_instance(k, args.ambient, seed=args.seed + i)
-                results.append(curves.arm_check(q, p, tol=args.tol))
+            ks = [int(rng.integers(3, 11)) for _ in range(args.random)]
+            pairs = curves.random_arm_instances(ks, [args.ambient] * args.random,
+                                                [args.seed + i for i in range(args.random)])
+            results = [curves.arm_check(q, p, tol=args.tol) for p, q in pairs]
             ok = all(r["hypotheses_ok"] and r["inequality_ok"] for r in results)
             _emit({"instances": args.random, "all_ok": ok,
                    "min_slack": min(r["slack"] for r in results)}, args)

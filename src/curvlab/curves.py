@@ -30,8 +30,10 @@ __all__ = [
     "is_convex_arc",
     "arm_check",
     "random_arm_instance",
+    "random_arm_instances",
     "bow_check",
     "random_bounded_curve",
+    "random_bounded_curves",
     "crofton_check",
     "curve_from_json",
     "curve_to_json",
@@ -217,13 +219,10 @@ def convex_arc(side_lengths, angles) -> PolyCurve:
         raise ValueError("need one angle per interior vertex")
     if np.any(sides <= 0) or np.any(angs < 0) or np.any(angs >= math.pi):
         raise ValueError("sides must be positive, angles in [0, pi)")
-    heading = 0.0
-    pts = [np.zeros(2)]
-    for i, L in enumerate(sides):
-        pts.append(pts[-1] + L * np.array([math.cos(heading), math.sin(heading)]))
-        if i < len(angs):
-            heading += angs[i]
-    return PolyCurve(vertices=np.array(pts), closed=False)
+    headings = np.concatenate([[0.0], np.cumsum(angs)])
+    steps = sides[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    return PolyCurve(vertices=np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]),
+                     closed=False)
 
 
 def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
@@ -289,43 +288,74 @@ def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
     ``q`` reuses its side lengths with each turn shrunk by a random factor and
     applied in a random bending plane of R^ambient_n.
     """
-    if k < 3 or ambient_n < 2:
-        raise ValueError("k >= 3 and ambient_n >= 2 required")
-    rng = np.random.default_rng(seed)
-    sides = rng.uniform(0.2, 1.0, size=k)
-    c = rng.uniform(0.05, 1.0, size=k - 1)
-    c *= rng.uniform(0.3, 0.95) * math.pi / c.sum()
-    p = convex_arc(sides, c)
-    turns_q = c * rng.uniform(0.0, 1.0, size=k - 1)
-    q = _spatial_arc(sides, turns_q, ambient_n, rng)
-    return p, q
+    return random_arm_instances([k], [ambient_n], [seed])[0]
 
 
-def _spatial_arc(sides, turns, ambient_n, rng) -> PolyCurve:
-    """Arc with given side lengths and turn magnitudes, bending planes random.
+def random_arm_instances(ks, ambients, seeds) -> list[tuple[PolyCurve, PolyCurve]]:
+    """``random_arm_instance(ks[i], ambients[i], seeds[i])`` for every i, in order.
 
-    One turn between consecutive sides.  The bending normals are one
-    (len(turns), ambient_n) draw, the same stream as one draw per step.
+    Each instance draws from its own ``default_rng(seeds[i])`` exactly as the
+    one-instance call does.  Instances of equal (k, ambient) share one run of
+    the tangent recurrence (``_spatial_arcs``), so the result is the same pair
+    list a loop over ``random_arm_instance`` gives, bit for bit.
     """
-    raws = rng.standard_normal((len(turns), ambient_n))
-    tangents = np.zeros((len(sides), ambient_n))
-    tangents[0, 0] = 1.0
-    tangent = tangents[0]
-    for i, (turn, raw) in enumerate(zip(turns, raws), start=1):
-        # numpy's dot, not a plain-float sum: BLAS may sum in another order
-        perp = raw - (raw @ tangent) * tangent
-        nperp = math.sqrt(perp @ perp)
-        if nperp < 1e-12:
-            perp = np.zeros(ambient_n)
-            perp[1] = 1.0
-        else:
-            perp /= nperp
-        tangent = math.cos(turn) * tangent + math.sin(turn) * perp
-        tangent /= math.sqrt(tangent @ tangent)
-        tangents[i] = tangent
-    steps = np.asarray(sides)[:, None] * tangents
-    vertices = np.vstack([np.zeros(ambient_n), np.cumsum(steps, axis=0)])
-    return PolyCurve(vertices=vertices, closed=False)
+    _same_lengths(ks=ks, ambients=ambients, seeds=seeds)
+    if any(k < 3 or amb < 2 for k, amb in zip(ks, ambients)):
+        raise ValueError("k >= 3 and ambient_n >= 2 required")
+    ps, q_draws, groups = [], [], {}
+    for i, (k, amb, seed) in enumerate(zip(ks, ambients, seeds)):
+        rng = np.random.default_rng(seed)
+        sides = rng.uniform(0.2, 1.0, size=k)
+        c = rng.uniform(0.05, 1.0, size=k - 1)
+        c *= rng.uniform(0.3, 0.95) * math.pi / c.sum()
+        ps.append(convex_arc(sides, c))
+        turns_q = c * rng.uniform(0.0, 1.0, size=k - 1)
+        q_draws.append((sides, turns_q, rng.standard_normal((k - 1, amb))))
+        groups.setdefault((k, amb), []).append(i)
+    qs = [None] * len(ps)
+    for members in groups.values():
+        sides, turns, raws = (np.stack(a) for a in zip(*(q_draws[i] for i in members)))
+        for i, vertices in zip(members, _spatial_arcs(sides, turns, raws)):
+            qs[i] = PolyCurve(vertices=vertices, closed=False)
+    return list(zip(ps, qs))
+
+
+def _same_lengths(**seqs) -> None:
+    if len({len(v) for v in seqs.values()}) > 1:
+        raise ValueError(f"{', '.join(seqs)} must have equal lengths")
+
+
+def _spatial_arcs(sides, turns, raws) -> np.ndarray:
+    """Vertices (B, k+1, ambient) of B arcs with given side lengths and turns.
+
+    ``sides`` is (B, k), ``turns`` (B, k-1) and ``raws`` (B, k-1, ambient).
+    Each arc starts at the origin heading along e_0.  At step i the tangent
+    turns by ``turns[:, i]`` towards the part of ``raws[:, i]`` orthogonal to
+    it, or towards e_1 when that part is shorter than 1e-12.  The recurrence
+    is sequential along an arc, so it runs once per step over all B arcs.
+    Row dots are ``np.vecdot``, one BLAS dot per row like a 1-D ``@``:
+    ``einsum`` or a plain sum adds in another order and moves the last bit.
+    """
+    B, k = sides.shape
+    ambient_n = raws.shape[2]
+    fallback = np.zeros(ambient_n)
+    fallback[1] = 1.0
+    cos, sin = np.cos(turns), np.sin(turns)
+    tangents = np.zeros((B, k, ambient_n))
+    tangents[:, 0, 0] = 1.0
+    tangent = tangents[:, 0]
+    for i in range(k - 1):
+        raw = raws[:, i]
+        perp = raw - np.vecdot(raw, tangent)[:, None] * tangent
+        nperp = np.sqrt(np.vecdot(perp, perp))
+        flat = nperp < 1e-12
+        perp = np.where(flat[:, None], fallback,
+                        perp / np.where(flat, 1.0, nperp)[:, None])
+        tangent = cos[:, i, None] * tangent + sin[:, i, None] * perp
+        tangent = tangent / np.sqrt(np.vecdot(tangent, tangent))[:, None]
+        tangents[:, i + 1] = tangent
+    steps = np.cumsum(sides[:, :, None] * tangents, axis=1)
+    return np.concatenate([np.zeros((B, 1, ambient_n)), steps], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +409,39 @@ def random_bounded_curve(R: float, length: float, n: int = 200, dim: int = 3,
     The unit tangent random-walks on the sphere, each per-step turn drawn
     under the step/R admissibility cap.
     """
-    if length > 2.0 * math.pi * R:
+    return random_bounded_curves([R], [length], n, dim, [seed])[0]
+
+
+def random_bounded_curves(Rs, lengths, n: int, dim: int, seeds) -> list[PolyCurve]:
+    """``random_bounded_curve(Rs[i], lengths[i], n, dim, seeds[i])`` for every i, in order.
+
+    Each curve draws from its own ``default_rng(seeds[i])`` exactly as the
+    one-curve call does; all curves share one run of the tangent recurrence
+    (``_spatial_arcs``), bit for bit the same vertices.
+    """
+    _same_lengths(Rs=Rs, lengths=lengths, seeds=seeds)
+    if any(length > 2.0 * math.pi * R for R, length in zip(Rs, lengths)):
         raise ValueError("length must be at most 2*pi*R")
-    rng = np.random.default_rng(seed)
-    h = length / n
-    sides = np.full(n, h)
-    turns = rng.uniform(0.0, h / R, size=n - 1)
-    return _spatial_arc(sides, turns, dim, rng)
+    sides = np.empty((len(Rs), n))
+    turns = np.empty((len(Rs), n - 1))
+    raws = np.empty((len(Rs), n - 1, dim))
+    for i, (R, length, seed) in enumerate(zip(Rs, lengths, seeds)):
+        rng = np.random.default_rng(seed)
+        h = length / n
+        sides[i] = h
+        turns[i] = rng.uniform(0.0, h / R, size=n - 1)
+        raws[i] = rng.standard_normal((n - 1, dim))
+    return [PolyCurve(vertices=v, closed=False) for v in _spatial_arcs(sides, turns, raws)]
 
 
 # ---------------------------------------------------------------------------
 # integral geometry
+
+# Directions per evaluation block: the (edges, block) arrays stay a few MB
+# whatever n_dirs is.  Each round's single draw is unchanged, so counts and
+# resamples do not depend on the block size.
+_CROFTON_BLOCK = 1024
+
 
 def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict:
     """Height-function critical points versus total curvature, Monte Carlo.
@@ -415,13 +467,14 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
     while filled < n_dirs:
         batch = rng.standard_normal((n_dirs - filled, 3))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        dots = u @ batch.T
-        generic = np.min(np.abs(dots), axis=0) > 1e-9
-        resampled += int((~generic).sum())
-        s = np.sign(dots[:, generic])
-        good = (s != np.roll(s, -1, axis=0)).sum(axis=0)
-        counts[filled:filled + good.shape[0]] = good
-        filled += good.shape[0]
+        for start in range(0, batch.shape[0], _CROFTON_BLOCK):
+            dots = u @ batch[start:start + _CROFTON_BLOCK].T
+            generic = np.min(np.abs(dots), axis=0) > 1e-9
+            resampled += int((~generic).sum())
+            s = np.sign(dots[:, generic])
+            good = (s != np.roll(s, -1, axis=0)).sum(axis=0)
+            counts[filled:filled + good.shape[0]] = good
+            filled += good.shape[0]
     mc_estimate = 4.0 * math.pi * float(counts.mean())
     target = 4.0 * total_curvature(curve)
     return {

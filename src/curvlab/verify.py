@@ -192,12 +192,14 @@ def check_fenchel(seed=DEFAULT_SEED):
 
 def check_arm(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
+    ks, ambients = [], []
+    for _ in range(1000):
+        ks.append(int(rng.integers(3, 11)))
+        ambients.append(int(rng.integers(2, 6)))
+    pairs = curves.random_arm_instances(ks, ambients, [seed + i for i in range(1000)])
     worst = math.inf
     all_ok = True
-    for i in range(1000):
-        k = int(rng.integers(3, 11))
-        amb = int(rng.integers(2, 6))
-        p, q = curves.random_arm_instance(k, amb, seed=seed + i)
+    for p, q in pairs:
         res = curves.arm_check(q, p)
         all_ok &= res["hypotheses_ok"] and res["inequality_ok"]
         worst = min(worst, res["slack"])
@@ -210,12 +212,15 @@ def check_arm(seed=DEFAULT_SEED):
 
 def check_bow(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
+    Rs, lengths = [], []
+    for _ in range(500):
+        R = float(rng.uniform(0.5, 2.0))
+        Rs.append(R)
+        lengths.append(float(rng.uniform(0.2, 1.0)) * math.pi * R)
+    batch = curves.random_bounded_curves(Rs, lengths, 100, 3, [seed + i for i in range(500)])
     worst = math.inf
     all_ok = True
-    for i in range(500):
-        R = float(rng.uniform(0.5, 2.0))
-        length = float(rng.uniform(0.2, 1.0)) * math.pi * R
-        curve = curves.random_bounded_curve(R, length, n=100, dim=3, seed=seed + i)
+    for R, curve in zip(Rs, batch):
         res = curves.bow_check(curve, R)
         all_ok &= bool(res["curv_ok"] and res["chord_ok"])
         if res["slack"] is not None:

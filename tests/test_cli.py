@@ -301,6 +301,29 @@ def test_curve_arm_random_instances(capsys):
     assert payload["all_ok"] and payload["min_slack"] >= -1e-9
 
 
+# sha256 of `curve arm --random 200 --ambient A --no-meta` at seed 0xC0FFEE,
+# recorded before the random arcs were built in batches
+ARM_RANDOM_SHA256 = {
+    "2": "71087c8dbd669a3023496353d35146bd2c7766fc5bbcfc6e04bde02dcd818318",
+    "3": "90ade14653637112da6a04b8ef66fa101f5af7a84da1f1c8223e4e4fca84ae5e",
+    "5": "8468d0ea13b7a096ec367aab4969f36d3542295d616efa0d93a6050900944655",
+}
+
+
+@pytest.mark.parametrize("ambient", list(ARM_RANDOM_SHA256))
+def test_curve_arm_random_output_is_pinned(ambient, capsys):
+    code, out, _ = run(capsys, "curve", "arm", "--random", "200", "--ambient", ambient,
+                       "--seed", "0xC0FFEE", "--no-meta")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ARM_RANDOM_SHA256[ambient]
+
+
+def test_curve_arm_random_rejects_ambient_1(capsys):
+    code, out, err = run(capsys, "curve", "arm", "--random", "3", "--ambient", "1")
+    assert code == 1 and out == ""
+    assert err == "error: k >= 3 and ambient_n >= 2 required\n"
+
+
 def test_curve_arm_missing_files_exits_parse(capsys):
     code, _, err = run(capsys, "curve", "arm")
     assert code == cli.EXIT_PARSE

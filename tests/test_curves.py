@@ -229,7 +229,7 @@ def test_bow_random_bounded_curves():
 
 
 def loop_spatial_arc(sides, turns, ambient_n, rng):
-    """The per-step construction that _spatial_arc replaced, kept as its reference."""
+    """The per-step construction that _spatial_arcs replaced, kept as its reference."""
     tangent = np.zeros(ambient_n)
     tangent[0] = 1.0
     pts = [np.zeros(ambient_n)]
@@ -249,6 +249,35 @@ def loop_spatial_arc(sides, turns, ambient_n, rng):
     return cu.PolyCurve(vertices=np.array(pts), closed=False)
 
 
+def loop_convex_arc(sides, angles):
+    """The heading loop that convex_arc's cumsums replaced, kept as its reference."""
+    heading = 0.0
+    pts = [np.zeros(2)]
+    for i, L in enumerate(sides):
+        pts.append(pts[-1] + L * np.array([math.cos(heading), math.sin(heading)]))
+        if i < len(angles):
+            heading += angles[i]
+    return cu.PolyCurve(vertices=np.array(pts), closed=False)
+
+
+def loop_bounded_curve(R, length, n, dim, seed):
+    """random_bounded_curve's draws, in its order, fed to the per-step loop."""
+    rng = np.random.default_rng(seed)
+    h = length / n
+    turns = rng.uniform(0.0, h / R, size=n - 1)
+    return loop_spatial_arc(np.full(n, h), turns, dim, rng)
+
+
+def loop_arm_instance(k, ambient_n, seed):
+    """random_arm_instance's draws, in its order, fed to both loops: (p, q)."""
+    rng = np.random.default_rng(seed)
+    sides = rng.uniform(0.2, 1.0, size=k)
+    c = rng.uniform(0.05, 1.0, size=k - 1)
+    c *= rng.uniform(0.3, 0.95) * math.pi / c.sum()
+    turns_q = c * rng.uniform(0.0, 1.0, size=k - 1)
+    return loop_convex_arc(sides, c), loop_spatial_arc(sides, turns_q, ambient_n, rng)
+
+
 class ParallelDraws:
     """Every bending normal along e_1, so the first one is parallel to the tangent."""
 
@@ -258,22 +287,106 @@ class ParallelDraws:
         return out
 
 
+class RowDraws:
+    """Hands out the rows of a fixed (steps, ambient) block, one row per draw."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def standard_normal(self, shape):
+        return next(self.rows)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_spatial_arc_matches_per_step_loop(dim, monkeypatch):
-    seeds = list(range(20)) + [0xC0FFEE, 5003, 7001]
-
-    def draw():
-        bounded = [cu.random_bounded_curve(R=1.0, length=5.0, n=200, dim=dim, seed=s)
-                   for s in seeds]
-        arms = [cu.random_arm_instance(k, dim, seed=s)[1] for s in seeds for k in (3, 8)]
-        return [c.vertices for c in bounded + arms]
-
-    fast, real = draw(), cu._spatial_arc
-    monkeypatch.setattr(cu, "_spatial_arc", loop_spatial_arc)
-    assert all(np.array_equal(a, b) for a, b in zip(fast, draw(), strict=True))
+def test_spatial_arc_matches_per_step_loop(dim):
+    for s in list(range(20)) + [0xC0FFEE, 5003, 7001]:
+        assert np.array_equal(
+            cu.random_bounded_curve(R=1.0, length=5.0, n=200, dim=dim, seed=s).vertices,
+            loop_bounded_curve(1.0, 5.0, 200, dim, s).vertices)
+        for k in (3, 8):
+            assert np.array_equal(cu.random_arm_instance(k, dim, seed=s)[1].vertices,
+                                  loop_arm_instance(k, dim, s)[1].vertices)
     sides, turns = np.linspace(0.5, 1.0, 6), np.linspace(0.1, 0.6, 5)
-    assert np.array_equal(real(sides, turns, dim, ParallelDraws()).vertices,
+    raws = ParallelDraws().standard_normal((1, 5, dim))
+    assert np.array_equal(cu._spatial_arcs(sides[None], turns[None], raws)[0],
                           loop_spatial_arc(sides, turns, dim, ParallelDraws()).vertices)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_fallback_lane_inside_a_batch_matches_loop(dim):
+    rng = np.random.default_rng(dim)
+    sides = rng.uniform(0.2, 1.0, (5, 7))
+    turns = rng.uniform(0.0, 0.5, (5, 6))
+    raws = rng.standard_normal((5, 6, dim))
+    raws[2, 0] = 0.0
+    raws[2, 0, 0] = 2.0  # parallel to the first tangent e_0
+    raws[2, 3] = 0.0
+    vertices = cu._spatial_arcs(sides, turns, raws)
+    for b in range(5):
+        assert np.array_equal(vertices[b],
+                              loop_spatial_arc(sides[b], turns[b], dim, RowDraws(raws[b])).vertices)
+    # lane 2's first turn took the e_1 fallback: its second edge lies in the e_0 e_1 plane
+    assert vertices[2, 2, 1] > 0 and not np.any(vertices[2, 2, 2:])
+
+
+def test_batched_entries_match_one_at_a_time_in_input_order():
+    rng = np.random.default_rng(17)
+    cases = [(k, amb) for k in range(3, 11) for amb in range(2, 6)] * 2
+    rng.shuffle(cases)
+    ks, ambients = [k for k, _ in cases], [amb for _, amb in cases]
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=len(cases))]
+    pairs = cu.random_arm_instances(ks, ambients, seeds)
+    for (p, q), k, amb, s in zip(pairs, ks, ambients, seeds, strict=True):
+        one_p, one_q = cu.random_arm_instance(k, amb, seed=s)
+        loop_p, loop_q = loop_arm_instance(k, amb, s)
+        assert q.vertices.shape == (k + 1, amb)
+        assert np.array_equal(p.vertices, one_p.vertices)
+        assert np.array_equal(p.vertices, loop_p.vertices)
+        assert np.array_equal(q.vertices, one_q.vertices)
+        assert np.array_equal(q.vertices, loop_q.vertices)
+    Rs = rng.uniform(0.5, 2.0, size=12).tolist()
+    lengths = [float(f) * math.pi * R for f, R in zip(rng.uniform(0.2, 1.0, size=12), Rs)]
+    curves = cu.random_bounded_curves(Rs, lengths, 40, 4, seeds[:12])
+    for c, R, L, s in zip(curves, Rs, lengths, seeds[:12], strict=True):
+        assert np.array_equal(c.vertices,
+                              cu.random_bounded_curve(R, L, n=40, dim=4, seed=s).vertices)
+        assert np.array_equal(c.vertices, loop_bounded_curve(R, L, 40, 4, s).vertices)
+
+
+def test_batched_entries_reject_bad_inputs():
+    with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
+        cu.random_arm_instances([5, 2], [3, 3], [0, 1])
+    with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
+        cu.random_arm_instances([5, 5], [3, 1], [0, 1])
+    with pytest.raises(ValueError, match="must have equal lengths"):
+        cu.random_arm_instances([5, 5], [3], [0, 1])
+    with pytest.raises(ValueError, match="at most 2\\*pi\\*R"):
+        cu.random_bounded_curves([1.0, 1.0], [5.0, 7.0], 50, 3, [0, 1])
+    with pytest.raises(ValueError, match="must have equal lengths"):
+        cu.random_bounded_curves([1.0, 1.0], [5.0, 5.0], 50, 3, [0])
+    assert cu.random_arm_instances([], [], []) == []
+    assert cu.random_bounded_curves([], [], 50, 3, []) == []
+
+
+def test_convex_arc_matches_heading_loop():
+    rng = np.random.default_rng(8)
+    for k in range(1, 12):
+        for _ in range(20):
+            sides = rng.uniform(0.1, 2.0, size=k)
+            angles = rng.uniform(0.0, math.pi, size=k - 1)
+            assert np.array_equal(cu.convex_arc(sides, angles).vertices,
+                                  loop_convex_arc(sides, angles).vertices)
+
+
+def test_bow_and_arm_records_equal_per_instance_loop(monkeypatch):
+    from curvlab import verify
+
+    batched = verify.check_bow(), verify.check_arm()
+    monkeypatch.setattr(cu, "random_bounded_curves", lambda Rs, lengths, n, dim, seeds: [
+        loop_bounded_curve(R, L, n, dim, s) for R, L, s in zip(Rs, lengths, seeds, strict=True)])
+    monkeypatch.setattr(cu, "random_arm_instances", lambda ks, ambients, seeds: [
+        loop_arm_instance(k, amb, s) for k, amb, s in zip(ks, ambients, seeds, strict=True)])
+    assert (verify.check_bow(), verify.check_arm()) == batched
 
 
 def test_bow_skips_when_curvature_cap_fails():
@@ -318,6 +431,61 @@ def test_crofton_skew_polygon():
     c = cu.PolyCurve(rng.standard_normal((7, 3)), closed=True)
     res = cu.crofton_check(c, n_dirs=40_000, seed=2)
     assert res["rel_err"] < 0.03
+
+
+def dense_crofton(curve, n_dirs, rng):
+    """crofton_check's (mc_estimate, resampled) from one dense (edges, directions)
+    evaluation per round: the construction the direction blocks replaced."""
+    e = curve.edges
+    u = e / np.linalg.norm(e, axis=1, keepdims=True)
+    if u.shape[1] == 2:
+        u = np.hstack([u, np.zeros((u.shape[0], 1))])
+    resampled, counts, filled = 0, np.empty(n_dirs), 0
+    while filled < n_dirs:
+        batch = rng.standard_normal((n_dirs - filled, 3))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        dots = u @ batch.T
+        generic = np.min(np.abs(dots), axis=0) > 1e-9
+        resampled += int((~generic).sum())
+        s = np.sign(dots[:, generic])
+        good = (s != np.roll(s, -1, axis=0)).sum(axis=0)
+        counts[filled:filled + good.shape[0]] = good
+        filled += good.shape[0]
+    return 4.0 * math.pi * float(counts.mean()), resampled
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7001, 0xC0FFEE])
+def test_blocked_crofton_equals_dense_reference(seed):
+    circle = cu.circle_curve(1.0).polygon(512)
+    res = cu.crofton_check(circle, n_dirs=2500, seed=seed)
+    assert (res["mc_estimate"], res["resampled"]) == dense_crofton(
+        circle, 2500, np.random.default_rng(seed))
+
+
+class TieDraws:
+    """Normal draws with every 7th row from the second on set to (0.6, 0, 0.8),
+    which is orthogonal to any edge along e_1, so those directions resample."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        out[1::7] = (0.6, 0.0, 0.8)
+        return out
+
+
+def test_blocked_crofton_equals_dense_reference_when_directions_resample(monkeypatch):
+    # a skew heptagon, so counts differ between directions, with one edge along e_1
+    vertices = np.random.default_rng(4).standard_normal((7, 3))
+    vertices[1] = vertices[0] + (0.0, 1.0, 0.0)
+    skew = cu.PolyCurve(vertices, closed=True)
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TieDraws(real_rng(seed)))
+    res = cu.crofton_check(skew, n_dirs=2500, seed=3)
+    mc, resampled = dense_crofton(skew, 2500, TieDraws(real_rng(3)))
+    assert resampled == 357 + 51 + 8 + 1  # rounds of 2500, 357, 51, 8 and 1 directions
+    assert (res["mc_estimate"], res["resampled"]) == (mc, resampled)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
