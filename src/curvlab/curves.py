@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,21 +62,30 @@ class PolyCurve:
             raise ValueError("vertices must be finite")
         if self.closed and v.shape[0] < 3:
             raise ValueError("closed curve needs at least three vertices")
-        if np.any(np.linalg.norm(self.edges, axis=1) < 1e-12):
+        if np.any(self._side_lengths < 1e-12):
             raise ValueError("degenerate (zero-length) edge")
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
+        """Edge vectors, the closing edge last if closed; built once, read-only."""
         e = np.diff(self.vertices, axis=0)
         if self.closed:
             e = np.vstack([e, self.vertices[0] - self.vertices[-1]])
+        e.flags.writeable = False
         return e
 
+    @cached_property
+    def _side_lengths(self) -> np.ndarray:
+        lengths = np.linalg.norm(self.edges, axis=1)
+        lengths.flags.writeable = False
+        return lengths
+
     def length(self) -> float:
-        return float(np.linalg.norm(self.edges, axis=1).sum())
+        return float(self._side_lengths.sum())
 
     def side_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edges, axis=1)
+        """Edge lengths, in edge order (read-only)."""
+        return self._side_lengths
 
     def chord(self) -> float:
         return float(np.linalg.norm(self.vertices[-1] - self.vertices[0]))
@@ -98,8 +108,7 @@ class SampledCurve:
 
 def external_angles(curve: PolyCurve) -> np.ndarray:
     """Turning angle in [0, pi] at each interior vertex (all vertices if closed)."""
-    e = curve.edges
-    u = e / np.linalg.norm(e, axis=1, keepdims=True)
+    u = curve.edges / curve._side_lengths[:, None]
     if curve.closed:
         cos = np.einsum("ij,ij->i", u, np.roll(u, -1, axis=0))
     else:
@@ -454,8 +463,7 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
     """
     if not curve.closed:
         raise ValueError("crofton_check needs a closed curve")
-    e = curve.edges
-    u = e / np.linalg.norm(e, axis=1, keepdims=True)
+    u = curve.edges / curve._side_lengths[:, None]
     if u.shape[1] == 2:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
     elif u.shape[1] != 3:

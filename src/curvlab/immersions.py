@@ -35,8 +35,6 @@ __all__ = [
     "tube_encircle",
     "evaluate",
     "jet2",
-    "jet2_fd",
-    "containment_radius",
     "declared_containment_radius",
     "sample_params",
     "spec_from_json",
@@ -447,37 +445,6 @@ def jet2(spec: ImmersionSpec, u) -> Jet2:
     return Jet2(point=point, jac=jac, hess=hess)
 
 
-def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
-    """Central-difference 2-jet; the validation oracle for :func:`jet2`."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    u = _check_params(spec, u)
-    # polar angles of any hyperspherical chart must stay away from the poles
-    if np.any(np.abs(np.sin(u[spec.polar_columns])) < 10.0 * h):
-        raise ValueError("parameter too close to a chart boundary for finite differences")
-    n = u.shape[0]
-    f0 = evaluate(spec, u)
-    N = f0.shape[0]
-    jac = np.empty((N, n))
-    hess = np.empty((N, n, n))
-    def ev(du):
-        return evaluate(spec, u + du)
-    e = np.eye(n) * h
-    for i in range(n):
-        fp, fm = ev(e[i]), ev(-e[i])
-        jac[:, i] = (fp - fm) / (2 * h)
-        hess[:, i, i] = (fp - 2 * f0 + fm) / h**2
-        for j in range(i + 1, n):
-            fpp = ev(e[i] + e[j])
-            fpm = ev(e[i] - e[j])
-            fmp = ev(-e[i] + e[j])
-            fmm = ev(-e[i] - e[j])
-            v = (fpp - fpm - fmp + fmm) / (4 * h**2)
-            hess[:, i, j] = v
-            hess[:, j, i] = v
-    return Jet2(point=f0, jac=jac, hess=hess)
-
-
 def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator,
                   margin: float = 0.4) -> np.ndarray:
     """Random parameter points, kept away from chart boundaries.
@@ -494,17 +461,6 @@ def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator,
 def declared_containment_radius(spec: ImmersionSpec) -> float:
     """Analytic supremum of the ambient norm over the image."""
     return spec.declared_radius
-
-
-def containment_radius(spec: ImmersionSpec, n_samples: int = 1000, seed: int = 0) -> float:
-    """Supremum estimate of ||f(u)|| over random samples plus chart corners."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = spec.intrinsic_dim
-    us = np.vstack([np.zeros((1, n)), np.eye(n) * (math.pi / 2),
-                    rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))])
-    return max(float(np.linalg.norm(evaluate(spec, u))) for u in us)
 
 
 # ---------------------------------------------------------------------------

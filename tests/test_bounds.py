@@ -5,11 +5,13 @@ from the ascending series
 
     J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))
 
-evaluated in extended precision and bisected to the first zero.
+evaluated in extended precision and bisected to the first zero, and against
+mpmath's Bessel zeros.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ def test_j0_first_zero():
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0])
 def test_zero_matches_series_oracle(nu):
     assert abs(bd.bessel_j_zero(nu) - bessel_zero_oracle(nu)) < 1e-9
+
+
+def mpmath_first_zero(nu):
+    """j_nu from mpmath at 30 digits; besseljzero takes nu >= 0 only, so the
+    one negative order is a root of mpmath's own J_nu near its closed form."""
+    with mpmath.workdps(30):
+        if nu >= 0:
+            return float(mpmath.besseljzero(nu, 1))
+        return float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), 1.5))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, *range(1, 11), 2.5, 7.3, 20.0, 31.0, 40.0])
+def test_zero_matches_mpmath(nu):
+    want = mpmath_first_zero(nu)
+    assert abs(bd.bessel_j_zero(nu) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("nu", range(1, 11))

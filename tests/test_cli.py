@@ -435,13 +435,38 @@ def test_malformed_env_seed_exits_parse_with_one_line(sphere_spec, capsys, monke
     assert code == 0 and json.loads(out)["meta"]["seed"] == 5
 
 
-def test_cli_import_does_not_load_scipy():
+# every command that reaches Bessel zeros, the design optimizer, the exact LP,
+# the curvature search or the curve checks, in one fresh process
+NO_SCIPY_COMMANDS = [
+    ["verify-paper"],
+    ["bounds", "report"],
+    ["design", "optimize", "--n", "3", "--cardinality", "11"],
+    ["design", "hilbert", "--n", "2"],
+    ["curv", "CLIFFORD", "--points", "4"],
+    ["curve", "crofton", "SQUARE"],
+]
+
+
+def test_cli_import_does_not_load_scipy(tmp_path, square_curve):
+    clifford = tmp_path / "clifford.json"
+    clifford.write_text(json.dumps({"kind": "clifford_torus", "N": 4}))
+    files = {"CLIFFORD": str(clifford), "SQUARE": square_curve}
+    commands = [[files.get(a, a) for a in argv] for argv in NO_SCIPY_COMMANDS]
     root = pathlib.Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    code = ("import curvlab.cli, sys; "
-            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    code = (
+        "import contextlib, io, sys\n"
+        "import curvlab.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not scipy_modules(), ('import', scipy_modules()[:3])\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = curvlab.cli.main(argv + ['--no-meta'])\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    assert not scipy_modules(), (argv, scipy_modules()[:3])\n")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

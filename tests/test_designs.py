@@ -442,33 +442,59 @@ def test_moment_jacobian_matches_central_differences(n):
     assert np.max(np.abs(J - central_difference_jacobian(axes, E))) < 1e-9
 
 
+class CountingRng:
+    """default_rng stand-in that counts optimize_design's restart draws."""
+
+    def __init__(self, seed, made):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.draws = 0
+        made.append(self)
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
 def test_optimize_design_passes_a_callable_jacobian(monkeypatch):
-    import scipy.optimize
-    real, seen = scipy.optimize.least_squares, []
+    # the solver's Jacobian is the analytic _moment_jacobian, at every accepted point
+    real, seen = dg._moment_jacobian, []
 
-    def spy(fun, x0, **kwargs):
-        seen.append(kwargs.get("jac"))
-        return real(fun, x0, **kwargs)
+    def spy(v, E):
+        seen.append(v.shape)
+        return real(v, E)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(dg, "_moment_jacobian", spy)
     assert dg.optimize_design(3, 11, seed=0)["status"] == "OK"
-    assert seen and all(callable(jac) for jac in seen)
+    assert seen and all(shape == (11, 3) for shape in seen)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_optimize_design_stops_at_first_converged_restart(seed, monkeypatch):
-    import scipy.optimize
-    real, calls = scipy.optimize.least_squares, []
+    made = []
+    monkeypatch.setattr(dg.np.random, "default_rng", lambda s: CountingRng(s, made))
+    for n, N in ((3, 11), (4, 23), (5, 40)):
+        res = dg.optimize_design(n, N, seed=seed)
+        assert made[-1].draws == 1
+        assert res["status"] == "OK"
+        assert res["residual"] < 1e-12
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
-    res = dg.optimize_design(4, 23, seed=seed)
-    assert len(calls) == 1
-    assert res["status"] == "OK"
-    assert res["residual"] < 1e-12
+def test_levenberg_marquardt_step_solves_the_augmented_system(monkeypatch):
+    # on a linear residual r(x) = A x - b one accepted step is the damped
+    # Gauss-Newton step -(A^T A + lam I)^-1 A^T r with lam = 1e-3
+    rng = np.random.default_rng(3)
+    A, b, x0 = rng.standard_normal((6, 4)), rng.standard_normal(6), rng.standard_normal(4)
+    with monkeypatch.context() as m:
+        m.setattr(dg, "_LM_STEPS", 1)
+        x1, r1 = dg._levenberg_marquardt(lambda x: A @ x - b, lambda x: A, x0)
+    want = x0 - np.linalg.solve(A.T @ A + 1e-3 * np.eye(4), A.T @ (A @ x0 - b))
+    assert np.allclose(x1, want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(r1, A @ x1 - b)
+    # run to the end on a consistent system, it lands on the solution
+    x_true = rng.standard_normal(4)
+    x, r = dg._levenberg_marquardt(lambda x: A @ x - A @ x_true, lambda x: A, x0)
+    assert np.allclose(x, x_true, rtol=0, atol=1e-12)
+    assert np.max(np.abs(r)) < 1e-14
 
 
 def test_optimize_design_needs_enough_points():
