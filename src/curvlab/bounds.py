@@ -23,7 +23,6 @@ __all__ = [
     "lower_petrunin",
     "lower_sphere_A",
     "lower_sphere_B",
-    "sphere_lower_crossover",
     "lower_band",
     "bessel_j_zero",
     "bessel_bracket",
@@ -100,15 +99,6 @@ def lower_sphere_B(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.sqrt((2.0 * n - 2) / (n + 2))
-
-
-def sphere_lower_crossover(n: int) -> dict:
-    """Where lower_sphere_A beats lower_sphere_B: exactly k <= (n+2)/2,
-    i.e. roughly k <= n/2."""
-    return {
-        "k_threshold": (n + 2) / 2,
-        "note": "A exceeds B for k <= (n+2)/2, roughly k <= n/2",
-    }
 
 
 def lower_band(n: int) -> dict:

@@ -127,10 +127,8 @@ def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
         return _load(path, lambda text: curves.curve_from_csv(text, closed=closed))
 
     def parse(text):
-        data = json.loads(text)
-        if closed and isinstance(data, dict):
-            data = dict(data, closed=True)
-        return curves.curve_from_json(data)
+        curve = curves.curve_from_json(text)
+        return curves.PolyCurve(curve.vertices, closed=True) if closed else curve
     return _load(path, parse)
 
 

@@ -45,10 +45,11 @@ _STATIONARY_TOL = 1e-9
 class FundamentalData:
     """First and second fundamental forms of an immersion at a point.
 
-    g is the induced metric J^T J;  II[:, i, j] is the ambient-vector-valued
+    g is the induced metric J^T J;  II[..., i, j] is the ambient-vector-valued
     normal projection of the Hessian;  frame is an ambient-orthonormal basis of
     the tangent plane (columns);  whitener maps g-orthonormal coordinates to
-    parameter coordinates (g^{-1/2}).
+    parameter coordinates (g^{-1/2}).  The forms of B basepoints carry a
+    leading B axis on every array.
     """
 
     g: np.ndarray
@@ -58,24 +59,25 @@ class FundamentalData:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     def whitened_form(self) -> np.ndarray:
-        """II in g-orthonormal tangent coordinates, shape N x n x n."""
+        """II in g-orthonormal tangent coordinates, shape ([B,] N, n, n)."""
         W = self.whitener
-        return np.einsum("cij,ia,jb->cab", self.II, W, W)
+        return np.einsum("...cij,...ia,...jb->...cab", self.II, W, W)
 
 
 def fundamental_data(jet: Jet2) -> FundamentalData:
+    """Forms at one basepoint, or at B basepoints from a stacked (B, n) jet."""
     J, H = jet.jac, jet.hess
-    g = J.T @ J
+    g = J.mT @ J
     evals, evecs = np.linalg.eigh(g)
-    if evals[0] <= 1e-18 * max(evals[-1], 1.0):
+    if np.any(evals[..., 0] <= 1e-18 * np.maximum(evals[..., -1], 1.0)):
         raise ValueError("rank-deficient Jacobian: not an immersion point")
     # tangential projector via a thin QR frame; P_perp = I - Q Q^T
     Q, _ = np.linalg.qr(J)
-    II = H - np.einsum("ca,ab,bij->cij", Q, Q.T, H)
-    whitener = evecs @ np.diag(evals**-0.5) @ evecs.T  # g^{-1/2}
+    II = H - np.einsum("...ca,...ba,...bij->...cij", Q, Q, H)
+    whitener = (evecs * evals[..., None, :] ** -0.5) @ evecs.mT  # g^{-1/2}
     return FundamentalData(g=g, II=II, frame=Q, whitener=whitener)
 
 
@@ -212,6 +214,10 @@ def normal_curvature_at(
 ):
     """max over g-unit tangent directions of ||II(t,t)||.
 
+    ``fd`` holds the forms at one basepoint (from u of shape (n,)), or at a
+    stack of B basepoints (from a (B, n) jet); a stack gives B values, and
+    (B, n) directions, all from one direction search.
+
     What the value certifies: it is ||II(t,t)|| at a g-unit direction t that
     was found, so it is a lower bound on the sup, never an upper bound.  It is
     at least ||II|| at every one of 256 unit directions drawn from ``seed``,
@@ -223,10 +229,12 @@ def normal_curvature_at(
     maximum whose basin no start fell in.  Any intrinsic dimension is
     accepted.
     """
-    F, w = _direction_search(fd.whitened_form()[None], tol, seed)
-    curv = math.sqrt(F[0])  # F = ||II(w,w)||^2 = curv^2
+    M = fd.whitened_form()
+    batch = M.shape[:-3]
+    F, w = _direction_search(M.reshape((-1,) + M.shape[-3:]), tol, seed)
+    curv = np.sqrt(F).reshape(batch) if batch else math.sqrt(F[0])  # F = curv^2
     if return_direction:
-        return curv, fd.whitener @ w[0]
+        return curv, (fd.whitener @ w.reshape(batch + (fd.n, 1)))[..., 0]
     return curv
 
 
@@ -237,16 +245,13 @@ def normal_curvature_global(
 ) -> dict:
     """Supremum of the pointwise normal curvature over sampled basepoints.
 
-    Each basepoint's value is the one normal_curvature_at gives at the same
-    seed; the direction searches run as one batch over all basepoints.
+    The sampled basepoints go through jet, forms and direction search as one
+    stack.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    rng = np.random.default_rng(seed)
-    M = np.stack([fundamental_data(jet2(spec, u)).whitened_form()
-                  for u in sample_params(spec, n_points, rng)])
-    F, _ = _direction_search(M, _STATIONARY_TOL, seed)
-    vals = np.sqrt(F)
+    us = sample_params(spec, n_points, np.random.default_rng(seed))
+    vals = normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed)
     return {
         "sup": float(vals.max()),
         "per_point_spread": float(vals.max() - vals.min()),
@@ -321,12 +326,13 @@ def spherical_curvature(curv_euclid: float, R_sphere: float) -> float:
     return math.sqrt(max(0.0, curv_euclid**2 - inv * inv))
 
 
-def _largest_principal_angle(Qa: np.ndarray, Qb: np.ndarray) -> float:
+def _largest_principal_angle(Qa: np.ndarray, Qb: np.ndarray):
     """Largest principal angle between the equal-dimension column spans of
     orthonormal Qa and Qb: arcsin |Qb - Qa Qa^T Qb|_2, accurate for small
-    angles, where the cosine form loses them to rounding."""
-    sin = np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2)
-    return math.asin(min(1.0, float(sin)))
+    angles, where the cosine form loses them to rounding.  Stacks of frames
+    give one angle per pair."""
+    sin = np.linalg.norm(Qb - Qa @ (Qa.mT @ Qb), 2, axis=(-2, -1))
+    return np.arcsin(np.minimum(1.0, sin))
 
 
 def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
@@ -344,11 +350,7 @@ def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
     u = np.asarray(u, dtype=float).reshape(-1)
     fd = fundamental_data(jet2(spec, u))
     _, tau_best = normal_curvature_at(fd, return_direction=True, seed=seed)
-    candidates = [fd.whitener @ w for w in _random_directions(fd.n, n_dirs, seed)]
-    best = 0.0
-    for tau in candidates + [tau_best]:
-        # tau is g-unit, so u +- h*tau moves h in arclength to first order
-        Qp, _ = np.linalg.qr(jet2(spec, u + h * tau).jac)
-        Qm, _ = np.linalg.qr(jet2(spec, u - h * tau).jac)
-        best = max(best, _largest_principal_angle(Qp, Qm) / (2.0 * h))
-    return best
+    taus = np.vstack([_random_directions(fd.n, n_dirs, seed) @ fd.whitener.T, tau_best])
+    # tau is g-unit, so u +- h*tau moves h in arclength to first order
+    Q, _ = np.linalg.qr(jet2(spec, u + h * np.vstack([taus, -taus])).jac)
+    return float(_largest_principal_angle(Q[: len(taus)], Q[len(taus) :]).max()) / (2.0 * h)

@@ -262,8 +262,10 @@ def arm_check(q: PolyCurve, p: PolyCurve, tol: float = 1e-9) -> dict:
     turns no more than ``p`` at every vertex (vertex angles at least pi minus
     the matching turn of ``p``).  Conclusion: the end-to-end distance of ``q``
     is at least that of ``p``.  Hypotheses are reported per condition, not
-    raised.
+    raised; a closed q or p raises ValueError.
     """
+    if q.closed or p.closed:
+        raise ValueError("arm_check needs an open curve")
     sides_p = p.side_lengths()
     sides_q = q.side_lengths()
     hyp = {
@@ -378,8 +380,11 @@ def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
     of the adjacent side lengths.  When the curvature precondition or the
     length bound (at most 2 pi R) fails, the chord check is skipped rather
     than raised.  Conclusion: chord >= 2 R sin(length / 2R); equality is
-    flagged for planar circular arcs.  R must be finite and positive.
+    flagged for planar circular arcs.  R must be finite and positive, and the
+    curve open.
     """
+    if curve.closed:
+        raise ValueError("bow_check needs an open curve")
     if not (0.0 < R < math.inf):
         raise ValueError(f"curvature radius R must be finite and positive, got {R}")
     L = curve.length()
@@ -498,7 +503,10 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
 # I/O
 
 def curve_from_json(data) -> PolyCurve:
-    """Parse {"vertices": [[x, ...], ...], "closed": bool}; malformed input raises ValueError."""
+    """Parse {"vertices": [[x, ...], ...], "closed": bool}; malformed input raises ValueError.
+
+    "closed" must be JSON true or false; a missing key means an open curve.
+    """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict) or "vertices" not in data:
@@ -507,7 +515,10 @@ def curve_from_json(data) -> PolyCurve:
         vertices = np.asarray(data["vertices"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError("curve 'vertices' must be equal-length rows of numbers") from None
-    return PolyCurve(vertices=vertices, closed=bool(data.get("closed", False)))
+    closed = data.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ValueError(f"curve 'closed' must be true or false, got {json.dumps(closed)}")
+    return PolyCurve(vertices=vertices, closed=closed)
 
 
 def curve_to_json(curve: PolyCurve) -> dict:

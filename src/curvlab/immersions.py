@@ -49,7 +49,8 @@ class Jet2:
     """2-jet of a parametrization: position, Jacobian and Hessian stack.
 
     ``point`` is in R^N, ``jac`` is N x n and ``hess`` is N x n x n with
-    ``hess[:, i, j] == hess[:, j, i]``.
+    ``hess[..., i, j] == hess[..., j, i]``.  A jet of B basepoints carries a
+    leading B axis on all three.
     """
 
     point: np.ndarray
@@ -57,10 +58,10 @@ class Jet2:
     hess: np.ndarray
 
     def validate(self, sym_tol: float = 1e-10, rank_rtol: float = 1e-9) -> None:
-        if not np.allclose(self.hess, np.swapaxes(self.hess, 1, 2), atol=sym_tol):
+        if not np.allclose(self.hess, np.swapaxes(self.hess, -1, -2), atol=sym_tol):
             raise ValueError("Hessian stack is not symmetric in the parameter indices")
         sv = np.linalg.svd(self.jac, compute_uv=False)
-        if sv[-1] <= rank_rtol * sv[0]:
+        if np.any(sv[..., -1] <= rank_rtol * sv[..., 0]):
             raise ValueError("Jacobian is rank deficient: not an immersion point")
 
 
@@ -132,34 +133,35 @@ def _sphere_chart_jet(u: np.ndarray, R: float):
     Coordinate i is the product over j of f[i, j]: sin u_j for j < i, cos u_i
     at j = i, and 1 for j > i.  Derivatives replace factors (f' at the
     differentiated angles, f'' = -f on a repeated one) and never divide, so
-    the chart stays finite at its poles.
+    the chart stays finite at its poles.  Leading axes of u are batch axes.
     """
-    m = len(u)
+    m = u.shape[-1]
     i, j = np.arange(m + 1)[:, None], np.arange(m)
-    s, c = np.sin(u), np.cos(u)
-    f = np.where(j < i, s, np.where(j == i, c, 1.0))  # (m+1) x m
+    s, c = np.sin(u)[..., None, :], np.cos(u)[..., None, :]
+    f = np.where(j < i, s, np.where(j == i, c, 1.0))  # ... x (m+1) x m
     df = np.where(j < i, c, np.where(j == i, -s, 0.0))
     ddf = np.where(j <= i, -f, 0.0)
     eye = np.eye(m, dtype=bool)
-    point = R * f.prod(axis=1)
-    jac = R * np.where(eye, df[:, None, :], f[:, None, :]).prod(axis=2)
+    f1, df1 = f[..., :, None, :], df[..., :, None, :]
+    point = R * f.prod(axis=-1)
+    jac = R * np.where(eye, df1, f1).prod(axis=-1)
     pair = eye[:, None, :] | eye[None, :, :]  # factor j is differentiated for (a, b)
-    hess = R * np.where(pair, df[:, None, None, :], f[:, None, None, :]).prod(axis=3)
+    hess = R * np.where(pair, df1[..., None, :], f1[..., None, :]).prod(axis=-1)
     diag = np.arange(m)
-    hess[:, diag, diag] = R * np.where(eye, ddf[:, None, :], f[:, None, :]).prod(axis=2)
+    hess[..., diag, diag] = R * np.where(eye, ddf[..., :, None, :], f1).prod(axis=-1)
     return point, jac, hess
 
 
 def _block_diag_jet(parts):
     """Stack independent chart jets into one jet with block-diagonal structure."""
-    point = np.concatenate([p for p, _, _ in parts])
-    N, n = point.shape[0], sum(J.shape[1] for _, J, _ in parts)
-    jac, hess = np.zeros((N, n)), np.zeros((N, n, n))
+    point = np.concatenate([p for p, _, _ in parts], axis=-1)
+    n = sum(J.shape[-1] for _, J, _ in parts)
+    jac, hess = np.zeros(point.shape + (n,)), np.zeros(point.shape + (n, n))
     ro = co = 0
     for _, J, H in parts:
-        Ni, ni = J.shape
-        jac[ro : ro + Ni, co : co + ni] = J
-        hess[ro : ro + Ni, co : co + ni, co : co + ni] = H
+        Ni, ni = J.shape[-2:]
+        jac[..., ro : ro + Ni, co : co + ni] = J
+        hess[..., ro : ro + Ni, co : co + ni, co : co + ni] = H
         ro, co = ro + Ni, co + ni
     return point, jac, hess
 
@@ -168,14 +170,15 @@ def _torus_jet(u: np.ndarray, L: np.ndarray, scale: float, w: np.ndarray):
     """Factor i is amp_i (cos, sin)(theta_i) with theta = sqrt(M) scale L u."""
     M, n = L.shape
     g = math.sqrt(M) * scale * L  # M x n, gradient of each angle
-    theta = g @ u
+    theta = (g @ u[..., None])[..., 0]  # g @ u per basepoint: rounds as one point does
+    batch = theta.shape[:-1]
     amp = np.sqrt(w)
     ac, as_ = amp * np.cos(theta), amp * np.sin(theta)
     gg = g[:, :, None] * g[:, None, :]
-    point = np.stack([ac, as_], axis=1).reshape(2 * M)
-    jac = np.stack([-as_[:, None] * g, ac[:, None] * g], axis=1).reshape(2 * M, n)
-    hess = np.stack([-ac[:, None, None] * gg, -as_[:, None, None] * gg], axis=1)
-    return point, jac, hess.reshape(2 * M, n, n)
+    point = np.stack([ac, as_], axis=-1).reshape(batch + (2 * M,))
+    jac = np.stack([-as_[..., None] * g, ac[..., None] * g], axis=-2)
+    hess = np.stack([-ac[..., None, None] * gg, -as_[..., None, None] * gg], axis=-3)
+    return point, jac.reshape(batch + (2 * M, n)), hess.reshape(batch + (2 * M, n, n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +252,7 @@ class SphereProduct(ImmersionSpec):
 
     def _jet(self, u):
         ends = np.cumsum(self.chart_dims)
-        return _block_diag_jet([_sphere_chart_jet(u[e - ni : e], Ri)
+        return _block_diag_jet([_sphere_chart_jet(u[..., e - ni : e], Ri)
                                 for (ni, Ri), e in zip(self.factors, ends)])
 
 
@@ -297,11 +300,11 @@ class Veronese(ImmersionSpec):
         basis = _veronese_basis(m)  # K x d x d, K = ambient dim
         alpha = math.sqrt((m + 1) / m)
         # f_k = alpha * x^T B_k x  (the -I/(m+1) shift is killed by tracelessness)
-        point = alpha * np.einsum("kab,a,b->k", basis, x, x)
-        Bx = np.einsum("kab,b->ka", basis, x)  # K x d
+        point = alpha * np.einsum("kab,...a,...b->...k", basis, x, x)
+        Bx = np.einsum("kab,...b->...ka", basis, x)  # ... x K x d
         jac = 2.0 * alpha * Bx @ Jx
-        hess = 2.0 * alpha * (np.einsum("ka,aij->kij", Bx, Hx)
-                              + np.einsum("kab,ai,bj->kij", basis, Jx, Jx))
+        hess = 2.0 * alpha * (np.einsum("...ka,...aij->...kij", Bx, Hx)
+                              + np.einsum("kab,...ai,...bj->...kij", basis, Jx, Jx))
         return point, jac, hess
 
 
@@ -319,23 +322,23 @@ class Tube(ImmersionSpec):
 
     def _jet(self, u):
         n1, r, rho = self.n1, self.base_r, self.rho
-        s, Js, Hs = _sphere_chart_jet(u[:n1], r)  # base sphere S^{n1}(r)
-        w, Jw, Hw = _sphere_chart_jet(u[n1:], 1.0)  # normal sphere S^{n2}(1)
-        a = 1.0 + (rho / r) * w[0]
-        da = (rho / r) * Jw[0]  # length n2
-        dda = (rho / r) * Hw[0]  # n2 x n2
-        point = np.concatenate([a * s, rho * w[1:]])
+        s, Js, Hs = _sphere_chart_jet(u[..., :n1], r)  # base sphere S^{n1}(r)
+        w, Jw, Hw = _sphere_chart_jet(u[..., n1:], 1.0)  # normal sphere S^{n2}(1)
+        a = 1.0 + (rho / r) * w[..., 0, None]
+        da = (rho / r) * Jw[..., None, 0, :]  # 1 x n2
+        dda = (rho / r) * Hw[..., None, 0, :, :]  # 1 x n2 x n2
+        point = np.concatenate([a * s, rho * w[..., 1:]], axis=-1)
         N, n = self.ambient_dim, self.intrinsic_dim
-        jac, hess = np.zeros((N, n)), np.zeros((N, n, n))
-        jac[: n1 + 1, :n1] = a * Js
-        jac[: n1 + 1, n1:] = np.outer(s, da)
-        jac[n1 + 1 :, n1:] = rho * Jw[1:]
-        hess[: n1 + 1, :n1, :n1] = a * Hs
-        cross = np.einsum("ci,j->cij", Js, da)
-        hess[: n1 + 1, :n1, n1:] = cross
-        hess[: n1 + 1, n1:, :n1] = np.swapaxes(cross, 1, 2)
-        hess[: n1 + 1, n1:, n1:] = np.einsum("c,ij->cij", s, dda)
-        hess[n1 + 1 :, n1:, n1:] = rho * Hw[1:]
+        jac, hess = np.zeros(a.shape[:-1] + (N, n)), np.zeros(a.shape[:-1] + (N, n, n))
+        jac[..., : n1 + 1, :n1] = a[..., None] * Js
+        jac[..., : n1 + 1, n1:] = s[..., None] * da
+        jac[..., n1 + 1 :, n1:] = rho * Jw[..., 1:, :]
+        hess[..., : n1 + 1, :n1, :n1] = a[..., None, None] * Hs
+        cross = Js[..., None] * da[..., None, :]
+        hess[..., : n1 + 1, :n1, n1:] = cross
+        hess[..., : n1 + 1, n1:, :n1] = np.swapaxes(cross, -1, -2)
+        hess[..., : n1 + 1, n1:, n1:] = s[..., None, None] * dda
+        hess[..., n1 + 1 :, n1:, n1:] = rho * Hw[..., 1:, :, :]
         return point, jac, hess
 
 
@@ -422,10 +425,12 @@ _KINDS = {cls.kind: (cls, make) for cls, make in (
 # operations
 
 def _check_params(spec: ImmersionSpec, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != spec.intrinsic_dim:
+    u = np.asarray(u, dtype=float)
+    if u.ndim < 2:
+        u = u.reshape(-1)
+    if u.ndim > 2 or u.shape[-1] != spec.intrinsic_dim:
         raise ValueError(
-            f"parameter dimension {u.shape[0]} != intrinsic dim {spec.intrinsic_dim}"
+            f"parameter shape {u.shape} is not (n,) or (B, n) with n = {spec.intrinsic_dim}"
         )
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite parameter")
@@ -433,13 +438,17 @@ def _check_params(spec: ImmersionSpec, u) -> np.ndarray:
 
 
 def evaluate(spec: ImmersionSpec, u) -> np.ndarray:
-    """Position f(u) in R^{ambient_dim}."""
+    """Position f(u) in R^{ambient_dim}; a (B, n) stack of u gives (B, N)."""
     u = _check_params(spec, u)
     return spec._jet(u)[0]
 
 
 def jet2(spec: ImmersionSpec, u) -> Jet2:
-    """Analytic 2-jet of the parametrization at u."""
+    """Analytic 2-jet of the parametrization at u.
+
+    u of shape (n,) gives one jet; a (B, n) stack of basepoints gives a
+    stacked Jet2 whose arrays carry a leading B axis.
+    """
     u = _check_params(spec, u)
     point, jac, hess = spec._jet(u)
     return Jet2(point=point, jac=jac, hess=hess)

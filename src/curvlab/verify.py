@@ -74,13 +74,9 @@ def check_formula_star(seed=DEFAULT_SEED):
 
 def check_design_torus(seed=DEFAULT_SEED):
     spec = designs.torus_immersion_from_design(designs.pentagon_design())
-    rng = np.random.default_rng(seed)
-    target = math.sqrt(1.5)
-    curv_dev = metric_dev = 0.0
-    for u in sample_params(spec, 50, rng):
-        fd = fundamental_data(jet2(spec, u))
-        metric_dev = max(metric_dev, float(np.max(np.abs(fd.g - np.eye(2)))))
-        curv_dev = max(curv_dev, abs(normal_curvature_at(fd, seed=seed) - target))
+    fd = fundamental_data(jet2(spec, sample_params(spec, 50, np.random.default_rng(seed))))
+    metric_dev = float(np.max(np.abs(fd.g - np.eye(2))))
+    curv_dev = float(np.max(np.abs(normal_curvature_at(fd, seed=seed) - math.sqrt(1.5))))
     return [
         _rec("design-torus-curv", 0.0, curv_dev, 1e-6),
         _rec("design-torus-metric", 0.0, metric_dev, 1e-9),
@@ -96,11 +92,9 @@ def check_hilbert(seed=DEFAULT_SEED):
         out.append(_rec(f"hilbert-n{n}-residual", 0.0, float(res["residual"]), 0.0,
                         note=f"cardinality {rd.N} over {len(rd.points)} points"))
         spec = designs.torus_immersion_from_design(rd)
-        target = math.sqrt(3.0 * n / (n + 2))
-        dev = max(
-            abs(normal_curvature_at(fundamental_data(jet2(spec, u)), seed=seed) - target)
-            for u in sample_params(spec, 10, rng)
-        )
+        fd = fundamental_data(jet2(spec, sample_params(spec, 10, rng)))
+        dev = float(np.max(np.abs(normal_curvature_at(fd, seed=seed)
+                                  - math.sqrt(3.0 * n / (n + 2)))))
         out.append(_rec(f"hilbert-n{n}-torus-curv", 0.0, dev, 1e-6))
     return out
 
@@ -121,14 +115,9 @@ def check_veronese(seed=DEFAULT_SEED):
 
 def _tube_sup(spec, seed, n_random=6):
     """Sup of pointwise curvature including the extremal inner/outer circles."""
-    rng = np.random.default_rng(seed)
-    us = list(sample_params(spec, n_random, rng))
-    for t in (0.3, 1.7):
-        us.append(np.array([t, 0.0]))
-        us.append(np.array([t, math.pi]))
-    return max(
-        normal_curvature_at(fundamental_data(jet2(spec, u)), seed=seed) for u in us
-    )
+    us = np.vstack([sample_params(spec, n_random, np.random.default_rng(seed)),
+                    [[0.3, 0.0], [0.3, math.pi], [1.7, 0.0], [1.7, math.pi]]])
+    return float(normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed).max())
 
 
 def check_tube(seed=DEFAULT_SEED):

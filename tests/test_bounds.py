@@ -66,13 +66,11 @@ def test_petrunin_monotone_increasing():
 def test_sphere_bounds_and_crossover():
     assert math.isclose(bd.lower_sphere_A(9, 4), math.sqrt(2.0), rel_tol=1e-15)
     assert math.isclose(bd.lower_sphere_B(10), math.sqrt(1.5), rel_tol=1e-15)
-    cross = bd.sphere_lower_crossover(10)
-    assert cross["k_threshold"] == 6.0
-    # A beats B exactly up to the threshold codimension
+    # A beats B exactly up to the threshold codimension (n + 2) / 2
     n = 10
     for k in range(1, 13):
         a, b = bd.lower_sphere_A(n, k), bd.lower_sphere_B(n)
-        assert (a >= b) == (k <= cross["k_threshold"])
+        assert (a >= b) == (k <= (n + 2) / 2)
 
 
 def test_band_bound_values_and_clamping():

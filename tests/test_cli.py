@@ -201,7 +201,8 @@ def test_malformed_design_file_exits_parse_with_one_line(design, command, tmp_pa
     {"closed": True},
     {"vertices": [[0, 0], [1, 0], [1]]},
     {"vertices": [[0, 0], [1, None], [1, 1]]},
-], ids=["list", "missing-vertices", "ragged", "null-coordinate"])
+    {"vertices": [[0, 0], [1, 0], [1, 1]], "closed": "false"},
+], ids=["list", "missing-vertices", "ragged", "null-coordinate", "string-closed"])
 def test_malformed_curve_file_exits_parse_with_one_line(curve, argv, tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(curve))
@@ -349,6 +350,23 @@ def test_curve_bow_ok_and_hypothesis_paths(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "curve", "bow", str(f), "--R", "3.0")
     assert code == cli.EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("command", ["bow", "arm"])
+def test_curve_bow_and_arm_reject_closed_files(command, tmp_path, capsys):
+    from curvlab import curves as cu
+    arc = cu.circular_arc(R=1.0, arc_length=2.0, n=20)
+    closed, opened = tmp_path / "closed.json", tmp_path / "open.json"
+    closed.write_text(json.dumps(dict(cu.curve_to_json(arc), closed=True)))
+    opened.write_text(json.dumps(cu.curve_to_json(arc)))
+    files = [str(closed)] if command == "bow" else [str(closed), str(opened)]
+    extra = ["--R", "1.0"] if command == "bow" else []
+    code, out, err = run(capsys, "curve", command, *files, *extra)
+    _assert_one_line_parse_error(code, out, err)
+    assert err == f"error: {command}_check needs an open curve\n"
+    if command == "arm":
+        code, out, err = run(capsys, "curve", command, str(opened), str(closed))
+        _assert_one_line_parse_error(code, out, err)
 
 
 @pytest.mark.parametrize("R", ["0", "-1", "nan", "inf"])

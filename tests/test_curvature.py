@@ -171,10 +171,38 @@ def test_global_sup_matches_pointwise_search():
     spec = im.sphere_product([(1, 0.5), (2, 2.0)])
     us = im.sample_params(spec, 8, np.random.default_rng(cv.DEFAULT_SEED))
     pointwise = [cv.normal_curvature_at(fd_at(spec, u)) for u in us]
+    fd = cv.fundamental_data(im.jet2(spec, us))
+    stacked, taus = cv.normal_curvature_at(fd, return_direction=True)
+    assert stacked.shape == (8,) and taus.shape == (8, 3)
+    np.testing.assert_allclose(stacked, pointwise, rtol=0, atol=1e-12)
+    for u, tau in zip(us, taus):
+        assert np.allclose(cv.normal_curvature_at(fd_at(spec, u), return_direction=True)[1],
+                           tau, rtol=0, atol=1e-12)
     res = cv.normal_curvature_global(spec, n_points=8)
     assert res["sup"] == pytest.approx(max(pointwise), abs=1e-12)
     assert res["per_point_spread"] == pytest.approx(
         max(pointwise) - min(pointwise), abs=1e-12)
+
+
+def test_verify_runs_one_direction_search_per_spec(monkeypatch):
+    # every spec's basepoints go through one batched search; the tube group
+    # checks 21 specs (one balanced tube, a 5 x 4 grid of (r, rho))
+    from curvlab import verify
+    calls = []
+    search = cv._direction_search
+
+    def counted(M, tol, seed):
+        calls.append(len(M))
+        return search(M, tol, seed)
+
+    monkeypatch.setattr(cv, "_direction_search", counted)
+    want = {"clifford": 3, "design-torus": 1, "hilbert": 2, "veronese": 2, "tube": 21}
+    counts = {}
+    for group in want:
+        calls.clear()
+        assert all(r["pass"] for r in verify.run_checks(only=group))
+        counts[group] = len(calls)
+    assert counts == want
 
 
 def test_rejects_nonpositive_counts():

@@ -494,6 +494,17 @@ def test_bow_rejects_nonpositive_or_nonfinite_radius(R):
         cu.bow_check(cu.circular_arc(R=1.0, arc_length=2.0, n=20), R=R)
 
 
+def test_bow_and_arm_reject_closed_curves():
+    arc = cu.circular_arc(R=1.0, arc_length=2.0, n=20)
+    ring = cu.PolyCurve(arc.vertices, closed=True)
+    with pytest.raises(ValueError, match="bow_check needs an open curve"):
+        cu.bow_check(ring, R=1.0)
+    with pytest.raises(ValueError, match="arm_check needs an open curve"):
+        cu.arm_check(ring, arc)
+    with pytest.raises(ValueError, match="arm_check needs an open curve"):
+        cu.arm_check(arc, ring)
+
+
 def test_crofton_rejects_open_and_high_dim():
     with pytest.raises(ValueError):
         cu.crofton_check(cu.PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0]])))
@@ -512,6 +523,22 @@ def test_curve_json_round_trip():
     back = cu.curve_from_json(json.dumps(cu.curve_to_json(c)))
     assert back.closed
     assert np.array_equal(back.vertices, c.vertices)
+
+
+@pytest.mark.parametrize("closed,want", [(True, True), (False, False), (None, False)])
+def test_curve_json_closed_flag(closed, want):
+    data = {"vertices": [[0, 0], [1, 0], [1, 1]]}
+    if closed is not None:
+        data["closed"] = closed
+    assert cu.curve_from_json(json.dumps(data)).closed is want
+
+
+@pytest.mark.parametrize("closed", ["false", "true", 0, 1, None, [True]])
+def test_curve_json_rejects_non_boolean_closed(closed):
+    data = {"vertices": [[0, 0], [1, 0], [1, 1]], "closed": closed}
+    with pytest.raises(ValueError, match="'closed' must be true or false") as e:
+        cu.curve_from_json(json.dumps(data))
+    assert len(str(e.value).splitlines()) == 1
 
 
 def test_curve_csv_round_trip_with_header():

@@ -91,13 +91,21 @@ POLAR_COLUMNS = {
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_jet_matches_finite_differences(spec):
     rng = np.random.default_rng(7)
-    for u in im.sample_params(spec, 4, rng):
+    us = im.sample_params(spec, 4, rng)
+    stacked = im.jet2(spec, us)
+    stacked.validate()
+    for b, u in enumerate(us):
         j = im.jet2(spec, u)
         j.validate()
         jf = jet2_fd(spec, u, h=1e-4)
         assert np.allclose(j.point, jf.point, atol=1e-12)
         assert np.allclose(j.jac, jf.jac, atol=1e-6)
         assert np.allclose(j.hess, jf.hess, atol=1e-5)
+        # row b of the (B, n) jet is the jet at u alone
+        for got, want in zip((stacked.point, stacked.jac, stacked.hess),
+                             (j.point, j.jac, j.hess)):
+            assert got[b].shape == want.shape
+            np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
