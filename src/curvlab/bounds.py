@@ -29,7 +29,6 @@ __all__ = [
     "lower_focal",
     "focal_rad_upper",
     "band_width_bound",
-    "sc_rtimes",
     "upper_constructions",
     "lower_entries",
     "veronese_dims",
@@ -182,29 +181,6 @@ def band_width_bound(n: int, sigma: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return 2.0 * math.pi * math.sqrt(n / (sigma * (n + 1)))
-
-
-def sc_rtimes(shape: str, *, sides=None, n=None) -> float:
-    """Spectral scalar-curvature value (4x the lowest Dirichlet eigenvalue of
-    -Laplacian + Sc/4) in the shapes with closed forms.
-
-    box: sum of 4 pi^2 / side_i^2; hemisphere: n(n+3); ball: 4 j_nu^2 with
-    nu = n/2 - 1.
-    """
-    shape = shape.lower()
-    if shape == "box":
-        if sides is None or len(sides) == 0 or any(s <= 0 for s in sides):
-            raise ValueError("box needs positive side lengths")
-        return float(sum(4.0 * math.pi**2 / s**2 for s in sides))
-    if shape == "hemisphere":
-        if n is None or n < 1:
-            raise ValueError("hemisphere needs n >= 1")
-        return float(n * (n + 3))
-    if shape == "ball":
-        if n is None or n < 1:
-            raise ValueError("ball needs n >= 1")
-        return 4.0 * bessel_j_zero(n / 2.0 - 1.0) ** 2
-    raise ValueError(f"unknown shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------

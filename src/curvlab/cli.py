@@ -97,9 +97,12 @@ def _emit(payload: dict, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -247,16 +250,9 @@ def cmd_curve(args) -> int:
 def cmd_bounds(args) -> int:
     rep = bounds.report(args.n_min, args.n_max)
     if args.format == "csv":
-        text = bounds.report_to_csv(rep)
+        _write(bounds.report_to_csv(rep), args)
     else:
-        payload = json.loads(bounds.report_to_json(rep))
-        payload["meta"] = _meta(args)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _emit(json.loads(bounds.report_to_json(rep)), args)
     return 0 if rep["ok"] else EXIT_VERIFY
 
 
@@ -295,11 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit the timestamp for byte-identical reruns")
 
     p = sub.add_parser("curv", help="curvature report for an immersion spec")
+    p.set_defaults(run=cmd_curv)
     p.add_argument("spec", help="immersion spec JSON file")
     p.add_argument("--points", type=_positive_int, default=20, help="basepoint count")
     common(p)
 
     p = sub.add_parser("design", help="degree-4 spherical design tools")
+    p.set_defaults(run=cmd_design)
     dsub = p.add_subparsers(dest="design_cmd", required=True)
     pv = dsub.add_parser("verify", help="check a design file")
     pv.add_argument("file")
@@ -322,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pt)
 
     p = sub.add_parser("curve", help="discrete-curve inequality checkers")
+    p.set_defaults(run=cmd_curve)
     csub = p.add_subparsers(dest="curve_cmd", required=True)
     pf = csub.add_parser("fenchel", help="total curvature of a closed curve")
     pf.add_argument("file")
@@ -344,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc, tol=0.05)
 
     p = sub.add_parser("bounds", help="curvature bound tables")
+    p.set_defaults(run=cmd_bounds)
     bsub = p.add_subparsers(dest="bounds_cmd", required=True)
     pr = bsub.add_parser("report", help="bound table with consistency checks")
     pr.add_argument("--n-min", type=int, default=1)
@@ -352,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="run the full quantitative claim suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--only", default=None, help="run a single check group")
     common(p)
     return ap
@@ -362,28 +363,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        return _dispatch(args)
+        return args.run(args)
     except ValueError as e:  # malformed input, or an argument outside a routine's domain
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-
-
-def _dispatch(args) -> int:
-    if args.command == "curv":
-        return cmd_curv(args)
-    if args.command == "design":
-        return cmd_design(args)
-    if args.command == "curve":
-        return cmd_curve(args)
-    if args.command == "bounds":
-        return cmd_bounds(args)
-    if args.command == "verify-paper":
-        try:
-            return cmd_verify(args)
-        except KeyError as e:
-            print(f"error: {e.args[0]}", file=sys.stderr)
-            return EXIT_PARSE
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,8 @@ class FundamentalData:
     normal projection of the Hessian;  frame is an ambient-orthonormal basis of
     the tangent plane (columns);  whitener maps g-orthonormal coordinates to
     parameter coordinates (g^{-1/2}).  The forms of B basepoints carry a
-    leading B axis on every array.
+    leading B axis on every array; every invariant below then gives B values,
+    where one basepoint gives a float (a vector for mean_curvature).
     """
 
     g: np.ndarray
@@ -81,15 +82,20 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
     return FundamentalData(g=g, II=II, frame=Q, whitener=whitener)
 
 
-def curv_dir(fd: FundamentalData, tau) -> float:
-    """||II(t, t)|| for the g-unit direction t along tau."""
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    q = float(tau @ fd.g @ tau)
-    if q <= 0.0 or not np.isfinite(q):
+def _scalar(x):
+    """A 0-d result as a Python float; a stacked result as its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def curv_dir(fd: FundamentalData, tau):
+    """||II(t, t)|| for the g-unit t along tau: one direction (n,) or K of them (K, n)."""
+    tau = np.asarray(tau, dtype=float)
+    q = np.vecdot(tau, np.vecdot(fd.g, tau[..., None, :]))  # tau^T g tau
+    if not np.all((q > 0.0) & np.isfinite(q)):
         raise ValueError("tangent direction must be nonzero")
-    t = tau / math.sqrt(q)
-    v = np.einsum("cij,i,j->c", fd.II, t, t)
-    return float(np.linalg.norm(v))
+    t = tau / np.sqrt(q)[..., None]
+    v = np.einsum("...cij,...i,...j->...c", fd.II, t, t)
+    return _scalar(np.sqrt(np.vecdot(v, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def normal_curvature_at(
     M = fd.whitened_form()
     batch = M.shape[:-3]
     F, w = _direction_search(M.reshape((-1,) + M.shape[-3:]), tol, seed)
-    curv = np.sqrt(F).reshape(batch) if batch else math.sqrt(F[0])  # F = curv^2
+    curv = _scalar(np.sqrt(F).reshape(batch))  # F = curv^2
     if return_direction:
         return curv, (fd.whitener @ w.reshape(batch + (fd.n, 1)))[..., 0]
     return curv
@@ -269,44 +275,41 @@ def mean_curvature(fd: FundamentalData) -> np.ndarray:
     Sc(S^n(R)) = n(n-1)/R^2 comes out exactly.
     """
     ginv = fd.whitener @ fd.whitener
-    return np.einsum("cij,ij->c", fd.II, ginv)
+    return np.einsum("...cij,...ij->...c", fd.II, ginv)
 
 
-def second_form_l2_sq(fd: FundamentalData) -> float:
+def second_form_l2_sq(fd: FundamentalData):
     """sum_{i,j} ||II(e_i, e_j)||^2 over a g-orthonormal frame."""
     M = fd.whitened_form()
-    return float(np.einsum("cij,cij->", M, M))
+    return _scalar(np.einsum("...cij,...cij->...", M, M))
 
 
-def petrunin_pi(fd: FundamentalData) -> float:
+def petrunin_pi(fd: FundamentalData):
     """Average of ||II(t,t)||^2 over uniform g-unit tangent directions (closed form)."""
     n = fd.n
-    h2 = float(np.dot(mean_curvature(fd), mean_curvature(fd)))
-    return 2.0 / (n * (n + 2)) * (second_form_l2_sq(fd) + 0.5 * h2)
+    H = mean_curvature(fd)
+    return _scalar(2.0 / (n * (n + 2)) * (second_form_l2_sq(fd) + 0.5 * np.vecdot(H, H)))
 
 
 def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
-                   seed: int = DEFAULT_SEED) -> float:
+                   seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the same average; cross-validates the closed form."""
-    rng = np.random.default_rng(seed)
-    M = fd.whitened_form()
-    w = rng.standard_normal((n_samples, fd.n))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    vals = np.einsum("si,cij,sj->sc", w, M, w)
-    return float(np.mean(np.einsum("sc,sc->s", vals, vals)))
+    w = _random_directions(fd.n, n_samples, seed)
+    vals = np.einsum("si,...cij,sj->...sc", w, fd.whitened_form(), w)
+    return _scalar(np.mean(np.einsum("...sc,...sc->...s", vals, vals), axis=-1))
 
 
-def scalar_curvature_gauss(fd: FundamentalData, sc_ambient_n: float = 0.0) -> float:
+def scalar_curvature_gauss(fd: FundamentalData, sc_ambient_n: float = 0.0):
     """Gauss-formula scalar curvature: Sc_|n + ||H||^2 - ||II||_l2^2."""
     H = mean_curvature(fd)
-    return float(sc_ambient_n + H @ H - second_form_l2_sq(fd))
+    return _scalar(sc_ambient_n + np.vecdot(H, H) - second_form_l2_sq(fd))
 
 
-def scalar_curvature_petrunin(fd: FundamentalData, sc_ambient_n: float = 0.0) -> float:
+def scalar_curvature_petrunin(fd: FundamentalData, sc_ambient_n: float = 0.0):
     """Equivalent form Sc_|n + (3/2)||H||^2 - (n(n+2)/2) Pi."""
     n = fd.n
     H = mean_curvature(fd)
-    return float(sc_ambient_n + 1.5 * (H @ H) - 0.5 * n * (n + 2) * petrunin_pi(fd))
+    return _scalar(sc_ambient_n + 1.5 * np.vecdot(H, H) - 0.5 * n * (n + 2) * petrunin_pi(fd))
 
 
 def focal_radius(curv: float) -> float:

@@ -132,16 +132,16 @@ def _planar_projection(v: np.ndarray, tol: float = 1e-6):
     return c @ vt[:2].T
 
 
-def _is_convex_closed_planar(curve: PolyCurve, tol: float = 1e-9) -> bool:
-    """Planar, all turns the same sign, total turn 2*pi."""
+def _planar_same_turn(curve: PolyCurve, tol: float = 1e-9) -> bool:
+    """Planar, with every turn of one sign (cyclically for a closed curve)."""
     v2 = _planar_projection(curve.vertices)
     if v2 is None:
         return False
-    e = np.diff(np.vstack([v2, v2[:1]]), axis=0)
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    if np.all(cross >= -tol) or np.all(cross <= tol):
-        return abs(total_curvature(curve) - 2.0 * math.pi) < 1e-7
-    return False
+    if curve.closed:
+        v2 = np.vstack([v2, v2[:2]])
+    e = np.diff(v2, axis=0)
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    return bool(np.all(cross >= -tol) or np.all(cross <= tol))
 
 
 def fenchel_check(curve: PolyCurve) -> dict:
@@ -157,7 +157,7 @@ def fenchel_check(curve: PolyCurve) -> dict:
         "bound": 2.0 * math.pi,
         "ok": tk >= 2.0 * math.pi - 1e-9,
         "slack": tk - 2.0 * math.pi,
-        "convex_planar": _is_convex_closed_planar(curve),
+        "convex_planar": _planar_same_turn(curve) and abs(tk - 2.0 * math.pi) < 1e-7,
     }
 
 
@@ -245,14 +245,7 @@ def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
 
 def is_convex_arc(curve: PolyCurve, tol: float = 1e-9) -> bool:
     """Planar, same-sign turning, total turn at most pi."""
-    v2 = _planar_projection(curve.vertices)
-    if v2 is None:
-        return False
-    e = np.diff(v2, axis=0)
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    if not (np.all(cross >= -tol) or np.all(cross <= tol)):
-        return False
-    return total_curvature(curve) <= math.pi + 1e-9
+    return _planar_same_turn(curve, tol) and total_curvature(curve) <= math.pi + 1e-9
 
 
 def arm_check(q: PolyCurve, p: PolyCurve, tol: float = 1e-9) -> dict:

@@ -22,6 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import immersions
+from .curvature import _scalar
 from .immersions import _count, _fields, _list, _optional, _real
 
 __all__ = [
@@ -196,21 +197,19 @@ def is_degree4_design(d, tol: float = 1e-10) -> dict:
     return {"ok": bool(res <= tol), "residual": float(res)}
 
 
-def design_ratio(d, c) -> float:
+def design_ratio(d, c):
     """Normalized L4/L2 ratio of the weighted tautological image of c.
 
     x_i = sqrt(w_i N) <c, s_i>; for a degree-4 design the ratio equals
-    (3n/(n+2))^(1/4) for every nonzero c.
+    (3n/(n+2))^(1/4) for every nonzero c; K vectors c (K, n) give K ratios.
     """
     if isinstance(d, RationalDesign):
         d = d.to_float()
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if not np.any(c):
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.any(c, axis=-1)):
         raise ValueError("c must be nonzero")
-    x = np.sqrt(d.weights * d.N) * (d.points @ c)
-    l2 = math.sqrt(float(np.mean(x**2)))
-    l4 = float(np.mean(x**4)) ** 0.25
-    return l4 / l2
+    x = np.sqrt(d.weights * d.N) * (c @ d.points.T)
+    return _scalar(np.mean(x**4, axis=-1) ** 0.25 / np.sqrt(np.mean(x**2, axis=-1)))
 
 
 # ---------------------------------------------------------------------------

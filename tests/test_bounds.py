@@ -163,18 +163,6 @@ def test_band_width_values_and_scaling():
     assert math.isclose(w2, w1 / math.sqrt(2.0), rel_tol=1e-12)
 
 
-def test_sc_rtimes_closed_forms():
-    assert math.isclose(bd.sc_rtimes("box", sides=[2.0, 2.0]),
-                        2.0 * math.pi**2, rel_tol=1e-12)
-    assert bd.sc_rtimes("hemisphere", n=2) == 10.0
-    ball3 = bd.sc_rtimes("ball", n=3)  # nu = 1/2, zero at pi
-    assert math.isclose(ball3, 4.0 * math.pi**2, rel_tol=1e-10)
-    with pytest.raises(ValueError):
-        bd.sc_rtimes("box", sides=[])
-    with pytest.raises(ValueError):
-        bd.sc_rtimes("cone")
-
-
 # ---------------------------------------------------------------------------
 # registries
 

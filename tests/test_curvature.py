@@ -67,17 +67,25 @@ def test_curv_dir_quartic_profile_on_clifford():
     N = 4
     fd = fd_at(im.clifford_torus(N), [0.3, 0.9, 1.7, 2.5])
     rng = np.random.default_rng(3)
+    ts = []
     for _ in range(50):
         t = rng.standard_normal(N)
         t /= np.linalg.norm(t)
         expect = math.sqrt(N) * math.sqrt(float(np.sum(t**4)))
         assert math.isclose(cv.curv_dir(fd, t), expect, rel_tol=1e-10)
+        ts.append(t)
+    # a (K, n) block of directions gives the K one-direction values
+    stacked = cv.curv_dir(fd, np.array(ts))
+    assert stacked.shape == (50,)
+    np.testing.assert_allclose(stacked, [cv.curv_dir(fd, t) for t in ts], rtol=1e-14, atol=0)
 
 
 def test_curv_dir_rejects_zero_direction():
     fd = fd_at(im.round_sphere(2, 1.0), [1.0, 0.5])
     with pytest.raises(ValueError):
         cv.curv_dir(fd, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        cv.curv_dir(fd, [[1.0, 0.0], [0.0, 0.0], [0.3, 0.4]])
 
 
 def test_normal_curvature_at_zero_form():
@@ -128,14 +136,32 @@ def test_scalar_curvature_gauss_on_spheres():
 
 def test_scalar_curvature_formulas_agree_on_random_data():
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    Js, Hs, fds = [], [], []
+    for _ in range(100):
         J = rng.standard_normal((7, 3))
         H = rng.standard_normal((7, 3, 3))
         H = 0.5 * (H + np.swapaxes(H, 1, 2))
         fd = cv.fundamental_data(im.Jet2(point=np.zeros(7), jac=J, hess=H))
         a = cv.scalar_curvature_gauss(fd)
         b = cv.scalar_curvature_petrunin(fd)
+        assert type(a) is float and type(b) is float
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+        Js.append(J)
+        Hs.append(H)
+        fds.append(fd)
+    # the same forms as one (100,) stack give every one-form value
+    stack = cv.fundamental_data(im.Jet2(point=np.zeros((100, 7)), jac=np.array(Js),
+                                        hess=np.array(Hs)))
+    for f in (cv.mean_curvature, cv.second_form_l2_sq, cv.petrunin_pi,
+              cv.scalar_curvature_gauss, cv.scalar_curvature_petrunin,
+              lambda fd: cv.petrunin_pi_mc(fd, n_samples=500, seed=9)):
+        one = np.array([f(fd) for fd in fds])
+        np.testing.assert_allclose(f(stack), one, rtol=1e-14, atol=1e-14 * np.abs(one).max())
+    taus = rng.standard_normal((100, 3))
+    np.testing.assert_allclose(cv.curv_dir(stack, taus),
+                               [cv.curv_dir(fd, t) for fd, t in zip(fds, taus)], rtol=1e-14)
+    np.testing.assert_allclose(cv.curv_dir(stack, taus[0]),
+                               [cv.curv_dir(fd, taus[0]) for fd in fds], rtol=1e-14)
 
 
 def test_clifford_is_scalar_flat():
@@ -203,6 +229,66 @@ def test_verify_runs_one_direction_search_per_spec(monkeypatch):
         assert all(r["pass"] for r in verify.run_checks(only=group))
         counts[group] = len(calls)
     assert counts == want
+
+
+def loop_gauss_petrunin(seed):
+    """check_gauss_petrunin with its 100 random forms built one at a time."""
+    from curvlab.verify import _rec
+    rng = np.random.default_rng(seed)
+    spec = im.round_sphere(3, 2.0)
+    fd = fd_at(spec, im.sample_params(spec, 1, rng)[0])
+    out = [_rec("gauss-sc-sphere", 1.5, cv.scalar_curvature_gauss(fd), 1e-6)]
+    worst = 0.0
+    for _ in range(100):
+        J = rng.standard_normal((6, 3))
+        H = rng.standard_normal((6, 3, 3))
+        H = 0.5 * (H + np.swapaxes(H, 1, 2))
+        rfd = cv.fundamental_data(im.Jet2(point=np.zeros(6), jac=J, hess=H))
+        worst = max(worst, abs(cv.scalar_curvature_gauss(rfd)
+                               - cv.scalar_curvature_petrunin(rfd)))
+    out.append(_rec("gauss-petrunin-identity", 0.0, worst, 1e-9))
+    s2 = im.round_sphere(2, 1.0)
+    fd2 = fd_at(s2, im.sample_params(s2, 1, rng)[0])
+    pi_cf = cv.petrunin_pi(fd2)
+    out.append(_rec("pi-round-sphere", 1.0, pi_cf, 1e-9))
+    pi_mc = cv.petrunin_pi_mc(fd2, n_samples=200_000, seed=seed)
+    out.append(_rec("pi-monte-carlo", 0.0, abs(pi_mc - pi_cf) / pi_cf, 0.01))
+    return out
+
+
+def loop_formula_star(seed):
+    """check_formula_star's worst deviation, one direction at a time."""
+    N = 5
+    spec = im.clifford_torus(N)
+    rng = np.random.default_rng(seed)
+    fd = fd_at(spec, im.sample_params(spec, 1, rng)[0])
+    worst = 0.0
+    for _ in range(1000):
+        c = rng.standard_normal(N)
+        c /= np.linalg.norm(c)
+        l4_over_l2 = float(np.mean(c**4)) ** 0.25 / math.sqrt(float(np.mean(c**2)))
+        worst = max(worst, abs(cv.curv_dir(fd, c) - l4_over_l2**2))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [cv.DEFAULT_SEED, 7001])
+def test_gauss_petrunin_and_formula_star_records_equal_per_form_loop(monkeypatch, seed):
+    # gauss-petrunin builds its 100 random forms in one of its 3 fundamental_data
+    # calls and formula-star scores its 1000 directions in one curv_dir call;
+    # the draws keep the per-form stream order
+    from curvlab import verify
+    calls = {"fundamental_data": 0, "curv_dir": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.check_gauss_petrunin(seed=seed) == loop_gauss_petrunin(seed)
+    (star,) = verify.check_formula_star(seed=seed)
+    assert calls == {"fundamental_data": 4, "curv_dir": 1}
+    # the ratio's vectorized ** 0.25 rounds apart from Python's float pow
+    assert star["got"] == pytest.approx(loop_formula_star(seed), rel=0, abs=1e-14)
+    assert star["pass"] and star["tol"] == 1e-8
 
 
 def test_rejects_nonpositive_counts():

@@ -100,6 +100,12 @@ def test_design_ratio_constant_iff_design():
     assert abs(dg.design_ratio(cross_design(), [1.0, 1.0]) - target) > 0.05
     with pytest.raises(ValueError):
         dg.design_ratio(pent, [0.0, 0.0])
+    # a (K, n) block gives the K one-vector ratios; one zero row raises
+    cs = rng.standard_normal((100, 2))
+    np.testing.assert_allclose(dg.design_ratio(pent, cs),
+                               [dg.design_ratio(pent, c) for c in cs], rtol=1e-14)
+    with pytest.raises(ValueError):
+        dg.design_ratio(pent, np.vstack([cs[:3], [0.0, 0.0]]))
 
 
 def test_rotation_invariance():
