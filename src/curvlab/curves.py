@@ -15,7 +15,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolyCurve:
-    """Polygonal curve: ordered vertices, optionally closed."""
+    """Polygonal curve: ordered vertices, optionally closed.
+
+    ``edges`` (the closing edge last if closed) is built once, read-only.
+    """
 
     vertices: np.ndarray  # N x d
     closed: bool = False
@@ -56,29 +58,10 @@ class PolyCurve:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", v)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValueError("need at least two vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
-        if self.closed and v.shape[0] < 3:
-            raise ValueError("closed curve needs at least three vertices")
-        if np.any(self._side_lengths < 1e-12):
-            raise ValueError("degenerate (zero-length) edge")
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Edge vectors, the closing edge last if closed; built once, read-only."""
-        e = np.diff(self.vertices, axis=0)
-        if self.closed:
-            e = np.vstack([e, self.vertices[0] - self.vertices[-1]])
-        e.flags.writeable = False
-        return e
-
-    @cached_property
-    def _side_lengths(self) -> np.ndarray:
-        lengths = np.linalg.norm(self.edges, axis=1)
-        lengths.flags.writeable = False
-        return lengths
+        edges, lengths = _edges(v[None], self.closed)  # input not N x d fails its 3-D check
+        for name, value in (("edges", edges[0]), ("_side_lengths", lengths[0])):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def length(self) -> float:
         return float(self._side_lengths.sum())
@@ -88,7 +71,7 @@ class PolyCurve:
         return self._side_lengths
 
     def chord(self) -> float:
-        return float(np.linalg.norm(self.vertices[-1] - self.vertices[0]))
+        return float(_chord(self.vertices[None])[0])
 
 
 @dataclass(frozen=True)
@@ -106,42 +89,99 @@ class SampledCurve:
         return PolyCurve(vertices=pts, closed=self.closed)
 
 
+# ---------------------------------------------------------------------------
+# stacked kernels over (B, N, d) vertex arrays; each checker is their B = 1 call
+
+def _edges(v: np.ndarray, closed: bool):
+    """Edge vectors (B, E, d) and side lengths (B, E).
+
+    ValueError for fewer than two vertices (three if closed), or any
+    non-finite vertex or zero-length edge in the stack."""
+    if v.ndim != 3 or v.shape[1] < 2:
+        raise ValueError("need at least two vertices")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vertices must be finite")
+    if closed and v.shape[1] < 3:
+        raise ValueError("closed curve needs at least three vertices")
+    e = np.diff(v, axis=1)
+    if closed:
+        e = np.concatenate([e, v[:, :1] - v[:, -1:]], axis=1)
+    lengths = np.linalg.norm(e, axis=-1)
+    if np.any(lengths < 1e-12):
+        raise ValueError("degenerate (zero-length) edge")
+    return e, lengths
+
+
+def _turns(edges: np.ndarray, lengths: np.ndarray, closed: bool) -> np.ndarray:
+    """Turning angles (B, A) in [0, pi] at interior vertices (all vertices if closed)."""
+    u = edges / lengths[..., None]
+    if closed:
+        cos = np.einsum("bij,bij->bi", u, np.roll(u, -1, axis=1))
+    else:
+        cos = np.einsum("bij,bij->bi", u[:, :-1], u[:, 1:])
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _chord(v: np.ndarray) -> np.ndarray:
+    """End-to-end distances (B,); ``vecdot`` rounds as the 1-d norm of each row."""
+    d = v[:, -1] - v[:, 0]
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _planar_projection(v: np.ndarray, tol: float = 1e-6):
+    """Best-fit-plane coordinates (B, N, 2), and (B,) True where the third
+    singular value is at most ``tol`` times the largest (or 1)."""
+    c = v - v.mean(axis=1, keepdims=True)
+    if v.shape[2] <= 2:
+        return np.pad(c, ((0, 0), (0, 0), (0, 2 - v.shape[2]))), np.ones(len(v), dtype=bool)
+    _, s, vt = np.linalg.svd(c, full_matrices=False)
+    flat = ~np.any(s[:, 2:3] > tol * np.maximum(s[:, :1], 1.0), axis=1)
+    return c @ vt[:, :2].mT, flat
+
+
+def _planar_same_turn(v: np.ndarray, closed: bool, where: np.ndarray,
+                      tol: float = 1e-9) -> np.ndarray:
+    """(B,) bool: rows in ``where`` (the others skip the SVD) that are planar
+    with every turn of one sign, cyclically for a closed curve."""
+    out = where.copy()
+    if not out.any():
+        return out
+    v2, flat = _planar_projection(v[out])
+    if closed:
+        v2 = np.concatenate([v2, v2[:, :2]], axis=1)
+    e = np.diff(v2, axis=1)
+    cross = e[:, :-1, 0] * e[:, 1:, 1] - e[:, :-1, 1] * e[:, 1:, 0]
+    out[out] = flat & (np.all(cross >= -tol, axis=1) | np.all(cross <= tol, axis=1))
+    return out
+
+
+def _row(cols: dict, i: int) -> dict:
+    """Row ``i`` of a kernel's column dict, as Python scalars."""
+    return {k: _row(c, i) if isinstance(c, dict) else c[i].item() for k, c in cols.items()}
+
+
+def _fenchel(v: np.ndarray) -> dict:
+    """Columns of ``fenchel_check`` for a stack of closed polygons."""
+    e, lengths = _edges(v, closed=True)
+    tk = _turns(e, lengths, closed=True).sum(axis=1)
+    slack = tk - 2.0 * math.pi
+    return {
+        "total_curvature": tk,
+        "bound": np.full(len(v), 2.0 * math.pi),
+        "ok": tk >= 2.0 * math.pi - 1e-9,
+        "slack": slack,
+        "convex_planar": _planar_same_turn(v, True, np.abs(slack) < 1e-7),
+    }
+
+
 def external_angles(curve: PolyCurve) -> np.ndarray:
     """Turning angle in [0, pi] at each interior vertex (all vertices if closed)."""
-    u = curve.edges / curve._side_lengths[:, None]
-    if curve.closed:
-        cos = np.einsum("ij,ij->i", u, np.roll(u, -1, axis=0))
-    else:
-        cos = np.einsum("ij,ij->i", u[:-1], u[1:])
-    return np.arccos(np.clip(cos, -1.0, 1.0))
+    return _turns(curve.edges[None], curve._side_lengths[None], curve.closed)[0]
 
 
 def total_curvature(curve: PolyCurve) -> float:
     """Sum of external angles."""
     return float(external_angles(curve).sum())
-
-
-def _planar_projection(v: np.ndarray, tol: float = 1e-6):
-    """Project to a best-fit plane; None if the points are not coplanar."""
-    c = v - v.mean(axis=0)
-    if v.shape[1] == 2:
-        return c
-    _, s, vt = np.linalg.svd(c, full_matrices=False)
-    if s.shape[0] > 2 and s[2] > tol * max(s[0], 1.0):
-        return None
-    return c @ vt[:2].T
-
-
-def _planar_same_turn(curve: PolyCurve, tol: float = 1e-9) -> bool:
-    """Planar, with every turn of one sign (cyclically for a closed curve)."""
-    v2 = _planar_projection(curve.vertices)
-    if v2 is None:
-        return False
-    if curve.closed:
-        v2 = np.vstack([v2, v2[:2]])
-    e = np.diff(v2, axis=0)
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    return bool(np.all(cross >= -tol) or np.all(cross <= tol))
 
 
 def fenchel_check(curve: PolyCurve) -> dict:
@@ -151,14 +191,7 @@ def fenchel_check(curve: PolyCurve) -> dict:
     """
     if not curve.closed:
         raise ValueError("fenchel_check needs a closed curve")
-    tk = total_curvature(curve)
-    return {
-        "total_curvature": tk,
-        "bound": 2.0 * math.pi,
-        "ok": tk >= 2.0 * math.pi - 1e-9,
-        "slack": tk - 2.0 * math.pi,
-        "convex_planar": _planar_same_turn(curve) and abs(tk - 2.0 * math.pi) < 1e-7,
-    }
+    return _row(_fenchel(curve.vertices[None]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +261,14 @@ def convex_arc(side_lengths, angles) -> PolyCurve:
         raise ValueError("need one angle per interior vertex")
     if np.any(sides <= 0) or np.any(angs < 0) or np.any(angs >= math.pi):
         raise ValueError("sides must be positive, angles in [0, pi)")
-    headings = np.concatenate([[0.0], np.cumsum(angs)])
-    steps = sides[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)
-    return PolyCurve(vertices=np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]),
-                     closed=False)
+    return PolyCurve(vertices=_planar_arcs(sides[None], angs[None])[0], closed=False)
+
+
+def _planar_arcs(sides: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Vertices (B, k+1, 2) of B planar arcs: sides (B, k), turns (B, k-1)."""
+    headings = np.concatenate([np.zeros((len(sides), 1)), np.cumsum(angles, axis=1)], axis=1)
+    steps = sides[:, :, None] * np.stack([np.cos(headings), np.sin(headings)], axis=2)
+    return np.concatenate([np.zeros((len(sides), 1, 2)), np.cumsum(steps, axis=1)], axis=1)
 
 
 def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
@@ -245,7 +282,39 @@ def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
 
 def is_convex_arc(curve: PolyCurve, tol: float = 1e-9) -> bool:
     """Planar, same-sign turning, total turn at most pi."""
-    return _planar_same_turn(curve, tol) and total_curvature(curve) <= math.pi + 1e-9
+    return bool(_convex_arcs(curve.vertices[None], external_angles(curve)[None],
+                             curve.closed, tol)[0])
+
+
+def _convex_arcs(v: np.ndarray, turns: np.ndarray, closed: bool = False,
+                 tol: float = 1e-9) -> np.ndarray:
+    """(B,) bool: ``is_convex_arc`` of a vertex stack with turning angles (B, A)."""
+    return _planar_same_turn(v, closed, turns.sum(axis=1) <= math.pi + 1e-9, tol)
+
+
+def _arm(q: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> dict:
+    """Columns of ``arm_check`` for stacks of arcs q (B, N, d) and p (B, M, d')."""
+    eq, sides_q = _edges(q, closed=False)
+    ep, sides_p = _edges(p, closed=False)
+    turns_p = _turns(ep, sides_p, False)
+    if sides_p.shape == sides_q.shape:
+        lengths_match = np.all(np.abs(sides_p - sides_q) <= 1e-9, axis=1)
+        dominate = lengths_match & np.all(_turns(eq, sides_q, False) <= turns_p + 1e-12, axis=1)
+    else:
+        lengths_match = dominate = np.zeros(len(p), dtype=bool)
+    hyp = {"lengths_match": lengths_match, "p_convex_arc": _convex_arcs(p, turns_p),
+           "q_angles_dominate": dominate}
+    hypotheses_ok = lengths_match & hyp["p_convex_arc"] & dominate
+    dist_q, dist_p = _chord(q), _chord(p)
+    slack = dist_q - dist_p
+    return {
+        "hypotheses": hyp,
+        "hypotheses_ok": hypotheses_ok,
+        "inequality_ok": hypotheses_ok & (slack >= -tol),
+        "dist_p": dist_p,
+        "dist_q": dist_q,
+        "slack": slack,
+    }
 
 
 def arm_check(q: PolyCurve, p: PolyCurve, tol: float = 1e-9) -> dict:
@@ -259,30 +328,7 @@ def arm_check(q: PolyCurve, p: PolyCurve, tol: float = 1e-9) -> dict:
     """
     if q.closed or p.closed:
         raise ValueError("arm_check needs an open curve")
-    sides_p = p.side_lengths()
-    sides_q = q.side_lengths()
-    hyp = {
-        "lengths_match": sides_p.shape == sides_q.shape
-        and bool(np.all(np.abs(sides_p - sides_q) <= 1e-9)),
-        "p_convex_arc": is_convex_arc(p),
-    }
-    if hyp["lengths_match"]:
-        cp = external_angles(p)
-        cq = external_angles(q)
-        hyp["q_angles_dominate"] = bool(np.all(cq <= cp + 1e-12))
-    else:
-        hyp["q_angles_dominate"] = False
-    hypotheses_ok = all(hyp.values())
-    dist_q, dist_p = q.chord(), p.chord()
-    slack = dist_q - dist_p
-    return {
-        "hypotheses": hyp,
-        "hypotheses_ok": hypotheses_ok,
-        "inequality_ok": hypotheses_ok and slack >= -tol,
-        "dist_p": dist_p,
-        "dist_q": dist_q,
-        "slack": slack,
-    }
+    return _row(_arm(q.vertices[None], p.vertices[None], tol), 0)
 
 
 def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
@@ -299,29 +345,48 @@ def random_arm_instances(ks, ambients, seeds) -> list[tuple[PolyCurve, PolyCurve
     """``random_arm_instance(ks[i], ambients[i], seeds[i])`` for every i, in order.
 
     Each instance draws from its own ``default_rng(seeds[i])`` exactly as the
-    one-instance call does.  Instances of equal (k, ambient) share one run of
-    the tangent recurrence (``_spatial_arcs``), so the result is the same pair
-    list a loop over ``random_arm_instance`` gives, bit for bit.
+    one-instance call does, so the pairs equal a loop over
+    ``random_arm_instance`` bit for bit.
     """
+    pairs = [None] * len(ks)
+    for members, p, q in _arm_stacks(ks, ambients, seeds):
+        for i, pv, qv in zip(members, p, q):
+            pairs[i] = (PolyCurve(pv), PolyCurve(qv))
+    return pairs
+
+
+def _arm_stacks(ks, ambients, seeds):
+    """``(members, p, q)`` per (k, ambient) shape: the vertex stacks (B, k+1, 2)
+    and (B, k+1, ambient) of those instances of ``random_arm_instances``."""
     _same_lengths(ks=ks, ambients=ambients, seeds=seeds)
     if any(k < 3 or amb < 2 for k, amb in zip(ks, ambients)):
         raise ValueError("k >= 3 and ambient_n >= 2 required")
-    ps, q_draws, groups = [], [], {}
+    groups = {}
     for i, (k, amb, seed) in enumerate(zip(ks, ambients, seeds)):
         rng = np.random.default_rng(seed)
         sides = rng.uniform(0.2, 1.0, size=k)
         c = rng.uniform(0.05, 1.0, size=k - 1)
         c *= rng.uniform(0.3, 0.95) * math.pi / c.sum()
-        ps.append(convex_arc(sides, c))
         turns_q = c * rng.uniform(0.0, 1.0, size=k - 1)
-        q_draws.append((sides, turns_q, rng.standard_normal((k - 1, amb))))
-        groups.setdefault((k, amb), []).append(i)
-    qs = [None] * len(ps)
-    for members in groups.values():
-        sides, turns, raws = (np.stack(a) for a in zip(*(q_draws[i] for i in members)))
-        for i, vertices in zip(members, _spatial_arcs(sides, turns, raws)):
-            qs[i] = PolyCurve(vertices=vertices, closed=False)
-    return list(zip(ps, qs))
+        groups.setdefault((k, amb), []).append(
+            (i, sides, c, turns_q, rng.standard_normal((k - 1, amb))))
+    out = []
+    for draws in groups.values():
+        members, sides, c, turns_q, raws = zip(*draws)
+        sides = np.stack(sides)
+        out.append((members, _planar_arcs(sides, np.stack(c)),
+                    _spatial_arcs(sides, np.stack(turns_q), np.stack(raws))))
+    return out
+
+
+def _random_arm_summary(ks, ambients, seeds, tol: float = 1e-9):
+    """(all hypotheses and inequalities hold, least slack) over random arm instances."""
+    all_ok, worst = True, math.inf
+    for _, p, q in _arm_stacks(ks, ambients, seeds):
+        res = _arm(q, p, tol)
+        all_ok &= bool(np.all(res["inequality_ok"]))
+        worst = min(worst, float(res["slack"].min()))
+    return all_ok, worst
 
 
 def _same_lengths(**seqs) -> None:
@@ -365,6 +430,32 @@ def _spatial_arcs(sides, turns, raws) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bow inequality
 
+def _bow(v: np.ndarray, R: np.ndarray, tol: float = 1e-9, curv_tol: float = 1e-3) -> dict:
+    """Columns of ``bow_check`` for a stack of open curves with radii R (B,),
+    the chord columns filled also where the curvature precondition fails."""
+    e, sides = _edges(v, closed=False)
+    L = sides.sum(axis=1)
+    spacing = 0.5 * (sides[:, :-1] + sides[:, 1:])
+    discrete_curv = np.max(_turns(e, sides, False) / spacing, axis=1, initial=0.0)
+    curv_ok = (discrete_curv <= (1.0 + curv_tol) / R) & (L <= 2.0 * math.pi * R + tol)
+    chord = _chord(v)
+    bound = 2.0 * R * np.sin(L / (2.0 * R))
+    slack = chord - bound
+    tight = curv_ok & (np.abs(slack) < 1e-6)
+    if tight.any():
+        tight[tight] = _planar_projection(v[tight], tol=1e-4)[1]
+    return {
+        "curv_ok": curv_ok,
+        "max_discrete_curv": discrete_curv,
+        "length": L,
+        "chord": chord,
+        "bound": bound,
+        "chord_ok": chord >= bound - tol,
+        "slack": slack,
+        "equality": tight,
+    }
+
+
 def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
               curv_tol: float = 1e-3) -> dict:
     """Chord bound for a curve whose curvature stays at most 1/R.
@@ -380,32 +471,10 @@ def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
         raise ValueError("bow_check needs an open curve")
     if not (0.0 < R < math.inf):
         raise ValueError(f"curvature radius R must be finite and positive, got {R}")
-    L = curve.length()
-    angs = external_angles(curve)
-    sides = curve.side_lengths()
-    spacing = 0.5 * (sides[:-1] + sides[1:])
-    discrete_curv = float(np.max(angs / spacing)) if len(angs) else 0.0
-    curv_ok = discrete_curv <= (1.0 + curv_tol) / R and L <= 2.0 * math.pi * R + tol
-    out = {
-        "curv_ok": curv_ok,
-        "max_discrete_curv": discrete_curv,
-        "length": L,
-        "chord_ok": None,
-        "slack": None,
-        "equality": None,
-    }
-    if not curv_ok:
-        return out
-    chord = curve.chord()
-    bound = 2.0 * R * math.sin(L / (2.0 * R))
-    planar = _planar_projection(curve.vertices, tol=1e-4) is not None
-    out.update({
-        "chord": chord,
-        "bound": bound,
-        "chord_ok": chord >= bound - tol,
-        "slack": chord - bound,
-        "equality": abs(chord - bound) < 1e-6 and planar,
-    })
+    out = _row(_bow(curve.vertices[None], np.array([R]), tol, curv_tol), 0)
+    if not out["curv_ok"]:
+        del out["chord"], out["bound"]
+        out.update(chord_ok=None, slack=None, equality=None)
     return out
 
 
@@ -423,9 +492,14 @@ def random_bounded_curves(Rs, lengths, n: int, dim: int, seeds) -> list[PolyCurv
     """``random_bounded_curve(Rs[i], lengths[i], n, dim, seeds[i])`` for every i, in order.
 
     Each curve draws from its own ``default_rng(seeds[i])`` exactly as the
-    one-curve call does; all curves share one run of the tangent recurrence
-    (``_spatial_arcs``), bit for bit the same vertices.
+    one-curve call does, bit for bit the same vertices.
     """
+    return [PolyCurve(vertices=v, closed=False)
+            for v in _bounded_arcs(Rs, lengths, n, dim, seeds)]
+
+
+def _bounded_arcs(Rs, lengths, n: int, dim: int, seeds) -> np.ndarray:
+    """Vertex stack (B, n+1, dim) of ``random_bounded_curves``: one tangent recurrence."""
     _same_lengths(Rs=Rs, lengths=lengths, seeds=seeds)
     if any(length > 2.0 * math.pi * R for R, length in zip(Rs, lengths)):
         raise ValueError("length must be at most 2*pi*R")
@@ -438,7 +512,7 @@ def random_bounded_curves(Rs, lengths, n: int, dim: int, seeds) -> list[PolyCurv
         sides[i] = h
         turns[i] = rng.uniform(0.0, h / R, size=n - 1)
         raws[i] = rng.standard_normal((n - 1, dim))
-    return [PolyCurve(vertices=v, closed=False) for v in _spatial_arcs(sides, turns, raws)]
+    return _spatial_arcs(sides, turns, raws)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +551,8 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
             dots = u @ batch[start:start + _CROFTON_BLOCK].T
             generic = np.min(np.abs(dots), axis=0) > 1e-9
             resampled += int((~generic).sum())
-            s = np.sign(dots[:, generic])
-            good = (s != np.roll(s, -1, axis=0)).sum(axis=0)
+            up = dots > 0  # a generic direction has no zero dot, so this is its sign
+            good = ((up[1:] != up[:-1]).sum(axis=0) + (up[0] != up[-1]))[generic]
             counts[filled:filled + good.shape[0]] = good
             filled += good.shape[0]
     mc_estimate = 4.0 * math.pi * float(counts.mean())

@@ -154,12 +154,12 @@ def check_gauss_petrunin(seed=DEFAULT_SEED):
 
 def check_fenchel(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    worst = math.inf
+    shapes = {}  # (k, dim) -> vertex blocks, drawn in the one-polygon order
     for _ in range(1000):
         k = int(rng.integers(4, 21))
         dim = int(rng.integers(3, 6))
-        poly = curves.PolyCurve(rng.standard_normal((k, dim)), closed=True)
-        worst = min(worst, curves.fenchel_check(poly)["slack"])
+        shapes.setdefault((k, dim), []).append(rng.standard_normal((k, dim)))
+    worst = min(float(curves._fenchel(np.stack(vs))["slack"].min()) for vs in shapes.values())
     out = [_rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
                 note="worst slack over 1000 random closed polygons, dims 3-5")]
     square = curves.PolyCurve(
@@ -180,13 +180,7 @@ def check_arm(seed=DEFAULT_SEED):
     for _ in range(1000):
         ks.append(int(rng.integers(3, 11)))
         ambients.append(int(rng.integers(2, 6)))
-    pairs = curves.random_arm_instances(ks, ambients, [seed + i for i in range(1000)])
-    worst = math.inf
-    all_ok = True
-    for p, q in pairs:
-        res = curves.arm_check(q, p)
-        all_ok &= res["hypotheses_ok"] and res["inequality_ok"]
-        worst = min(worst, res["slack"])
+    all_ok, worst = curves._random_arm_summary(ks, ambients, [seed + i for i in range(1000)])
     out = [_rec("arm-random", True, all_ok, 0,
                 note=f"worst slack {worst:.3e} over 1000 instances")]
     p, _ = curves.random_arm_instance(6, 2, seed=seed)
@@ -201,14 +195,10 @@ def check_bow(seed=DEFAULT_SEED):
         R = float(rng.uniform(0.5, 2.0))
         Rs.append(R)
         lengths.append(float(rng.uniform(0.2, 1.0)) * math.pi * R)
-    batch = curves.random_bounded_curves(Rs, lengths, 100, 3, [seed + i for i in range(500)])
-    worst = math.inf
-    all_ok = True
-    for R, curve in zip(Rs, batch):
-        res = curves.bow_check(curve, R)
-        all_ok &= bool(res["curv_ok"] and res["chord_ok"])
-        if res["slack"] is not None:
-            worst = min(worst, res["slack"])
+    res = curves._bow(curves._bounded_arcs(Rs, lengths, 100, 3, [seed + i for i in range(500)]),
+                      np.array(Rs))
+    all_ok = bool(np.all(res["curv_ok"] & res["chord_ok"]))
+    worst = float(np.min(res["slack"][res["curv_ok"]], initial=math.inf))
     out = [_rec("bow-random", True, all_ok, 0,
                 note=f"worst slack {worst:.3e} over 500 curves")]
     arc = curves.circular_arc(1.3, 2.0, n=1024)

@@ -2,16 +2,21 @@
 and the design pipeline (exact construction -> verify -> torus -> curvature).
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvlab import cli
 
@@ -385,6 +390,61 @@ def test_curve_crofton_circle(tmp_path, capsys):
     code, out, _ = run(capsys, "curve", "crofton", str(f), "--dirs", "20000")
     assert code == 0
     assert json.loads(out)["rel_err"] < 0.05
+
+
+# Any text given to a curve command: well-formed curves in R^1..R^4 half the
+# time, otherwise JSON documents of any shape, ragged or non-finite CSV rows
+# and free text.  Every run exits with a documented code and raises nothing,
+# so the console script prints no traceback.
+_grid = st.tuples(st.integers(2, 8), st.integers(1, 4)).flatmap(lambda shape: st.lists(
+    st.lists(st.floats(-4, 4) | st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+    min_size=shape[0], max_size=shape[0]))
+_numbers = st.one_of(st.floats(), st.integers(), st.sampled_from([0, 1, -1, 0.5, 2]))
+_rows = st.lists(st.lists(_numbers, min_size=1, max_size=4), max_size=8)
+_json_any = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=16)
+
+
+def _csv(rows):
+    return "\n".join(",".join(map(str, r)) for r in rows)
+
+
+_curve_file = st.one_of(
+    st.tuples(st.just("json"), st.fixed_dictionaries(
+        {"vertices": _grid}, optional={"closed": st.booleans()}).map(json.dumps)),
+    st.tuples(st.just("csv"), _grid.map(_csv)),
+    st.tuples(st.just("json"), st.one_of(
+        st.fixed_dictionaries({"vertices": _rows | _json_any},
+                              optional={"closed": _json_any}).map(json.dumps),
+        _json_any.map(json.dumps), st.text(max_size=40))),
+    st.tuples(st.just("csv"), _rows.map(_csv) | st.text(max_size=40)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(command="arm", files=[("csv", "0.0\n1.0"), ("csv", "0.0\n1.0")])  # curves in R^1
+@example(command="fenchel", files=[("json", '{"vertices": [[0], [1], [3]]}')] * 2)
+@given(command=st.sampled_from(["fenchel", "arm", "bow", "crofton"]),
+       files=st.lists(_curve_file, min_size=2, max_size=2))
+def test_curve_commands_exit_documented_code_on_any_text(command, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (suffix, text) in enumerate(files):
+            path = os.path.join(tmp, f"curve{i}.{suffix}")
+            with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+                fh.write(text)
+            paths.append(path)
+        argv = {"fenchel": paths[:1], "arm": paths, "bow": paths[:1] + ["--R", "1.5"],
+                "crofton": paths[:1] + ["--dirs", "64"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["curve", command, *argv, "--no-meta"])
+    assert code in range(6)
+    if code == cli.EXIT_PARSE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ curvature density r/(r^2+c^2).
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ def test_circular_arc_discrete_curvature_near_one_over_R():
     sides = arc.side_lengths()
     curv = np.max(angs / (0.5 * (sides[:-1] + sides[1:])))
     assert abs(curv - 0.5) < 1e-6
+    half_turn = 0.5 * (3.0 / 2.0) / 1999
+    oracle = half_turn / (2.0 * math.sin(half_turn))
+    assert math.isclose(cu.bow_check(arc, R=2.0)["max_discrete_curv"], oracle, rel_tol=1e-6)
 
 
 def test_convex_arc_builder_matches_requested_turns():
@@ -378,15 +382,140 @@ def test_convex_arc_matches_heading_loop():
                                   loop_convex_arc(sides, angles).vertices)
 
 
-def test_bow_and_arm_records_equal_per_instance_loop(monkeypatch):
+def loop_arm_instances(ks, ambients, seeds):
+    return [loop_arm_instance(k, amb, s) for k, amb, s in zip(ks, ambients, seeds, strict=True)]
+
+
+def loop_bounded_curves(Rs, lengths, n, dim, seeds):
+    return [loop_bounded_curve(R, L, n, dim, s)
+            for R, L, s in zip(Rs, lengths, seeds, strict=True)]
+
+
+def per_instance_records(seed, arm_instances=loop_arm_instances,
+                         bounded_curves=loop_bounded_curves):
+    """The random records of check_fenchel, check_arm and check_bow from one
+    checker call per PolyCurve, by default built by the loop builders: the
+    per-instance construction the vertex stacks replaced, kept as their
+    reference."""
+    from curvlab.verify import _rec
+
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(1000):
+        k = int(rng.integers(4, 21))
+        dim = int(rng.integers(3, 6))
+        poly = cu.PolyCurve(rng.standard_normal((k, dim)), closed=True)
+        worst = min(worst, cu.fenchel_check(poly)["slack"])
+    fenchel = _rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
+                   note="worst slack over 1000 random closed polygons, dims 3-5")
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(3, 11)), int(rng.integers(2, 6))) for _ in range(1000)]
+    worst, all_ok = math.inf, True
+    for p, q in arm_instances(*zip(*shapes), [seed + i for i in range(1000)]):
+        res = cu.arm_check(q, p)
+        all_ok &= res["hypotheses_ok"] and res["inequality_ok"]
+        worst = min(worst, res["slack"])
+    arm = _rec("arm-random", True, all_ok, 0, note=f"worst slack {worst:.3e} over 1000 instances")
+    rng = np.random.default_rng(seed)
+    Rs, lengths = [], []
+    for _ in range(500):
+        Rs.append(float(rng.uniform(0.5, 2.0)))
+        lengths.append(float(rng.uniform(0.2, 1.0)) * math.pi * Rs[-1])
+    worst, all_ok = math.inf, True
+    for R, curve in zip(Rs, bounded_curves(Rs, lengths, 100, 3, [seed + i for i in range(500)])):
+        res = cu.bow_check(curve, R)
+        all_ok &= bool(res["curv_ok"] and res["chord_ok"])
+        if res["slack"] is not None:
+            worst = min(worst, res["slack"])
+    bow = _rec("bow-random", True, all_ok, 0, note=f"worst slack {worst:.3e} over 500 curves")
+    return fenchel, arm, bow
+
+
+def test_bow_and_arm_records_equal_per_instance_loop():
     from curvlab import verify
 
-    batched = verify.check_bow(), verify.check_arm()
-    monkeypatch.setattr(cu, "random_bounded_curves", lambda Rs, lengths, n, dim, seeds: [
-        loop_bounded_curve(R, L, n, dim, s) for R, L, s in zip(Rs, lengths, seeds, strict=True)])
-    monkeypatch.setattr(cu, "random_arm_instances", lambda ks, ambients, seeds: [
-        loop_arm_instance(k, amb, s) for k, amb, s in zip(ks, ambients, seeds, strict=True)])
-    assert (verify.check_bow(), verify.check_arm()) == batched
+    # the public builders equal the loops (tests above) and take a fraction of their time
+    public = {"arm_instances": cu.random_arm_instances,
+              "bounded_curves": cu.random_bounded_curves}
+    for seed, builders in [(0xC0FFEE, {}), (0, public), (7001, public)]:
+        fenchel, arm, bow = per_instance_records(seed, **builders)
+        assert verify.check_fenchel(seed)[0] == fenchel
+        assert verify.check_arm(seed)[0] == arm
+        assert verify.check_bow(seed)[0] == bow
+
+
+def closed_polygon_stack(rng, B, k, dim):
+    """Random closed k-gons in R^dim; rows 0 and 1 are regular (row 1 in a
+    tilted plane), row 2 too with every other vertex lifted along the last axis."""
+    v = rng.standard_normal((B, k, dim))
+    ts = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+    v[:3] = 0.0
+    v[:3, :, :2] = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+    v[1] = v[1] @ random_isometry(dim, rng)[0].T
+    v[2, ::2, -1] = 0.1
+    return v
+
+
+def test_stacked_kernels_equal_one_curve_checkers():
+    rng = np.random.default_rng(11)
+    for k, dim in [(3, 2), (4, 3), (9, 3), (12, 5)]:
+        v = closed_polygon_stack(rng, 12, k, dim)
+        cols = cu._fenchel(v)
+        rows = [cu.fenchel_check(cu.PolyCurve(v[j], closed=True)) for j in range(12)]
+        assert [cu._row(cols, j) for j in range(12)] == rows
+        assert rows[0]["convex_planar"] and rows[1]["convex_planar"]
+        assert not rows[2]["convex_planar"] or k == 3
+    ks = [3, 7, 7, 4, 10, 7] * 4
+    ambients = [2, 3, 3, 5, 2, 4] * 4
+    for members, p, q in cu._arm_stacks(ks, ambients, list(range(24))):
+        q = q.copy()
+        q[0] *= 1.01  # side lengths no longer match: a failed hypothesis
+        cols = cu._arm(q, p)
+        for j in range(len(members)):
+            one_q, one_p = cu.PolyCurve(q[j]), cu.PolyCurve(p[j])
+            assert cu._row(cols, j) == cu.arm_check(one_q, one_p)
+            assert cu._row(cols, j)["hypotheses"]["p_convex_arc"] == cu.is_convex_arc(one_p)
+            assert cols["hypotheses_ok"][j] == (j > 0)
+        assert not cols["hypotheses"]["q_angles_dominate"][0]  # the turns alone would pass
+    Rs = rng.uniform(0.5, 2.0, size=20)
+    lengths = rng.uniform(0.2, 1.0, size=20) * math.pi * Rs
+    v = cu._bounded_arcs(list(Rs), list(lengths), 1000, 3, list(range(20)))
+    radii = Rs.copy()
+    radii[:5] /= 3.0  # curvature cap fails: the chord columns are blanked
+    ts = np.linspace(0.0, 1.5, 1001)
+    v[5, :, :2] = 1.2 * np.stack([np.cos(ts), np.sin(ts)], axis=1)  # planar arc: equality
+    v[5, :, 2] = 0.0
+    radii[5] = 1.2
+    cols = cu._bow(v, radii)
+    for j in range(20):
+        one = cu.bow_check(cu.PolyCurve(v[j]), float(radii[j]))
+        row = cu._row(cols, j)
+        if not one["curv_ok"]:
+            assert one["chord_ok"] is None and j < 5
+            row = {key: val for key, val in row.items() if key in one and one[key] is not None}
+            one = {key: val for key, val in one.items() if val is not None}
+        assert row == one
+    assert cu._row(cols, 5)["equality"]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_stack_rejects_bad_rows_like_polycurve(closed):
+    v = np.random.default_rng(3).standard_normal((6, 5, 3))
+    zero_edge, nan_vertex, inf_vertex = v.copy(), v.copy(), v.copy()
+    zero_edge[2, 3] = zero_edge[2, 2]
+    nan_vertex[4, 1, 0] = np.nan
+    inf_vertex[0, 0, 2] = np.inf
+    for w, b, message in [(zero_edge, 2, "degenerate"), (nan_vertex, 4, "finite"),
+                          (inf_vertex, 0, "finite")]:
+        with pytest.raises(ValueError) as one:
+            cu.PolyCurve(w[b], closed=closed)
+        assert message in str(one.value)
+        exact = f"^{re.escape(str(one.value))}$"
+        with pytest.raises(ValueError, match=exact):
+            cu._edges(w, closed)
+        check = cu._fenchel if closed else lambda stack: cu._arm(stack, stack)
+        with pytest.raises(ValueError, match=exact):
+            check(w)
 
 
 def test_bow_skips_when_curvature_cap_fails():
