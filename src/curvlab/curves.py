@@ -96,17 +96,22 @@ def _edges(v: np.ndarray, closed: bool):
     """Edge vectors (B, E, d) and side lengths (B, E).
 
     ValueError for fewer than two vertices (three if closed), or any
-    non-finite vertex or zero-length edge in the stack."""
+    non-finite vertex, zero-length edge, or edge length, chord or vertex sum
+    (so centroid) that overflows float64 in the stack."""
     if v.ndim != 3 or v.shape[1] < 2:
         raise ValueError("need at least two vertices")
     if not np.all(np.isfinite(v)):
         raise ValueError("vertices must be finite")
     if closed and v.shape[1] < 3:
         raise ValueError("closed curve needs at least three vertices")
-    e = np.diff(v, axis=1)
-    if closed:
-        e = np.concatenate([e, v[:, :1] - v[:, -1:]], axis=1)
-    lengths = np.linalg.norm(e, axis=-1)
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+        e = np.diff(v, axis=1)
+        if closed:
+            e = np.concatenate([e, v[:, :1] - v[:, -1:]], axis=1)
+        lengths = np.linalg.norm(e, axis=-1)
+        finite = all(np.isfinite(x).all() for x in (lengths, v.sum(axis=1), _chord(v)))
+    if not finite:
+        raise ValueError("an edge length, the chord or the vertex sum overflows float64")
     if np.any(lengths < 1e-12):
         raise ValueError("degenerate (zero-length) edge")
     return e, lengths
@@ -464,13 +469,13 @@ def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
     of the adjacent side lengths.  When the curvature precondition or the
     length bound (at most 2 pi R) fails, the chord check is skipped rather
     than raised.  Conclusion: chord >= 2 R sin(length / 2R); equality is
-    flagged for planar circular arcs.  R must be finite and positive, and the
-    curve open.
+    flagged for planar circular arcs.  R and 2 pi R must be finite and
+    positive, and the curve open.
     """
     if curve.closed:
         raise ValueError("bow_check needs an open curve")
-    if not (0.0 < R < math.inf):
-        raise ValueError(f"curvature radius R must be finite and positive, got {R}")
+    if not (0.0 < R and 2.0 * math.pi * R < math.inf):
+        raise ValueError(f"curvature radius R must be finite and positive (2 pi R too), got {R}")
     out = _row(_bow(curve.vertices[None], np.array([R]), tol, curv_tol), 0)
     if not out["curv_ok"]:
         del out["chord"], out["bound"]

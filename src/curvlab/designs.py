@@ -23,7 +23,7 @@ import numpy as np
 
 from . import immersions
 from .curvature import _scalar
-from .immersions import _count, _fields, _list, _optional, _real
+from .immersions import _count, _fields, _fraction, _list, _optional, _real
 
 __all__ = [
     "Design",
@@ -72,10 +72,11 @@ class Design:
         object.__setattr__(self, "weights", w)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError("points must be an N x n array")
-        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
-            raise ValueError("design points must be unit vectors within 1e-12")
-        if w.shape != (pts.shape[0],) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+        with np.errstate(over="ignore"):  # an overflowing norm or sum is inf: rejected
+            if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
+                raise ValueError("design points must be unit vectors within 1e-12")
+            if w.shape != (pts.shape[0],) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+                raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
 
     @property
     def N(self) -> int:
@@ -121,13 +122,8 @@ class RationalDesign:
 
 def multi_indices(n: int, degree: int = 4):
     """All exponent multi-indices alpha with |alpha| = degree, lexicographic."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        out.append(tuple(alpha))
-    return out
+    return [tuple(combo.count(i) for i in range(n))
+            for combo in itertools.combinations_with_replacement(range(n), degree)]
 
 
 def _exponents(n: int) -> np.ndarray:
@@ -138,9 +134,17 @@ def _exponents(n: int) -> np.ndarray:
 def _quartic_monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     """(K, N) monomials s_i^alpha_k of the (N, n) points P, one per row of E.
 
-    P is float64, or an object array of Fraction for exact arithmetic.
+    P is float64, or an object array of Python ints for exact arithmetic.
     """
     return np.prod(P[None] ** E.astype(P.dtype)[:, None, :], axis=-1)
+
+
+def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n) numerators and (N,) denominators D_j > 0 of rational points s_j = num_j / D_j,
+    D_j the lcm of s_j's denominators; object arrays of Python ints."""
+    dens = [math.lcm(*(x.denominator for x in p)) for p in points]
+    num = [[x.numerator * (d // x.denominator) for x in p] for p, d in zip(points, dens)]
+    return np.array(num, dtype=object), np.array(dens, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -161,12 +165,17 @@ class MomentTensor4:
 
 
 def quartic_moment_tensor(d) -> MomentTensor4:
-    """Weighted degree-4 monomial moments; exact for a RationalDesign."""
+    """Weighted degree-4 monomial moments; exact Fractions for a RationalDesign, summed
+    in Python ints: with s_j = num_j / D_j (_integer_points) and L = lcm(D_j^4),
+    moment alpha is sum_j P_j num_j^alpha (L / D_j^4) over L Q."""
     E = _exponents(d.n)
     if isinstance(d, RationalDesign):
-        M = _quartic_monomials(np.array(d.points, dtype=object), E)
-        mult = np.array(d.multiplicities, dtype=object)
-        return MomentTensor4(n=d.n, values=np.vecdot(M, mult) / Fraction(d.Q))
+        num, D = _integer_points(d.points)
+        D4 = D**4
+        L = math.lcm(*D4)
+        # @, not np.vecdot: an object-dtype vecdot keeps about one int per call alive
+        sums = _quartic_monomials(num, E) @ (np.array(d.multiplicities, dtype=object) * (L // D4))
+        return MomentTensor4(n=d.n, values=np.array([Fraction(x, L * d.Q) for x in sums]))
     # one dot per row: a matrix-vector product sums in another order
     return MomentTensor4(n=d.n, values=np.vecdot(_quartic_monomials(d.points, E), d.weights))
 
@@ -215,14 +224,6 @@ def design_ratio(d, c):
 # ---------------------------------------------------------------------------
 # rational sphere points
 
-def _rationals_up_to(height: int):
-    vals = {Fraction(0)}
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            vals.add(Fraction(p, q))
-    return sorted(vals)
-
-
 def rational_sphere_points(n: int, height: int):
     """Exact rational unit vectors via inverse stereographic projection.
 
@@ -234,9 +235,9 @@ def rational_sphere_points(n: int, height: int):
         raise ValueError("n >= 1 and height >= 1 required")
     if n == 1:
         return [(Fraction(1),), (Fraction(-1),)]
-    vals = _rationals_up_to(height)
-    seen = set()
-    out = []
+    vals = sorted({Fraction(p, q) for q in range(1, height + 1)
+                   for p in range(-height, height + 1)})
+    seen, out = set(), []
     for a in itertools.product(vals, repeat=n - 1):
         na = sum(x * x for x in a)
         denom = 1 + na
@@ -262,7 +263,8 @@ def exact_lp_feasible(A, b):
 
     Phase-1 simplex with Bland's anti-cycling rule.  A is m x k (lists of
     Fraction-coercible entries), b has length m.  Returns a list of k exact
-    Fractions with A p = b and p >= 0, or None if infeasible.
+    Fractions with A p = b and p >= 0, or None if infeasible.  Python int and
+    Fraction entries are taken as they are; any other entry x becomes Fraction(x).
 
     The tableau [A | I | b] holds Python ints: row i is R_i / d_i with integer
     entries R_i and one positive integer d_i, and the phase-1 cost row is held
@@ -278,7 +280,7 @@ def exact_lp_feasible(A, b):
     rows, dens = [], []
     m = len(A)
     for i, (row, bi) in enumerate(zip(A, b)):
-        row = [Fraction(x) for x in row] + [Fraction(bi)]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
         if row[-1] < 0:
             row = [-x for x in row]
         d = math.lcm(*(x.denominator for x in row))
@@ -340,6 +342,11 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
     plus the normalization row) over the rational sphere points; on success,
     clear denominators into integer multiplicities.  Heights double on
     infeasibility.
+
+    The LP gets the integer columns [num_j^alpha ; D_j^4] of s_j = num_j / D_j:
+    column j of the rational system times D_j^4 > 0, with p_j = p'_j D_j^4.  A
+    positive column scale keeps the sign of every reduced cost and scales the
+    entering column's ratios by one factor, so Bland's pivots and vertex stay.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -349,23 +356,19 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
     height = height_start
     while height <= height_max:
         pts = rational_sphere_points(n, height)
-        # moment rows, then the normalization row
-        A = np.vstack([_quartic_monomials(np.array(pts, dtype=object), E),
-                       np.full(len(pts), Fraction(1), dtype=object)])
+        num, D = _integer_points(pts)
+        D4 = D**4
+        # moment rows, then the normalization row, each column j times D_j^4
+        A = np.vstack([_quartic_monomials(num, E), D4])
         p = exact_lp_feasible(A, b)
         if p is not None:
-            keep = [(s, w) for s, w in zip(pts, p) if w > 0]
-            Q = 1
-            for _, w in keep:
-                Q = Q * w.denominator // math.gcd(Q, w.denominator)
-            mult = [int(w * Q) for _, w in keep]
-            return RationalDesign(
-                n=n,
-                points=tuple(s for s, _ in keep),
-                multiplicities=tuple(mult),
-            )
-        # report how close a least-squares relaxation got, for diagnostics
-        Af, bf = A.astype(float), b.astype(float)
+            keep = [(s, w * d4) for s, w, d4 in zip(pts, p, D4) if w > 0]
+            Q = math.lcm(*(w.denominator for _, w in keep))
+            return RationalDesign(n=n, points=tuple(s for s, _ in keep),
+                                  multiplicities=tuple(int(w * Q) for _, w in keep))
+        # how close a least-squares relaxation of the rational system got, for
+        # diagnostics; int / int rounds correctly, as float(Fraction) does
+        Af, bf = (A / D4).astype(float), b.astype(float)
         sol, *_ = np.linalg.lstsq(Af, bf, rcond=None)
         last_residual = float(np.linalg.norm(Af @ np.clip(sol, 0, None) - bf, ord=np.inf))
         height *= 2
@@ -503,7 +506,7 @@ def pentagon_design() -> Design:
 def _rational(x) -> Fraction:
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x)
+            return _fraction(x)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
     raise ValueError(f"expected an exact 'p/q' string, got {json.dumps(x)}")
@@ -537,13 +540,7 @@ def design_from_json(data):
 
 def design_to_json(d) -> dict:
     if isinstance(d, RationalDesign):
-        return {
-            "n": d.n,
-            "points": [[str(x) for x in p] for p in d.points],
-            "multiplicities": list(d.multiplicities),
-        }
-    return {
-        "n": d.n,
-        "points": [[float(x) for x in p] for p in d.points],
-        "weights": [float(w) for w in d.weights],
-    }
+        return {"n": d.n, "points": [[str(x) for x in p] for p in d.points],
+                "multiplicities": list(d.multiplicities)}
+    return {"n": d.n, "points": [[float(x) for x in p] for p in d.points],
+            "weights": [float(w) for w in d.weights]}

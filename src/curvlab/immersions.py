@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar
@@ -68,10 +69,17 @@ class Jet2:
 # ---------------------------------------------------------------------------
 # JSON field parsers: each returns a clean value or raises ValueError
 
+def _fraction(x) -> Fraction:
+    """Fraction(x); a string exponent above 9999 is a ValueError, since
+    Fraction("1e99999999") would build 10**99999999 for minutes."""
+    exponent = isinstance(x, str) and re.search(r"[eE][+-]?([\d_]+)", x)
+    if exponent and int(exponent.group(1)) > 9999:
+        raise ValueError("exponent above 9999")
+    return Fraction(x)
+
+
 def _to_float(x) -> float:
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    return float(_fraction(x)) if isinstance(x, str) else float(x)
 
 
 def _count(x) -> int:

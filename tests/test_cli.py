@@ -12,6 +12,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +223,30 @@ def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     _assert_one_line_parse_error(*run(capsys, "curve", "crofton", str(path)))
 
 
+# Inputs whose edge length, chord, vertex sum, point norm or weight sum overflows
+# float64.  Each exits 1 with one error line; a numpy RuntimeWarning would be
+# a second stderr line, so warnings are errors here.
+@pytest.mark.parametrize("argv, suffix, text", [
+    (["curve", "fenchel"], "csv", "0.0,0.0\n0.0,1.3407807929942597e+154\n1.0,0.0\n"),
+    (["curve", "arm", "FILE"], "csv", "0.0,0.0\n0.0,1.3407807929942597e+154\n"),
+    (["curve", "bow", "--R", "1"], "csv", "0,0\n1e154,0\n2e154,0\n"),
+    (["curve", "crofton"], "csv", "1e308,0,0\n1e308,1,0\n1e308,1,1\n1e308,0,1\n"),
+    (["curve", "bow", "--R", "1e308"], "csv", "0,0\n1,0\n2,1\n"),
+    (["design", "verify"], "json", '{"n": 2, "points": [[1e308, 1e308]]}'),
+    (["design", "torus"], "json", '{"n": 2, "points": [[1e308, 1e308]]}'),
+    (["design", "verify"], "json",
+     '{"n": 2, "points": [[1, 0], [0, 1]], "weights": [1e308, 1e308]}'),
+], ids=["fenchel-edge", "arm-edge", "bow-chord", "crofton-vertex-sum", "bow-R",
+        "verify-norm", "torus-norm", "verify-weight-sum"])
+def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path, capsys):
+    path = tmp_path / f"input.{suffix}"
+    path.write_text(text)
+    argv = [*argv[:2], str(path), *(str(path) if a == "FILE" else a for a in argv[2:])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_one_line_parse_error(*run(capsys, *argv, "--no-meta"))
+
+
 def test_design_torus_on_non_design_exits_4(tmp_path, capsys):
     path = tmp_path / "cross.json"
     path.write_text(json.dumps({"n": 2, "points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}))
@@ -253,12 +279,15 @@ def test_design_pipeline_hilbert_verify_torus_curv(tmp_path, capsys):
 
 
 # sha256 of the --no-meta output, recorded before the exact LP moved from
-# Fraction to integer arithmetic: the same pivots give the same designs
+# Fraction to integer arithmetic (n <= 4), and before its matrix became integer
+# columns (n = 5): the same pivots give the same designs
 HILBERT_SHA256 = {
     ("--n", "2"): "3078b909a1e9d7224c5bda189191baaed838d2e64079945c80362f71c1b37a59",
     ("--n", "3"): "f2cc4b8b8317348750af90bb833d5f237c23857ced0432f82745c6be232e8a22",
     ("--n", "4", "--height-max", "1"):
         "0599101407e7dc6b083ce6333b4989bc33516ba391e164bae618aa8ccbd50c17",
+    ("--n", "5", "--height-max", "1"):
+        "56a6dd707cfba5eedf7922fbe12f7e226f61f37135fc49603498891a45b85e20",
 }
 
 
@@ -442,6 +471,59 @@ def test_curve_commands_exit_documented_code_on_any_text(command, files):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["curve", command, *argv, "--no-meta"])
     assert code in range(6)
+    if code == cli.EXIT_PARSE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+def _unit_point(a):
+    """Exact rational unit point in Q^(len(a)+1): inverse stereographic projection of a."""
+    norm = sum(x * x for x in a)
+    return [str(2 * x / (1 + norm)) for x in a] + [str((1 - norm) / (1 + norm))]
+
+
+_huge = st.integers(-10**40, 10**40)
+_ratio = st.builds(lambda p, q: Fraction(p, q), _huge, st.integers(1, 10**40))
+_p_over_q = st.builds("{}/{}".format, _huge, st.integers(-2, 10**40))
+# exact unit points with numerators and denominators up to ~10^160, and huge
+# multiplicities: the integer moment path on large Python ints
+_rational_design = st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(
+    st.lists(_ratio, min_size=n - 1, max_size=n - 1).map(_unit_point), st.integers(1, 10**30)),
+    min_size=1, max_size=6).map(lambda pairs: {"n": n, "points": [p for p, _ in pairs],
+                                               "multiplicities": [m for _, m in pairs]}))
+_design_file = st.one_of(
+    _rational_design.map(json.dumps),
+    st.fixed_dictionaries({"n": st.integers(-1, 4) | _json_any,
+                           "points": st.lists(st.lists(_p_over_q | _numbers, max_size=4),
+                                              max_size=5) | _json_any,
+                           "multiplicities": st.lists(st.integers(-2, 10**30) | _numbers,
+                                                      max_size=5) | _json_any}).map(json.dumps),
+    st.fixed_dictionaries({"n": st.integers(1, 4), "points": _grid},
+                          optional={"weights": st.lists(_numbers, max_size=8)}).map(json.dumps),
+    _json_any.map(json.dumps), st.text(max_size=40))
+
+
+# Any text given to design verify|torus: exact rational designs, rational and
+# float mode JSON of any shape (huge, non-finite and malformed values) and free
+# text.  Every run exits with a documented code, warns nothing and raises
+# nothing; exit 1 prints exactly one error line.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(command="verify", text='{"n": 1, "points": [["1e99999999"]], "multiplicities": [1]}')
+@example(command="torus", text='{"n": 2, "points": [[1e308, 1e308]]}')
+@example(command="torus", text='{"n": 1, "points": [["1"], ["-1"]], "multiplicities": [7, 7]}')
+@given(command=st.sampled_from(["verify", "torus"]), text=_design_file)
+def test_design_commands_exit_documented_code_on_any_text(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["design", command, path, "--no-meta"])
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_PARSE:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

@@ -7,8 +7,12 @@ double-factorial oracle for E[x^alpha] over the uniform sphere measure:
     E[prod x_i^(2a_i)] = prod (2a_i - 1)!! / prod_{j=0}^{|a|-1} (n + 2j).
 """
 
+import gc
+import itertools
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -182,19 +186,101 @@ def test_kernel_exact_moments_equal_loops():
         assert all(isinstance(v, Fraction) for v in values)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_hilbert_lp_matrix_equals_loop_columns(n, monkeypatch):
+def point_denominator4(s):
+    """D^4 for the least common denominator D of a rational point's coordinates."""
+    return math.lcm(*(x.denominator for x in s)) ** 4
+
+
+def capture_hilbert_systems(monkeypatch, runs):
+    """(n, points, A, b) of every exact_lp_feasible call that hilbert_rational_design
+    makes for each (n, height_max) in runs, with the rational sphere points of that height."""
     calls = []
     real = dg.exact_lp_feasible
     monkeypatch.setattr(dg, "exact_lp_feasible",
                         lambda A, b: calls.append((A, b)) or real(A, b))
-    dg.hilbert_rational_design(n)
+    systems = []
+    for n, height_max in runs:
+        start = len(calls)
+        dg.hilbert_rational_design(n, height_max=height_max)
+        systems += [(n, dg.rational_sphere_points(n, 2**k), A, b)
+                    for k, (A, b) in enumerate(calls[start:])]
+    return real, systems
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hilbert_lp_matrix_equals_loop_columns(n, monkeypatch):
+    # column j is the rational column of point s_j times D_j^4: Python ints
+    _, systems = capture_hilbert_systems(monkeypatch, [(n, 8)])
     iso = dg.isotropic_moment_tensor(n, exact=True)
     b_ref = [iso.entries[a] for a in dg.multi_indices(n)] + [Fraction(1)]
-    for k, (A, b) in enumerate(calls):
-        pts = dg.rational_sphere_points(n, 2**k)
-        assert A.tolist() == loop_hilbert_matrix(pts, n)
+    for _, pts, A, b in systems:
+        loop = loop_hilbert_matrix(pts, n)
+        assert A.shape == (len(loop), len(pts))
+        for j, s in enumerate(pts):
+            column = A[:, j].tolist()
+            assert all(type(x) is int for x in column)
+            assert column == [row[j] * point_denominator4(s) for row in loop]
         assert list(b) == b_ref
+
+
+def test_hilbert_scaled_vertex_equals_fraction_reference(monkeypatch):
+    # Bland's pivots on the integer columns reach the vertex the Fraction simplex
+    # reaches on the rational columns, once p'_j is scaled back by D_j^4
+    real, systems = capture_hilbert_systems(monkeypatch, [(1, 8), (2, 8), (3, 8), (4, 1)])
+    vertices = [real(A, b) for _, _, A, b in systems]
+    assert [p is not None for p in vertices] == [True, False, True, False, True, True]
+    for (n, pts, _, b), p in zip(systems, vertices):
+        scaled_back = None if p is None else [w * point_denominator4(s) for w, s in zip(p, pts)]
+        assert scaled_back == fraction_bland_simplex(loop_hilbert_matrix(pts, n), b)
+
+
+def b8_orbit_design(first_multiplicity=5):
+    """{+-e_i} with multiplicity 5 and the (+-1/2)^4 orbit with multiplicity 1 on S^7:
+    an exact 4-design of 1136 points, Q = 1200 (Hilbert's identity route)."""
+    pts = []
+    for i in range(8):
+        for sign in (1, -1):
+            pts.append(tuple(Fraction(sign if k == i else 0) for k in range(8)))
+    for support in itertools.combinations(range(8), 4):
+        for signs in itertools.product((1, -1), repeat=4):
+            coords = dict(zip(support, signs))
+            pts.append(tuple(Fraction(coords.get(k, 0), 2) for k in range(8)))
+    mult = [first_multiplicity] + [5] * 15 + [1] * 1120
+    return dg.RationalDesign(n=8, points=tuple(pts), multiplicities=tuple(mult))
+
+
+def test_b8_orbit_design_verifies_exactly_and_fast():
+    d = b8_orbit_design()
+    assert (d.N, len(d.points)) == (1200, 1136)
+    start = time.perf_counter()
+    res = dg.is_degree4_design(d)
+    assert time.perf_counter() - start < 1.0
+    assert res["ok"] and res["residual"] == 0 and isinstance(res["residual"], Fraction)
+    res = dg.is_degree4_design(b8_orbit_design(first_multiplicity=4))
+    assert not res["ok"] and res["residual"] > 0 and isinstance(res["residual"], Fraction)
+
+
+def test_exact_moments_retain_no_objects():
+    # An object-dtype np.vecdot kept about one Python int per call alive (100+ blocks
+    # over 200 calls); the @ product keeps none.  A block or two may show anyway: a
+    # tuple freed to CPython's free list stays a traced block of its first caller.
+    rd = dg.hilbert_rational_design(3)
+    tracemalloc.start(5)
+    try:
+        for _ in range(200):  # first calls fill numpy's one-time caches
+            dg.quartic_moment_tensor(rd)
+        gc.collect()
+        before = tracemalloc.take_snapshot()
+        for _ in range(200):
+            dg.quartic_moment_tensor(rd)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, dg.__file__, all_frames=True)]
+    grown = after.filter_traces(only).compare_to(before.filter_traces(only), "traceback")
+    assert sum(stat.count_diff for stat in grown) <= 2, [
+        (stat.count_diff, stat.traceback.format()) for stat in grown if stat.count_diff]
 
 
 def test_moment_tensor_entries_are_read_only_and_ordered():
