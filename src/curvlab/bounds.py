@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +26,11 @@ __all__ = [
     "bessel_j_zero",
     "bessel_bracket",
     "lower_focal",
-    "focal_rad_upper",
-    "band_width_bound",
     "upper_constructions",
     "lower_entries",
     "veronese_dims",
     "report",
     "report_to_csv",
-    "report_to_json",
 ]
 
 UNBOUNDED = "UNBOUNDED"
@@ -163,24 +159,6 @@ def lower_focal(ambient_n: int, r: float) -> float:
         raise ValueError("ambient_n >= 2 and r > 0 required")
     j = bessel_j_zero(ambient_n / 2.0 - 1.0)
     return (2.0 * j / (math.pi * r)) * math.sqrt((ambient_n + 1) / ambient_n) - r
-
-
-def focal_rad_upper(ambient_n: int, r: float) -> float:
-    """Companion focal-radius ceiling: (pi r / 2 j_nu) sqrt(ambient_n/(ambient_n+1))."""
-    if ambient_n < 2 or r <= 0:
-        raise ValueError("ambient_n >= 2 and r > 0 required")
-    j = bessel_j_zero(ambient_n / 2.0 - 1.0)
-    return (math.pi * r / (2.0 * j)) * math.sqrt(ambient_n / (ambient_n + 1))
-
-
-def band_width_bound(n: int, sigma: float) -> float:
-    """2 pi sqrt(n / (sigma (n+1))): width ceiling for torus bands with scalar
-    curvature at least sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2.0 * math.pi * math.sqrt(n / (sigma * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +309,3 @@ def report_to_csv(rep: dict) -> str:
         w.writerow([e.n, e.ambient, e.side, e.label, repr(e.value), e.family])
     return buf.getvalue()
 
-
-def report_to_json(rep: dict) -> str:
-    payload = dict(rep)
-    payload["rows"] = [asdict(e) for e in rep["rows"]]
-    return json.dumps(payload, indent=2, sort_keys=True)

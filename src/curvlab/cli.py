@@ -5,8 +5,9 @@ Exit codes: 0 success; 1 input parse error; 2 optimizer non-convergence;
 violation; 5 verification or consistency failure.  (Flag errors exit 2 via
 argparse.)  A missing or malformed input file (spec, design or curve) exits 1
 with a one-line ``error:`` message, as does an input outside a routine's
-domain.  The default random seed is 0xC0FFEE; the CURVLAB_SEED environment
-variable overrides it, and an explicit --seed flag wins over both.
+domain, a spec whose forms overflow float64, or one too large for memory.
+The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
+overrides it, and an explicit --seed flag wins over both.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -250,7 +252,7 @@ def cmd_bounds(args) -> int:
     if args.format == "csv":
         _write(bounds.report_to_csv(rep), args)
     else:
-        _emit(json.loads(bounds.report_to_json(rep)), args)
+        _emit({**rep, "rows": [asdict(e) for e in rep["rows"]]}, args)
     return 0 if rep["ok"] else EXIT_VERIFY
 
 
@@ -362,7 +364,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _env_seed()
         return args.run(args)
-    except ValueError as e:  # malformed input, or an argument outside a routine's domain
+    except (ValueError, MemoryError) as e:  # malformed, out-of-domain or too-large input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -37,7 +37,6 @@ __all__ = [
 
 DEFAULT_SEED = 0xC0FFEE
 
-_ZERO_FORM_TOL = 1e-14
 _STATIONARY_TOL = 1e-9
 
 
@@ -46,16 +45,14 @@ class FundamentalData:
     """First and second fundamental forms of an immersion at a point.
 
     g is the induced metric J^T J;  II[..., i, j] is the ambient-vector-valued
-    normal projection of the Hessian;  frame is an ambient-orthonormal basis of
-    the tangent plane (columns);  whitener maps g-orthonormal coordinates to
-    parameter coordinates (g^{-1/2}).  The forms of B basepoints carry a
+    normal projection of the Hessian;  whitener maps g-orthonormal coordinates
+    to parameter coordinates (g^{-1/2}).  The forms of B basepoints carry a
     leading B axis on every array; every invariant below then gives B values,
     where one basepoint gives a float (a vector for mean_curvature).
     """
 
     g: np.ndarray
     II: np.ndarray
-    frame: np.ndarray
     whitener: np.ndarray = field(repr=False)
 
     @property
@@ -71,15 +68,18 @@ class FundamentalData:
 def fundamental_data(jet: Jet2) -> FundamentalData:
     """Forms at one basepoint, or at B basepoints from a stacked (B, n) jet."""
     J, H = jet.jac, jet.hess
-    g = J.mT @ J
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, rejected below
+        g = J.mT @ J
+        # tangential projector via a thin QR frame; P_perp = I - Q Q^T
+        Q, _ = np.linalg.qr(J)
+        II = H - np.einsum("...ca,...ba,...bij->...cij", Q, Q, H)
+    if not (np.isfinite(g).all() and np.isfinite(II).all()):
+        raise ValueError("the metric or the second fundamental form overflows float64")
     evals, evecs = np.linalg.eigh(g)
     if np.any(evals[..., 0] <= 1e-18 * np.maximum(evals[..., -1], 1.0)):
         raise ValueError("rank-deficient Jacobian: not an immersion point")
-    # tangential projector via a thin QR frame; P_perp = I - Q Q^T
-    Q, _ = np.linalg.qr(J)
-    II = H - np.einsum("...ca,...ba,...bij->...cij", Q, Q, H)
     whitener = (evecs * evals[..., None, :] ** -0.5) @ evecs.mT  # g^{-1/2}
-    return FundamentalData(g=g, II=II, frame=Q, whitener=whitener)
+    return FundamentalData(g=g, II=II, whitener=whitener)
 
 
 def _scalar(x):
@@ -190,14 +190,14 @@ def _direction_search(M: np.ndarray, tol: float, seed: int):
     every basepoint; F at all of them is one matrix product of the flattened
     M_c with the candidates' outer products, (B*C, n*n) @ (n*n, K).  The best
     _N_STARTS per basepoint start the ascent, all lanes at once.  Returns F
-    (B,) and the maximizing unit directions (B, n); a form below
-    _ZERO_FORM_TOL gives F = 0 along e_0.
+    (B,) and the maximizing unit directions (B, n); a zero form gives F = 0
+    along e_0 (the ascent is scale-free, so any nonzero form is searched).
     """
     B, C, n, _ = M.shape
     F = np.zeros(B)
     w = np.zeros((B, n))
     w[:, 0] = 1.0
-    live = np.sqrt(np.einsum("bcij,bcij->b", M, M)) >= _ZERO_FORM_TOL
+    live = np.any(M != 0.0, axis=(1, 2, 3))
     if live.any():
         Ml = M[live]
         cand = _random_directions(n, _N_CANDIDATES, seed)

@@ -30,15 +30,11 @@ __all__ = [
     "is_convex_arc",
     "arm_check",
     "random_arm_instance",
-    "random_arm_instances",
     "bow_check",
     "random_bounded_curve",
-    "random_bounded_curves",
     "crofton_check",
     "curve_from_json",
-    "curve_to_json",
     "curve_from_csv",
-    "curve_to_csv",
     "helix",
     "helix_total_curvature",
     "circle_curve",
@@ -62,9 +58,6 @@ class PolyCurve:
         for name, value in (("edges", edges[0]), ("_side_lengths", lengths[0])):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-
-    def length(self) -> float:
-        return float(self._side_lengths.sum())
 
     def side_lengths(self) -> np.ndarray:
         """Edge lengths, in edge order (read-only)."""
@@ -343,26 +336,14 @@ def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
     ``q`` reuses its side lengths with each turn shrunk by a random factor and
     applied in a random bending plane of R^ambient_n.
     """
-    return random_arm_instances([k], [ambient_n], [seed])[0]
-
-
-def random_arm_instances(ks, ambients, seeds) -> list[tuple[PolyCurve, PolyCurve]]:
-    """``random_arm_instance(ks[i], ambients[i], seeds[i])`` for every i, in order.
-
-    Each instance draws from its own ``default_rng(seeds[i])`` exactly as the
-    one-instance call does, so the pairs equal a loop over
-    ``random_arm_instance`` bit for bit.
-    """
-    pairs = [None] * len(ks)
-    for members, p, q in _arm_stacks(ks, ambients, seeds):
-        for i, pv, qv in zip(members, p, q):
-            pairs[i] = (PolyCurve(pv), PolyCurve(qv))
-    return pairs
+    [(_, p, q)] = _arm_stacks([k], [ambient_n], [seed])
+    return PolyCurve(p[0]), PolyCurve(q[0])
 
 
 def _arm_stacks(ks, ambients, seeds):
     """``(members, p, q)`` per (k, ambient) shape: the vertex stacks (B, k+1, 2)
-    and (B, k+1, ambient) of those instances of ``random_arm_instances``."""
+    and (B, k+1, ambient) of ``random_arm_instance(ks[i], ambients[i], seeds[i])``
+    for i in members, each drawn from its own ``default_rng(seeds[i])``."""
     _same_lengths(ks=ks, ambients=ambients, seeds=seeds)
     if any(k < 3 or amb < 2 for k, amb in zip(ks, ambients)):
         raise ValueError("k >= 3 and ambient_n >= 2 required")
@@ -490,21 +471,12 @@ def random_bounded_curve(R: float, length: float, n: int = 200, dim: int = 3,
     The unit tangent random-walks on the sphere, each per-step turn drawn
     under the step/R admissibility cap.
     """
-    return random_bounded_curves([R], [length], n, dim, [seed])[0]
-
-
-def random_bounded_curves(Rs, lengths, n: int, dim: int, seeds) -> list[PolyCurve]:
-    """``random_bounded_curve(Rs[i], lengths[i], n, dim, seeds[i])`` for every i, in order.
-
-    Each curve draws from its own ``default_rng(seeds[i])`` exactly as the
-    one-curve call does, bit for bit the same vertices.
-    """
-    return [PolyCurve(vertices=v, closed=False)
-            for v in _bounded_arcs(Rs, lengths, n, dim, seeds)]
+    return PolyCurve(_bounded_arcs([R], [length], n, dim, [seed])[0])
 
 
 def _bounded_arcs(Rs, lengths, n: int, dim: int, seeds) -> np.ndarray:
-    """Vertex stack (B, n+1, dim) of ``random_bounded_curves``: one tangent recurrence."""
+    """Vertex stack (B, n+1, dim) of ``random_bounded_curve`` at each (Rs[i],
+    lengths[i], seeds[i]): one tangent recurrence."""
     _same_lengths(Rs=Rs, lengths=lengths, seeds=seeds)
     if any(length > 2.0 * math.pi * R for R, length in zip(Rs, lengths)):
         raise ValueError("length must be at most 2*pi*R")
@@ -593,25 +565,12 @@ def curve_from_json(data) -> PolyCurve:
     return PolyCurve(vertices=vertices, closed=closed)
 
 
-def curve_to_json(curve: PolyCurve) -> dict:
-    return {"vertices": curve.vertices.tolist(), "closed": curve.closed}
-
-
 def curve_from_csv(text: str, closed: bool = False) -> PolyCurve:
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]  # header
     pts = np.array([[float(x) for x in r] for r in rows])
     return PolyCurve(vertices=pts, closed=closed)
-
-
-def curve_to_csv(curve: PolyCurve) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow([f"x{i}" for i in range(curve.vertices.shape[1])])
-    for row in curve.vertices:
-        w.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
 
 
 def _is_number(s: str) -> bool:

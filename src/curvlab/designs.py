@@ -158,11 +158,6 @@ class MomentTensor4:
     def entries(self) -> MappingProxyType:
         return MappingProxyType(dict(zip(multi_indices(self.n), self.values.tolist())))
 
-    def residual_inf(self, other: "MomentTensor4"):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return np.max(np.abs(self.values - other.values))
-
 
 def quartic_moment_tensor(d) -> MomentTensor4:
     """Weighted degree-4 monomial moments; exact Fractions for a RationalDesign, summed
@@ -200,7 +195,8 @@ def is_degree4_design(d, tol: float = 1e-10) -> dict:
     Exact zero-test for a RationalDesign; infinity-norm residual otherwise.
     """
     exact = isinstance(d, RationalDesign)
-    res = quartic_moment_tensor(d).residual_inf(isotropic_moment_tensor(d.n, exact=exact))
+    diff = quartic_moment_tensor(d).values - isotropic_moment_tensor(d.n, exact=exact).values
+    res = np.max(np.abs(diff))
     if exact:
         return {"ok": res == 0, "residual": res}
     return {"ok": bool(res <= tol), "residual": float(res)}

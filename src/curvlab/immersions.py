@@ -34,9 +34,7 @@ __all__ = [
     "torus_linear",
     "veronese",
     "tube_encircle",
-    "evaluate",
     "jet2",
-    "declared_containment_radius",
     "sample_params",
     "spec_from_json",
     "spec_to_json",
@@ -386,7 +384,8 @@ def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpe
     if L.ndim != 2 or L.shape[0] < 1:
         raise ValueError("rows must be a nonempty matrix")
     M, n = L.shape
-    norms = np.linalg.norm(L, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norms = np.linalg.norm(L, axis=1)
     if np.any(np.abs(norms - 1.0) > _ROW_UNIT_TOL):
         raise ValueError("torus_linear rows must have unit norm within 1e-12")
     if scale is None:
@@ -445,12 +444,6 @@ def _check_params(spec: ImmersionSpec, u) -> np.ndarray:
     return u
 
 
-def evaluate(spec: ImmersionSpec, u) -> np.ndarray:
-    """Position f(u) in R^{ambient_dim}; a (B, n) stack of u gives (B, N)."""
-    u = _check_params(spec, u)
-    return spec._jet(u)[0]
-
-
 def jet2(spec: ImmersionSpec, u) -> Jet2:
     """Analytic 2-jet of the parametrization at u.
 
@@ -458,7 +451,8 @@ def jet2(spec: ImmersionSpec, u) -> Jet2:
     stacked Jet2 whose arrays carry a leading B axis.
     """
     u = _check_params(spec, u)
-    point, jac, hess = spec._jet(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # fundamental_data rejects inf and nan
+        point, jac, hess = spec._jet(u)
     return Jet2(point=point, jac=jac, hess=hess)
 
 
@@ -473,11 +467,6 @@ def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator,
     for c in spec.polar_columns:
         u[:, c] = rng.uniform(margin, math.pi - margin, size=n_samples)
     return u
-
-
-def declared_containment_radius(spec: ImmersionSpec) -> float:
-    """Analytic supremum of the ambient norm over the image."""
-    return spec.declared_radius
 
 
 # ---------------------------------------------------------------------------

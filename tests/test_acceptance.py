@@ -5,6 +5,8 @@ Each group delegates to the claim-check suite in curvlab.verify so the CLI
 command and this gate execute identical code with identical tolerances.
 """
 
+import importlib
+
 import pytest
 
 from curvlab import verify
@@ -36,6 +38,16 @@ def test_acceptance(title, group):
     print(f"{verdict} criterion {title} "
           f"({len(records) - len(failed)}/{len(records)} checks)")
     assert not failed, failed
+
+
+@pytest.mark.parametrize("module", ["curvlab", "curvlab.bounds", "curvlab.curvature",
+                                    "curvlab.curves", "curvlab.designs",
+                                    "curvlab.immersions", "curvlab.verify"])
+def test_every_exported_name_resolves(module):
+    # tracers and star-imports getattr every listed name: a deleted but
+    # still-listed name would fail there
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_all_groups_are_covered():

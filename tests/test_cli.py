@@ -29,6 +29,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def curve_json(curve, closed=None) -> str:
+    """A curve file's JSON text; ``closed`` overrides the curve's own flag."""
+    closed = curve.closed if closed is None else closed
+    return json.dumps({"vertices": curve.vertices.tolist(), "closed": closed})
+
+
+def curve_csv(curve) -> str:
+    """A curve file's CSV text: a header row, then one vertex per row."""
+    rows = [[f"x{i}" for i in range(curve.vertices.shape[1])]]
+    rows += [[repr(x) for x in v] for v in curve.vertices.tolist()]
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
 @pytest.fixture
 def sphere_spec(tmp_path):
     path = tmp_path / "sphere.json"
@@ -154,7 +167,7 @@ def test_bad_tolerance_exits_2_with_one_line_error(command, tol, sphere_spec, tm
     design = tmp_path / "pentagon.json"
     design.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
     arc = tmp_path / "arc.csv"
-    arc.write_text(cu.curve_to_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
+    arc.write_text(curve_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
     argv = {"curv": ["curv", sphere_spec],
             "design verify": ["design", "verify", str(design)],
             "curve bow": ["curve", "bow", str(arc), "--R", "1.0"]}[command]
@@ -236,8 +249,13 @@ def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     (["design", "torus"], "json", '{"n": 2, "points": [[1e308, 1e308]]}'),
     (["design", "verify"], "json",
      '{"n": 2, "points": [[1, 0], [0, 1]], "weights": [1e308, 1e308]}'),
+    (["curv"], "json", '{"kind": "round_sphere", "n": 2, "R": 1e160}'),
+    (["curv"], "json", '{"kind": "tube", "r": 1e308, "n1": 1, "n2": 1, "rho": 1e307}'),
+    (["curv"], "json", '{"kind": "sphere_product", "factors": [[1, 1e-200], [1, 1e200]]}'),
+    (["curv"], "json", '{"kind": "torus_linear", "rows": [[1, 0], [0, 1]], "scale": 1e300}'),
 ], ids=["fenchel-edge", "arm-edge", "bow-chord", "crofton-vertex-sum", "bow-R",
-        "verify-norm", "torus-norm", "verify-weight-sum"])
+        "verify-norm", "torus-norm", "verify-weight-sum", "curv-sphere-metric",
+        "curv-tube-metric", "curv-product-metric", "curv-torus-hessian"])
 def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path, capsys):
     path = tmp_path / f"input.{suffix}"
     path.write_text(text)
@@ -245,6 +263,22 @@ def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_one_line_parse_error(*run(capsys, *argv, "--no-meta"))
+
+
+# The first array of a 10^15-dimensional spec, 20 x 10^15 float64, is larger
+# than any 64-bit user address space, so its allocation fails at once.
+@pytest.mark.parametrize("spec", [
+    {"kind": "clifford_torus", "N": 10**15},
+    {"kind": "veronese", "m": 10**15},
+    {"kind": "tube", "r": 1.0, "n1": 10**15, "n2": 1, "rho": 0.5},
+    {"kind": "sphere_product", "factors": [[10**15, 1.0]]},
+], ids=["clifford", "veronese", "tube", "sphere-product"])
+def test_out_of_memory_dimension_exits_parse_with_one_line(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "curv", str(path), "--no-meta")
+    _assert_one_line_parse_error(code, out, err)
+    assert "allocate" in err
 
 
 def test_design_torus_on_non_design_exits_4(tmp_path, capsys):
@@ -369,8 +403,8 @@ def test_curve_arm_hypothesis_violation_exits_4(tmp_path, capsys):
     p = cu.convex_arc([1.0, 1.0, 1.0], [0.3, 0.3])
     over = cu.convex_arc([1.0, 1.0, 1.0], [0.6, 0.6])
     pf, qf = tmp_path / "p.json", tmp_path / "q.json"
-    pf.write_text(json.dumps(cu.curve_to_json(p)))
-    qf.write_text(json.dumps(cu.curve_to_json(over)))
+    pf.write_text(curve_json(p))
+    qf.write_text(curve_json(over))
     code, out, _ = run(capsys, "curve", "arm", str(qf), str(pf))
     assert code == cli.EXIT_HYPOTHESIS
 
@@ -379,7 +413,7 @@ def test_curve_bow_ok_and_hypothesis_paths(tmp_path, capsys):
     from curvlab import curves as cu
     arc = cu.circular_arc(R=1.0, arc_length=2.0, n=100)
     f = tmp_path / "arc.csv"
-    f.write_text(cu.curve_to_csv(arc))
+    f.write_text(curve_csv(arc))
     code, out, _ = run(capsys, "curve", "bow", str(f), "--R", "1.0")
     assert code == 0
     code, out, _ = run(capsys, "curve", "bow", str(f), "--R", "3.0")
@@ -391,8 +425,8 @@ def test_curve_bow_and_arm_reject_closed_files(command, tmp_path, capsys):
     from curvlab import curves as cu
     arc = cu.circular_arc(R=1.0, arc_length=2.0, n=20)
     closed, opened = tmp_path / "closed.json", tmp_path / "open.json"
-    closed.write_text(json.dumps(dict(cu.curve_to_json(arc), closed=True)))
-    opened.write_text(json.dumps(cu.curve_to_json(arc)))
+    closed.write_text(curve_json(arc, closed=True))
+    opened.write_text(curve_json(arc))
     files = [str(closed)] if command == "bow" else [str(closed), str(opened)]
     extra = ["--R", "1.0"] if command == "bow" else []
     code, out, err = run(capsys, "curve", command, *files, *extra)
@@ -407,7 +441,7 @@ def test_curve_bow_and_arm_reject_closed_files(command, tmp_path, capsys):
 def test_curve_bow_rejects_nonpositive_or_nonfinite_radius(R, tmp_path, capsys):
     from curvlab import curves as cu
     f = tmp_path / "arc.csv"
-    f.write_text(cu.curve_to_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
+    f.write_text(curve_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
     _assert_one_line_parse_error(*run(capsys, "curve", "bow", str(f), "--R", R))
 
 
@@ -415,7 +449,7 @@ def test_curve_crofton_circle(tmp_path, capsys):
     from curvlab import curves as cu
     circ = cu.circle_curve(1.0).polygon(256)
     f = tmp_path / "circle.json"
-    f.write_text(json.dumps(cu.curve_to_json(circ)))
+    f.write_text(curve_json(circ))
     code, out, _ = run(capsys, "curve", "crofton", str(f), "--dirs", "20000")
     assert code == 0
     assert json.loads(out)["rel_err"] < 0.05
@@ -527,6 +561,75 @@ def test_design_commands_exit_documented_code_on_any_text(command, text):
     if code == cli.EXIT_PARSE:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+# Any text given to curv: every kind's keys with numbers that are huge, tiny,
+# non-finite or "p/q" strings, malformed fields and free text.  A dimension
+# field is 1..4 or at least 10^15, never in between, so no example allocates
+# more than a few MB: a 10^15-dimensional spec fails its first allocation.
+# Every run exits with a documented code and warns nothing; exit 1 prints
+# exactly one error line, and a round sphere that exits 0 has curv = 1/R.
+_not_a_count = st.none() | st.booleans() | st.text(max_size=4) | _p_over_q \
+    | st.sampled_from([2.5, -0.5, math.nan, math.inf, [1], {"n": 1}])
+_dim = st.integers(1, 4) | st.one_of(st.integers(-1, 0), st.integers(10**15, 10**40),
+                                     st.sampled_from([1e15, 1e300]), _not_a_count)
+_positive = st.one_of(
+    st.sampled_from([1, 2, 0.5, 0.3, "1/3", "2/3", "7/5"]), st.floats(1e-320, 1e308),
+    st.integers(1, 10**40), st.builds("{}/{}".format, st.integers(1, 10**40),
+                                      st.integers(1, 10**40)))
+_real = _positive | st.one_of(st.floats(), st.integers(-10**40, 10**40), _p_over_q,
+                              st.text(max_size=6), st.none(), st.booleans())
+_unit_rows = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1, 1), min_size=n, max_size=n).filter(any).map(
+        lambda v: [x / math.hypot(*v) for x in v]),
+    min_size=1, max_size=4))
+_spec_fields = {
+    "round_sphere": ({"n": _dim, "R": _real}, {}),
+    "sphere_product": ({"factors": st.lists(st.tuples(_dim, _real).map(list) | _not_a_count,
+                                            min_size=1, max_size=2) | _not_a_count}, {}),
+    "clifford_torus": ({"N": _dim}, {}),
+    "torus_linear": ({"rows": _unit_rows | st.lists(st.lists(_real, max_size=3), max_size=3)
+                      | _not_a_count},
+                     {"scale": _real, "weights": st.lists(_real, max_size=4) | _not_a_count}),
+    "veronese": ({"m": _dim}, {}),
+    "tube": ({"r": _real, "n1": _dim, "n2": _dim, "rho": _real}, {}),
+}
+_spec_file = st.one_of(st.one_of(
+    st.fixed_dictionaries({"kind": st.just("round_sphere"), "n": st.integers(1, 4),
+                           "R": _positive}),
+    *(st.fixed_dictionaries({"kind": st.just(kind), **required}, optional=optional)
+      for kind, (required, optional) in _spec_fields.items()),
+    st.sampled_from(list(_spec_fields)).flatmap(lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)}, optional={**_spec_fields[kind][0], **_spec_fields[kind][1]})),
+    _json_any).map(json.dumps), st.text(max_size=40))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(text='{"kind": "round_sphere", "n": 2, "R": 1e150}')  # once reported curv 0
+@example(text='{"kind": "round_sphere", "n": 3, "R": "1/3"}')
+@example(text='{"kind": "clifford_torus", "N": 1000000000000000}')
+@example(text='{"kind": "tube", "r": 1e308, "n1": 1, "n2": 1, "rho": 1e307}')
+@example(text='{"kind": "torus_linear", "rows": [[1.3407807929942597e+154]]}')  # once warned
+@given(text=_spec_file)
+def test_curv_exits_documented_code_on_any_spec_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["curv", path, "--no-meta", "--points", "4"])
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_PARSE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    spec = json.loads(text) if code == 0 else {}
+    if spec.get("kind") == "round_sphere":
+        R = float(Fraction(spec["R"])) if isinstance(spec["R"], str) else spec["R"]
+        assert math.isclose(json.loads(out.getvalue())["curv"], 1.0 / R, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

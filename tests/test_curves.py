@@ -339,7 +339,7 @@ def test_batched_entries_match_one_at_a_time_in_input_order():
     rng.shuffle(cases)
     ks, ambients = [k for k, _ in cases], [amb for _, amb in cases]
     seeds = [int(s) for s in rng.integers(0, 2**32, size=len(cases))]
-    pairs = cu.random_arm_instances(ks, ambients, seeds)
+    pairs = stacked_arm_instances(ks, ambients, seeds)
     for (p, q), k, amb, s in zip(pairs, ks, ambients, seeds, strict=True):
         one_p, one_q = cu.random_arm_instance(k, amb, seed=s)
         loop_p, loop_q = loop_arm_instance(k, amb, s)
@@ -350,7 +350,7 @@ def test_batched_entries_match_one_at_a_time_in_input_order():
         assert np.array_equal(q.vertices, loop_q.vertices)
     Rs = rng.uniform(0.5, 2.0, size=12).tolist()
     lengths = [float(f) * math.pi * R for f, R in zip(rng.uniform(0.2, 1.0, size=12), Rs)]
-    curves = cu.random_bounded_curves(Rs, lengths, 40, 4, seeds[:12])
+    curves = stacked_bounded_curves(Rs, lengths, 40, 4, seeds[:12])
     for c, R, L, s in zip(curves, Rs, lengths, seeds[:12], strict=True):
         assert np.array_equal(c.vertices,
                               cu.random_bounded_curve(R, L, n=40, dim=4, seed=s).vertices)
@@ -359,17 +359,17 @@ def test_batched_entries_match_one_at_a_time_in_input_order():
 
 def test_batched_entries_reject_bad_inputs():
     with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
-        cu.random_arm_instances([5, 2], [3, 3], [0, 1])
+        cu._arm_stacks([5, 2], [3, 3], [0, 1])
     with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
-        cu.random_arm_instances([5, 5], [3, 1], [0, 1])
+        cu._arm_stacks([5, 5], [3, 1], [0, 1])
     with pytest.raises(ValueError, match="must have equal lengths"):
-        cu.random_arm_instances([5, 5], [3], [0, 1])
+        cu._arm_stacks([5, 5], [3], [0, 1])
     with pytest.raises(ValueError, match="at most 2\\*pi\\*R"):
-        cu.random_bounded_curves([1.0, 1.0], [5.0, 7.0], 50, 3, [0, 1])
+        cu._bounded_arcs([1.0, 1.0], [5.0, 7.0], 50, 3, [0, 1])
     with pytest.raises(ValueError, match="must have equal lengths"):
-        cu.random_bounded_curves([1.0, 1.0], [5.0, 5.0], 50, 3, [0])
-    assert cu.random_arm_instances([], [], []) == []
-    assert cu.random_bounded_curves([], [], 50, 3, []) == []
+        cu._bounded_arcs([1.0, 1.0], [5.0, 5.0], 50, 3, [0])
+    assert cu._arm_stacks([], [], []) == []
+    assert cu._bounded_arcs([], [], 50, 3, []).shape == (0, 51, 3)
 
 
 def test_convex_arc_matches_heading_loop():
@@ -380,6 +380,19 @@ def test_convex_arc_matches_heading_loop():
             angles = rng.uniform(0.0, math.pi, size=k - 1)
             assert np.array_equal(cu.convex_arc(sides, angles).vertices,
                                   loop_convex_arc(sides, angles).vertices)
+
+
+def stacked_arm_instances(ks, ambients, seeds):
+    """(p, q) pairs in input order, unpacked from the per-shape vertex stacks."""
+    pairs = [None] * len(ks)
+    for members, p, q in cu._arm_stacks(ks, ambients, seeds):
+        for i, pv, qv in zip(members, p, q):
+            pairs[i] = (cu.PolyCurve(pv), cu.PolyCurve(qv))
+    return pairs
+
+
+def stacked_bounded_curves(Rs, lengths, n, dim, seeds):
+    return [cu.PolyCurve(v) for v in cu._bounded_arcs(Rs, lengths, n, dim, seeds)]
 
 
 def loop_arm_instances(ks, ambients, seeds):
@@ -434,10 +447,10 @@ def per_instance_records(seed, arm_instances=loop_arm_instances,
 def test_bow_and_arm_records_equal_per_instance_loop():
     from curvlab import verify
 
-    # the public builders equal the loops (tests above) and take a fraction of their time
-    public = {"arm_instances": cu.random_arm_instances,
-              "bounded_curves": cu.random_bounded_curves}
-    for seed, builders in [(0xC0FFEE, {}), (0, public), (7001, public)]:
+    # the stacked builders equal the loops (tests above) and take a fraction of their time
+    stacked = {"arm_instances": stacked_arm_instances,
+               "bounded_curves": stacked_bounded_curves}
+    for seed, builders in [(0xC0FFEE, {}), (0, stacked), (7001, stacked)]:
         fenchel, arm, bow = per_instance_records(seed, **builders)
         assert verify.check_fenchel(seed)[0] == fenchel
         assert verify.check_arm(seed)[0] == arm
@@ -649,7 +662,7 @@ def test_crofton_rejects_open_and_high_dim():
 def test_curve_json_round_trip():
     c = cu.PolyCurve(np.array([[0, 0, 0], [1, 0, 0], [1, 2, 3]], dtype=float),
                      closed=True)
-    back = cu.curve_from_json(json.dumps(cu.curve_to_json(c)))
+    back = cu.curve_from_json(json.dumps({"vertices": c.vertices.tolist(), "closed": True}))
     assert back.closed
     assert np.array_equal(back.vertices, c.vertices)
 
@@ -672,6 +685,7 @@ def test_curve_json_rejects_non_boolean_closed(closed):
 
 def test_curve_csv_round_trip_with_header():
     c = cu.PolyCurve(np.array([[0.125, -1.5], [2.25, 0.75], [3.0, 3.0]]))
-    back = cu.curve_from_csv(cu.curve_to_csv(c))
+    text = "x0,x1\n" + "".join(f"{x!r},{y!r}\n" for x, y in c.vertices.tolist())
+    back = cu.curve_from_csv(text)
     assert np.array_equal(back.vertices, c.vertices)
     assert not back.closed

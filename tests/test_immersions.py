@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvlab import immersions as im
-from curvlab.immersions import ImmersionSpec, Jet2, _check_params, evaluate
+from curvlab.immersions import ImmersionSpec, Jet2, _check_params, jet2
 
 
 def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
@@ -18,12 +18,12 @@ def jet2_fd(spec: ImmersionSpec, u, h: float = 1e-4) -> Jet2:
     if np.any(np.abs(np.sin(u[spec.polar_columns])) < 10.0 * h):
         raise ValueError("parameter too close to a chart boundary for finite differences")
     n = u.shape[0]
-    f0 = evaluate(spec, u)
+    f0 = jet2(spec, u).point
     N = f0.shape[0]
     jac = np.empty((N, n))
     hess = np.empty((N, n, n))
     def ev(du):
-        return evaluate(spec, u + du)
+        return jet2(spec, u + du).point
     e = np.eye(n) * h
     for i in range(n):
         fp, fm = ev(e[i]), ev(-e[i])
@@ -48,7 +48,7 @@ def containment_radius(spec: ImmersionSpec, n_samples: int = 1000, seed: int = 0
     n = spec.intrinsic_dim
     us = np.vstack([np.zeros((1, n)), np.eye(n) * (math.pi / 2),
                     rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))])
-    return max(float(np.linalg.norm(evaluate(spec, u))) for u in us)
+    return max(float(np.linalg.norm(jet2(spec, u).point)) for u in us)
 
 
 ALL_SPECS = [
@@ -119,7 +119,7 @@ def test_dimensions_consistent(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_containment_radius(spec):
-    declared = im.declared_containment_radius(spec)
+    declared = spec.declared_radius
     sampled = containment_radius(spec, n_samples=500)
     assert sampled <= declared + 1e-9
     # spheres, tori and the tube boundary circle actually attain the radius
@@ -208,12 +208,12 @@ def test_sphere_points_have_declared_norm():
     spec = im.round_sphere(3, 2.0)
     rng = np.random.default_rng(0)
     for u in im.sample_params(spec, 10, rng):
-        assert math.isclose(np.linalg.norm(im.evaluate(spec, u)), 2.0, rel_tol=1e-12)
+        assert math.isclose(np.linalg.norm(im.jet2(spec, u).point), 2.0, rel_tol=1e-12)
 
 
 def test_clifford_lies_on_unit_sphere_of_small_circles():
     spec = im.clifford_torus(3)
-    p = im.evaluate(spec, np.array([0.3, 1.1, 2.0]))
+    p = im.jet2(spec, np.array([0.3, 1.1, 2.0])).point
     assert math.isclose(np.linalg.norm(p), 1.0, rel_tol=1e-12)
     pairs = p.reshape(3, 2)
     assert np.allclose(np.linalg.norm(pairs, axis=1), 1.0 / math.sqrt(3))
@@ -240,8 +240,8 @@ def test_tube_distance_from_base_sphere():
     spec = im.tube_encircle(1.0, 1, 2, 0.3)
     rng = np.random.default_rng(1)
     for u in im.sample_params(spec, 10, rng):
-        p = im.evaluate(spec, u)
-        base = im.evaluate(im.round_sphere(1, 1.0), u[:1])
+        p = im.jet2(spec, u).point
+        base = im.jet2(im.round_sphere(1, 1.0), u[:1]).point
         d = math.sqrt(float(np.sum((p[:2] - base) ** 2) + np.sum(p[2:] ** 2)))
         assert math.isclose(d, 0.3, rel_tol=1e-12)
 
@@ -252,7 +252,7 @@ def test_veronese_is_even():
     u = np.array([0.9, 0.4])
     # antipode of (theta, phi) on S^2 is (pi - theta, phi + pi)
     u_anti = np.array([math.pi - u[0], u[1] + math.pi])
-    assert np.allclose(im.evaluate(spec, u), im.evaluate(spec, u_anti), atol=1e-12)
+    assert np.allclose(im.jet2(spec, u).point, im.jet2(spec, u_anti).point, atol=1e-12)
 
 
 def test_jet_fd_rejects_chart_boundary():
@@ -263,7 +263,7 @@ def test_jet_fd_rejects_chart_boundary():
 
 def test_param_dimension_checked():
     with pytest.raises(ValueError):
-        im.evaluate(im.clifford_torus(2), np.zeros(3))
+        im.jet2(im.clifford_torus(2), np.zeros(3))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
