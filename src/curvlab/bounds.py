@@ -243,13 +243,10 @@ def _applicable(lo: BoundEntry, up: BoundEntry) -> bool:
     if lo.family == "sphere-immersed":
         # these bounds assume the image lies in the unit sphere; among the
         # constructions, only the clifford and veronese images do
-        if up.label not in ("clifford", "veronese"):
-            return False
-    elif lo.family != up.family:
-        return False
-    if lo.ambient == UNBOUNDED:
-        return True
-    return lo.ambient == up.ambient
+        family = up.label in ("clifford", "veronese")
+    else:
+        family = lo.family == up.family
+    return family and lo.ambient in (UNBOUNDED, up.ambient)
 
 
 def report(n_min: int, n_max: int) -> dict:
@@ -261,7 +258,7 @@ def report(n_min: int, n_max: int) -> dict:
     """
     if not (1 <= n_min <= n_max <= 64):
         raise ValueError("need 1 <= n_min <= n_max <= 64")
-    rows, violations, checks = [], [], []
+    rows, checks = [], []
     for n in range(n_min, n_max + 1):
         lowers = lower_entries(n)
         uppers = upper_constructions(n)
@@ -270,23 +267,16 @@ def report(n_min: int, n_max: int) -> dict:
             for up in uppers:
                 if not _applicable(lo, up):
                     continue
-                ok = lo.value <= up.value + 1e-12
                 checks.append({
-                    "n": n, "lower": lo.label, "upper": up.label,
-                    "lower_value": lo.value, "upper_value": up.value, "ok": ok,
+                    "n": n, "lower": lo.label, "upper": up.label, "lower_value": lo.value,
+                    "upper_value": up.value, "ok": lo.value <= up.value + 1e-12,
                 })
-                if not ok:
-                    violations.append(checks[-1])
-        ver = veronese_dims(n, 2)
-        curv_ver = math.sqrt(2.0 * n / (n + 1))
-        recip_ok = abs(ver["R_s"] * curv_ver - 2.0) <= 1e-12
+        recip = veronese_dims(n, 2)["R_s"] * math.sqrt(2.0 * n / (n + 1))
         checks.append({
             "n": n, "lower": "veronese-reciprocity", "upper": "veronese",
-            "lower_value": ver["R_s"] * curv_ver, "upper_value": 2.0,
-            "ok": recip_ok,
+            "lower_value": recip, "upper_value": 2.0, "ok": abs(recip - 2.0) <= 1e-12,
         })
-        if not recip_ok:
-            violations.append(checks[-1])
+    violations = [c for c in checks if not c["ok"]]
     return {
         "n_min": n_min,
         "n_max": n_max,

@@ -8,6 +8,8 @@ with a one-line ``error:`` message, as does an input outside a routine's
 domain, a spec whose forms overflow float64, or one too large for memory.
 The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
 overrides it, and an explicit --seed flag wins over both.
+``curv`` searches the orbit space (one node for a homogeneous kind) and its
+``status`` is OK when the search converged to ``--tol`` (see curvature).
 """
 
 from __future__ import annotations
@@ -78,28 +80,19 @@ def _env_seed() -> int:
 
 
 def _meta(args) -> dict:
-    meta = {"seed": args.seed}
-    if getattr(args, "tol", None) is not None:
-        meta["tol"] = args.tol
+    meta = {"seed": args.seed, "tol": args.tol}  # every command takes --tol
     if not args.no_meta:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 
 
 def _emit(payload: dict, args) -> None:
-    payload = dict(payload)
-    payload["meta"] = _meta(args)
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        lines = ["key,value"]
-        for k, v in sorted(payload.items()):
-            if k == "meta":
-                continue
-            lines.append(f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}")
-        text = "\n".join(lines) + "\n"
+    if args.format == "csv":  # every command takes --format
+        lines = [f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
+                 for k, v in sorted(payload.items())]
+        _write("\n".join(["key,value", *lines]) + "\n", args)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write(text, args)
+        _write(json.dumps({**payload, "meta": _meta(args)}, indent=2, sort_keys=True) + "\n", args)
 
 
 def _write(text: str, args) -> None:
@@ -145,7 +138,6 @@ def _curvature_payload(spec, args) -> dict:
     rng = np.random.default_rng(args.seed)
     fd = fundamental_data(jet2(spec, sample_params(spec, 1, rng)[0]))
     H = mean_curvature(fd)
-    status = "OK" if res["per_point_spread"] <= args.tol else "NON_CONVERGED"
     return {
         "curv": res["sup"],
         "per_point_spread": res["per_point_spread"],
@@ -154,13 +146,12 @@ def _curvature_payload(spec, args) -> dict:
         "mean_curvature_norm": float(np.linalg.norm(H)),
         "scalar_curvature": scalar_curvature_gauss(fd),
         "focal_radius": focal_radius(res["sup"]) if res["sup"] > 0 else None,
-        "status": status,
+        "status": "OK" if res["stationarity"] <= args.tol else "NON_CONVERGED",
     }
 
 
 def cmd_curv(args) -> int:
-    spec = _load(args.spec, immersions.spec_from_json)
-    payload = _curvature_payload(spec, args)
+    payload = _curvature_payload(_load(args.spec, immersions.spec_from_json), args)
     _emit(payload, args)
     return 0 if payload["status"] == "OK" else EXIT_NON_CONVERGED
 
@@ -175,9 +166,8 @@ def cmd_design(args) -> int:
     if args.design_cmd == "optimize":
         res = designs.optimize_design(args.n, args.cardinality,
                                       seed=args.seed, iters=args.iters)
-        payload = designs.design_to_json(res["design"])
-        payload.update(residual=res["residual"], status=res["status"])
-        _emit(payload, args)
+        _emit({**designs.design_to_json(res["design"]), "residual": res["residual"],
+               "status": res["status"]}, args)
         return 0 if res["status"] == "OK" else EXIT_NON_CONVERGED
     if args.design_cmd == "hilbert":
         try:
@@ -187,9 +177,7 @@ def cmd_design(args) -> int:
             print(f"error: HEIGHT_EXHAUSTED: {e} (relaxed residual {e.residual})",
                   file=sys.stderr)
             return EXIT_INFEASIBLE
-        payload = designs.design_to_json(rd)
-        payload["cardinality"] = rd.N
-        _emit(payload, args)
+        _emit({**designs.design_to_json(rd), "cardinality": rd.N}, args)
         return 0
     if args.design_cmd == "torus":
         d = _load(args.file, designs.design_from_json)
@@ -273,13 +261,27 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+COMMANDS = ("curv", "design", "curve", "bounds", "verify-paper")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(None)
+
+
+def _parser(command) -> argparse.ArgumentParser:
+    """The parser.  Every sub-command is listed, for help and errors, but
+    one in ``COMMANDS`` given as ``command`` alone gets its arguments."""
     ap = argparse.ArgumentParser(
         prog="curvlab",
         description="normal-curvature workbench: immersion curvatures, "
                     "spherical designs, curve inequalities, and bound reports",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, text, run):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        return p if command in (None, name) else None
 
     def common(p, tol=1e-3):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
@@ -290,76 +292,72 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
 
-    p = sub.add_parser("curv", help="curvature report for an immersion spec")
-    p.set_defaults(run=cmd_curv)
-    p.add_argument("spec", help="immersion spec JSON file")
-    p.add_argument("--points", type=_positive_int, default=20, help="basepoint count")
-    common(p)
+    points = "orbit-space nodes; a homogeneous kind has one"
+    if p := add("curv", "curvature report for an immersion spec", cmd_curv):
+        p.add_argument("spec", help="immersion spec JSON file")
+        p.add_argument("--points", type=_positive_int, default=20, help=points)
+        common(p)
 
-    p = sub.add_parser("design", help="degree-4 spherical design tools")
-    p.set_defaults(run=cmd_design)
-    dsub = p.add_subparsers(dest="design_cmd", required=True)
-    pv = dsub.add_parser("verify", help="check a design file")
-    pv.add_argument("file")
-    common(pv, tol=1e-10)
-    po = dsub.add_parser("optimize", help="search for a floating design")
-    po.add_argument("--n", type=_positive_int, required=True)
-    po.add_argument("--cardinality", type=_positive_int, required=True)
-    po.add_argument("--iters", type=_positive_int, default=40)
-    common(po)
-    ph = dsub.add_parser("hilbert", help="exact rational design construction")
-    ph.add_argument("--n", type=_positive_int, required=True)
-    ph.add_argument("--height-start", type=_positive_int, default=1)
-    ph.add_argument("--height-max", type=_positive_int, default=8)
-    common(ph)
-    pt = dsub.add_parser("torus", help="flat-torus immersion from a design")
-    pt.add_argument("file")
-    pt.add_argument("--curv", action="store_true",
-                    help="also run the curvature report on the result")
-    pt.add_argument("--points", type=_positive_int, default=20)
-    common(pt)
+    if p := add("design", "degree-4 spherical design tools", cmd_design):
+        dsub = p.add_subparsers(dest="design_cmd", required=True)
+        pv = dsub.add_parser("verify", help="check a design file")
+        pv.add_argument("file")
+        common(pv, tol=1e-10)
+        po = dsub.add_parser("optimize", help="search for a floating design")
+        po.add_argument("--n", type=_positive_int, required=True)
+        po.add_argument("--cardinality", type=_positive_int, required=True)
+        po.add_argument("--iters", type=_positive_int, default=40)
+        common(po)
+        ph = dsub.add_parser("hilbert", help="exact rational design construction")
+        ph.add_argument("--n", type=_positive_int, required=True)
+        ph.add_argument("--height-start", type=_positive_int, default=1)
+        ph.add_argument("--height-max", type=_positive_int, default=8)
+        common(ph)
+        pt = dsub.add_parser("torus", help="flat-torus immersion from a design")
+        pt.add_argument("file")
+        pt.add_argument("--curv", action="store_true",
+                        help="also run the curvature report on the result")
+        pt.add_argument("--points", type=_positive_int, default=20, help=points)
+        common(pt)
 
-    p = sub.add_parser("curve", help="discrete-curve inequality checkers")
-    p.set_defaults(run=cmd_curve)
-    csub = p.add_subparsers(dest="curve_cmd", required=True)
-    pf = csub.add_parser("fenchel", help="total curvature of a closed curve")
-    pf.add_argument("file")
-    common(pf)
-    pa = csub.add_parser("arm", help="convex-arc straightening check")
-    pa.add_argument("q", nargs="?", help="spatial arc file")
-    pa.add_argument("p", nargs="?", help="planar convex comparison arc file")
-    pa.add_argument("--random", type=_nonnegative_int, default=0,
-                    help="run this many generated instances instead of files "
-                         "(0: read the files)")
-    pa.add_argument("--ambient", type=int, default=3)
-    common(pa, tol=1e-9)
-    pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
-    pb.add_argument("file")
-    pb.add_argument("--R", type=float, required=True, help="curvature bound 1/R")
-    common(pb, tol=1e-9)
-    pc = csub.add_parser("crofton", help="height-function critical point count")
-    pc.add_argument("file")
-    pc.add_argument("--dirs", type=_positive_int, default=10_000)
-    common(pc, tol=0.05)
+    if p := add("curve", "discrete-curve inequality checkers", cmd_curve):
+        csub = p.add_subparsers(dest="curve_cmd", required=True)
+        pf = csub.add_parser("fenchel", help="total curvature of a closed curve")
+        pf.add_argument("file")
+        common(pf)
+        pa = csub.add_parser("arm", help="convex-arc straightening check")
+        pa.add_argument("q", nargs="?", help="spatial arc file")
+        pa.add_argument("p", nargs="?", help="planar convex comparison arc file")
+        pa.add_argument("--random", type=_nonnegative_int, default=0,
+                        help="run this many generated instances instead of files "
+                             "(0: read the files)")
+        pa.add_argument("--ambient", type=int, default=3)
+        common(pa, tol=1e-9)
+        pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
+        pb.add_argument("file")
+        pb.add_argument("--R", type=float, required=True, help="curvature bound 1/R")
+        common(pb, tol=1e-9)
+        pc = csub.add_parser("crofton", help="height-function critical point count")
+        pc.add_argument("file")
+        pc.add_argument("--dirs", type=_positive_int, default=10_000)
+        common(pc, tol=0.05)
 
-    p = sub.add_parser("bounds", help="curvature bound tables")
-    p.set_defaults(run=cmd_bounds)
-    bsub = p.add_subparsers(dest="bounds_cmd", required=True)
-    pr = bsub.add_parser("report", help="bound table with consistency checks")
-    pr.add_argument("--n-min", type=int, default=1)
-    pr.add_argument("--n-max", type=int, default=16)
-    common(pr)
+    if p := add("bounds", "curvature bound tables", cmd_bounds):
+        bsub = p.add_subparsers(dest="bounds_cmd", required=True)
+        pr = bsub.add_parser("report", help="bound table with consistency checks")
+        pr.add_argument("--n-min", type=int, default=1)
+        pr.add_argument("--n-max", type=int, default=16)
+        common(pr)
 
-    p = sub.add_parser("verify-paper",
-                       help="run the full quantitative claim suite")
-    p.set_defaults(run=cmd_verify)
-    p.add_argument("--only", default=None, help="run a single check group")
-    common(p)
+    if p := add("verify-paper", "run the full quantitative claim suite", cmd_verify):
+        p.add_argument("--only", default=None, help="run a single check group")
+        common(p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _env_seed()

@@ -1,7 +1,7 @@
 """Numerical differential-geometry engine.
 
 Induced metric, second fundamental form, normal curvature (directional, at a
-point, and global over sampled basepoints), mean curvature, the degree-4
+point, and global over the immersion's orbit space), mean curvature, the degree-4
 averaged curvature invariant Pi with its Monte-Carlo cross-check, Gauss-formula
 scalar curvature, focal radius, and the Gauss-map finite-difference cross-check.
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .immersions import ImmersionSpec, Jet2, jet2, sample_params
+from .immersions import ImmersionSpec, Jet2, jet2
 
 __all__ = [
     "FundamentalData",
@@ -61,8 +61,8 @@ class FundamentalData:
 
     def whitened_form(self) -> np.ndarray:
         """II in g-orthonormal tangent coordinates, shape ([B,] N, n, n)."""
-        W = self.whitener
-        return np.einsum("...cij,...ia,...jb->...cab", self.II, W, W)
+        W = self.whitener[..., None, :, :]  # one W for the C normal components
+        return W.mT @ self.II @ W
 
 
 def fundamental_data(jet: Jet2) -> FundamentalData:
@@ -72,12 +72,15 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
         g = J.mT @ J
         # tangential projector via a thin QR frame; P_perp = I - Q Q^T
         Q, _ = np.linalg.qr(J)
-        II = H - np.einsum("...ca,...ba,...bij->...cij", Q, Q, H)
+        QtH = np.einsum("...ba,...bij->...aij", Q, H)  # contract N first: O(N n^3)
+        II = H - np.einsum("...ca,...aij->...cij", Q, QtH)
     if not (np.isfinite(g).all() and np.isfinite(II).all()):
         raise ValueError("the metric or the second fundamental form overflows float64")
     evals, evecs = np.linalg.eigh(g)
-    if np.any(evals[..., 0] <= 1e-18 * np.maximum(evals[..., -1], 1.0)):
+    if np.any(evals[..., 0] <= 1e-18 * evals[..., -1]):  # relative: any scale is kept
         raise ValueError("rank-deficient Jacobian: not an immersion point")
+    if np.any(evals[..., 0] < np.finfo(float).tiny):  # subnormal: digits are lost
+        raise ValueError("the metric underflows float64")
     whitener = (evecs * evals[..., None, :] ** -0.5) @ evecs.mT  # g^{-1/2}
     return FundamentalData(g=g, II=II, whitener=whitener)
 
@@ -122,7 +125,7 @@ def _quartic(M: np.ndarray, w: np.ndarray):
     return V, q, np.einsum("bkc,bkc->bk", q, q)
 
 
-def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
+def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol):
     """Monotone ascent of F(w) = sum_c (w^T M_c w)^2 on the sphere, all lanes at once.
 
     G = sum_c q_c M_c w is grad F / 4.  The eigenpairs (p_i, u_i) of the
@@ -138,7 +141,7 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
     means by more than the rounding error of evaluating F: near a maximum F is
     flat to rounding while the gradient is still ~sqrt(eps).  A lane stops
     once the tangential gradient of sqrt(F), 2 |G - F w| / sqrt(F), is at most
-    tol.  Returns (F, w).
+    tol, a float or (B, 1).  Returns F, w and that gradient (0 at F = 0).
     """
     n = w.shape[-1]
     shift_km = 3.0 * np.einsum("bcij,bcij->b", M, M)[:, None]
@@ -149,13 +152,14 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
     noise = 4.0 * n * np.finfo(float).eps * shift_km
     eye = np.eye(n)
     active = np.ones(w.shape[:2], dtype=bool)
-    for _ in range(iters):
+    for step in range(iters + 1):
         V, q, F = _quartic(M, w)
         G = np.einsum("bkc,bkci->bki", q, V)
         resid = G - F[..., None] * w
-        active &= 2.0 * np.linalg.norm(resid, axis=-1) > tol * np.sqrt(F)
-        if not active.any():
-            break
+        r, sqrt_F = 2.0 * np.linalg.norm(resid, axis=-1), np.sqrt(F)
+        active &= r > tol * sqrt_F
+        if step == iters or not active.any():
+            return F, w, r / np.where(F > 0.0, sqrt_F, 1.0)
         hess = 8.0 * np.einsum("bkci,bkcj->bkij", V, V) \
             + 4.0 * np.einsum("bkc,bcij->bkij", q, M)
         ww = w[..., :, None] * w[..., None, :]
@@ -180,36 +184,36 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol: float):
             F1 = np.where(drop, _quartic(M, w2)[2], F1)
         active &= F1 >= F - noise
         w = np.where(active[..., None], w1, w)
-    return _quartic(M, w)[2], w
 
 
 def _direction_search(M: np.ndarray, tol: float, seed: int):
-    """Max over unit w of F_b(w) = sum_c (w^T M_bc w)^2 for a (B, C, n, n) stack.
+    """Max over unit w of sqrt(F_b(w)), F_b(w) = sum_c (w^T M_bc w)^2, for a (B, C, n, n) stack.
 
     _N_CANDIDATES unit directions, drawn once from default_rng(seed), serve
     every basepoint; F at all of them is one matrix product of the flattened
     M_c with the candidates' outer products, (B*C, n*n) @ (n*n, K).  The best
-    _N_STARTS per basepoint start the ascent, all lanes at once.  Returns F
-    (B,) and the maximizing unit directions (B, n); a zero form gives F = 0
-    along e_0 (the ascent is scale-free, so any nonzero form is searched).
+    _N_STARTS per basepoint start the ascent, all lanes at once, on M / 2^k
+    with max |M / 2^k| in [1/2, 1): no power of F overflows, and a power of
+    two scales every step exactly.  Returns sqrt(F) (B,), the maximizing unit
+    directions (B, n) and the tangential gradient of sqrt(F) there (B,); a
+    zero form gives 0 along e_0 (any nonzero form is searched).
     """
     B, C, n, _ = M.shape
-    F = np.zeros(B)
-    w = np.zeros((B, n))
-    w[:, 0] = 1.0
+    curv, grad, w = np.zeros(B), np.zeros(B), np.eye(1, n).repeat(B, axis=0)
     live = np.any(M != 0.0, axis=(1, 2, 3))
     if live.any():
-        Ml = M[live]
+        scale = np.ldexp(1.0, np.frexp(np.abs(M[live]).max(axis=(1, 2, 3)))[1])
+        Ml = M[live] / scale[:, None, None, None]
         cand = _random_directions(n, _N_CANDIDATES, seed)
         outer = np.einsum("ki,kj->ijk", cand, cand).reshape(n * n, -1)
         q = (Ml.reshape(-1, n * n) @ outer).reshape(len(Ml), C, -1)
         top = np.argsort(-np.einsum("bck,bck->bk", q, q), axis=1,
                          kind="stable")[:, :_N_STARTS]
-        Fk, wk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol)
-        best = np.argmax(Fk, axis=1)
-        F[live] = Fk[np.arange(len(best)), best]
-        w[live] = wk[np.arange(len(best)), best]
-    return F, w
+        Fk, wk, gk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol / scale[:, None])
+        best = np.arange(len(Ml)), np.argmax(Fk, axis=1)
+        curv[live], w[live] = np.sqrt(Fk[best]) * scale, wk[best]
+        grad[live] = gk[best] * scale
+    return curv, w, grad
 
 
 def normal_curvature_at(
@@ -227,18 +231,15 @@ def normal_curvature_at(
     What the value certifies: it is ||II(t,t)|| at a g-unit direction t that
     was found, so it is a lower bound on the sup, never an upper bound.  It is
     at least ||II|| at every one of 256 unit directions drawn from ``seed``,
-    because the 8 best of them start a monotone ascent: Newton steps where
-    ||II||^2 is concave on the unit sphere, shifted power steps (SS-HOPM with
-    an adaptive shift) elsewhere.  Each start stops once the tangential
-    gradient of ||II(t,t)|| is at most ``tol``, so t is stationary to ``tol``
-    unless 120 steps ran out first.  A stationary point can be a lesser local
-    maximum whose basin no start fell in.  Any intrinsic dimension is
-    accepted.
+    because the 8 best of them start a monotone ascent (_ascend) that stops
+    once the tangential gradient of ||II(t,t)|| is at most ``tol`` or 120
+    steps ran out.  A stationary point can be a lesser local maximum whose
+    basin no start fell in.  Any intrinsic dimension is accepted.
     """
     M = fd.whitened_form()
     batch = M.shape[:-3]
-    F, w = _direction_search(M.reshape((-1,) + M.shape[-3:]), tol, seed)
-    curv = _scalar(np.sqrt(F).reshape(batch))  # F = curv^2
+    curv, w, _ = _direction_search(M.reshape((-1,) + M.shape[-3:]), tol, seed)
+    curv = _scalar(curv.reshape(batch))
     if return_direction:
         return curv, (fd.whitener @ w.reshape(batch + (fd.n, 1)))[..., 0]
     return curv
@@ -249,19 +250,24 @@ def normal_curvature_global(
     n_points: int = 20,
     seed: int = DEFAULT_SEED,
 ) -> dict:
-    """Supremum of the pointwise normal curvature over sampled basepoints.
+    """Sup of the pointwise normal curvature over the orbit space.
 
-    The sampled basepoints go through jet, forms and direction search as one
-    stack.
-    """
+    curv is constant on the orbits of the isometries that preserve the
+    immersion, so one stacked search visits ``spec.orbit_nodes(n_points)``.
+    ``sup`` is the largest node value, ``per_point_spread`` the largest minus
+    the least, and ``stationarity`` the winning direction's tangential
+    gradient of ||II(t,t)|| over ``sup``: unit-free, as rounding leaves about
+    eps * sup (0.003 on a sphere of radius 1e-13)."""
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    us = sample_params(spec, n_points, np.random.default_rng(seed))
-    vals = normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed)
+    fd = fundamental_data(jet2(spec, spec.orbit_nodes(n_points)))
+    vals, _, grad = _direction_search(fd.whitened_form(), _STATIONARY_TOL, seed)
+    best = int(np.argmax(vals))
     return {
-        "sup": float(vals.max()),
+        "sup": float(vals[best]),
         "per_point_spread": float(vals.max() - vals.min()),
-        "n_points": int(n_points),
+        "n_points": len(vals),
+        "stationarity": float(grad[best] / vals[best]) if vals[best] > 0 else 0.0,
     }
 
 

@@ -10,7 +10,7 @@ embeddings of projective spaces, and tube encirclings of round spheres.
 
 Parameter domains are unbounded; angle coordinates wrap.  Hyperspherical charts
 are singular at the poles (``sin`` of a polar angle vanishing), so samplers
-keep away from chart boundaries.
+keep away from chart boundaries, and orbit charts use regular points only.
 """
 
 from __future__ import annotations
@@ -215,7 +215,8 @@ class ImmersionSpec:
     A kind sets ``kind`` (its JSON name), ``wire`` (the JSON key and parser of
     each field, in field order), ``chart_dims`` (the dimensions of its
     hyperspherical charts, in parameter order; none for tori), its
-    ``ambient_dim``, its ``declared_radius`` and its analytic ``_jet``.
+    ``ambient_dim``, its ``declared_radius`` and its analytic ``_jet``.  A
+    kind that is not homogeneous also sets its ``orbit_nodes``.
     """
 
     kind: ClassVar[str]
@@ -231,6 +232,13 @@ class ImmersionSpec:
         """Parameter columns holding a chart's polar angles: all but its last."""
         ends = np.cumsum(self.chart_dims, dtype=int)
         return [c for m, e in zip(self.chart_dims, ends) for c in range(e - m, e - 1)]
+
+    def orbit_nodes(self, n_points: int) -> np.ndarray:
+        """(B, n) chart points meeting every orbit of the symmetry group: for a
+        homogeneous kind, one regular node, polar columns at pi/2, others at 0."""
+        u = np.zeros((1, self.intrinsic_dim))
+        u[:, self.polar_columns] = math.pi / 2
+        return u
 
 
 @dataclass(frozen=True)
@@ -326,25 +334,35 @@ class Tube(ImmersionSpec):
     ambient_dim = property(lambda self: self.n1 + 1 + self.n2)
     declared_radius = property(lambda self: self.base_r + self.rho)
 
+    def orbit_nodes(self, n_points: int) -> np.ndarray:
+        """max(n_points, 2) nodes on the normal-sphere azimuth phi in [0, pi], ends
+        included: SO(n1+1) x SO(n2) has the level sets of cos phi as orbits (Hsiang
+        & Lawson 1971), and phi = pi is the inner sphere, where 1/(r - rho) is."""
+        u = np.repeat(super().orbit_nodes(1), max(n_points, 2), axis=0)
+        u[:, -1] = np.linspace(0.0, math.pi, len(u))
+        return u
+
     def _jet(self, u):
-        n1, r, rho = self.n1, self.base_r, self.rho
+        n1, n2, r, rho = self.n1, self.n2, self.base_r, self.rho
         s, Js, Hs = _sphere_chart_jet(u[..., :n1], r)  # base sphere S^{n1}(r)
         w, Jw, Hw = _sphere_chart_jet(u[..., n1:], 1.0)  # normal sphere S^{n2}(1)
-        a = 1.0 + (rho / r) * w[..., 0, None]
-        da = (rho / r) * Jw[..., None, 0, :]  # 1 x n2
-        dda = (rho / r) * Hw[..., None, 0, :, :]  # 1 x n2 x n2
-        point = np.concatenate([a * s, rho * w[..., 1:]], axis=-1)
+        k = n2 - 1  # distinguished: the azimuthal coordinate, regular at phi = 0, pi
+        others = [i for i in range(n2 + 1) if i != k]
+        a = 1.0 + (rho / r) * w[..., k, None]
+        da = (rho / r) * Jw[..., None, k, :]  # 1 x n2
+        dda = (rho / r) * Hw[..., None, k, :, :]  # 1 x n2 x n2
+        point = np.concatenate([a * s, rho * w[..., others]], axis=-1)
         N, n = self.ambient_dim, self.intrinsic_dim
         jac, hess = np.zeros(a.shape[:-1] + (N, n)), np.zeros(a.shape[:-1] + (N, n, n))
         jac[..., : n1 + 1, :n1] = a[..., None] * Js
         jac[..., : n1 + 1, n1:] = s[..., None] * da
-        jac[..., n1 + 1 :, n1:] = rho * Jw[..., 1:, :]
+        jac[..., n1 + 1 :, n1:] = rho * Jw[..., others, :]
         hess[..., : n1 + 1, :n1, :n1] = a[..., None, None] * Hs
         cross = Js[..., None] * da[..., None, :]
         hess[..., : n1 + 1, :n1, n1:] = cross
         hess[..., : n1 + 1, n1:, :n1] = np.swapaxes(cross, -1, -2)
         hess[..., : n1 + 1, n1:, n1:] = s[..., None, None] * dda
-        hess[..., n1 + 1 :, n1:, n1:] = rho * Hw[..., 1:, :, :]
+        hess[..., n1 + 1 :, n1:, n1:] = rho * Hw[..., others, :, :]
         return point, jac, hess
 
 

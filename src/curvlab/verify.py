@@ -46,12 +46,14 @@ def _rec(check_id, expected, got, tol, note=None):
 
 
 def check_clifford(seed=DEFAULT_SEED):
-    out = []
+    out = []  # one search: the orbit node, and 20 random basepoints to test homogeneity
     for N in (2, 3, 4):
-        res = normal_curvature_global(immersions.clifford_torus(N),
-                                      n_points=20, seed=seed)
-        out.append(_rec(f"clifford-N{N}", math.sqrt(N), res["sup"], 1e-6))
-        out.append(_rec(f"clifford-N{N}-spread", 0.0, res["per_point_spread"], 1e-6))
+        spec = immersions.clifford_torus(N)
+        us = np.vstack([spec.orbit_nodes(1),
+                        sample_params(spec, 20, np.random.default_rng(seed))])
+        vals = normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed)
+        out.append(_rec(f"clifford-N{N}", math.sqrt(N), float(vals[0]), 1e-6))
+        out.append(_rec(f"clifford-N{N}-spread", 0.0, float(vals.max() - vals.min()), 1e-6))
     return out
 
 
@@ -99,8 +101,7 @@ def check_hilbert(seed=DEFAULT_SEED):
 def check_veronese(seed=DEFAULT_SEED):
     out = []
     for m in (2, 3):
-        res = normal_curvature_global(immersions.veronese(m), n_points=12, seed=seed)
-        got = res["sup"]
+        got = normal_curvature_global(immersions.veronese(m), seed=seed)["sup"]
         out.append(_rec(f"veronese-m{m}-curv", math.sqrt(2.0 * m / (m + 1)), got, 1e-4))
         out.append(_rec(f"veronese-m{m}-spherical",
                         math.sqrt((m - 1) / (m + 1)),
@@ -110,23 +111,13 @@ def check_veronese(seed=DEFAULT_SEED):
     return out
 
 
-def _tube_sup(spec, seed, n_random=6):
-    """Sup of pointwise curvature including the extremal inner/outer circles."""
-    us = np.vstack([sample_params(spec, n_random, np.random.default_rng(seed)),
-                    [[0.3, 0.0], [0.3, math.pi], [1.7, 0.0], [1.7, math.pi]]])
-    return float(normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed).max())
-
-
 def check_tube(seed=DEFAULT_SEED):
-    got = _tube_sup(immersions.tube_encircle(2.0 / 3.0, 1, 1, 1.0 / 3.0), seed)
-    out = [_rec("tube-balanced", 3.0, got, 1e-6)]
-    worst = 0.0
-    for r in np.linspace(0.5, 1.2, 5):
-        for frac in (0.2, 0.35, 0.5, 0.65):
-            rho = frac * r
-            expected = max(1.0 / rho, 1.0 / (r - rho))
-            got = _tube_sup(immersions.tube_encircle(r, 1, 1, rho), seed)
-            worst = max(worst, abs(got - expected))
+    def sup(r, rho):  # 5 orbit nodes: both extremal circles and 3 between
+        return normal_curvature_global(immersions.tube_encircle(r, 1, 1, rho),
+                                       n_points=5, seed=seed)["sup"]
+    out = [_rec("tube-balanced", 3.0, sup(2.0 / 3.0, 1.0 / 3.0), 1e-6)]
+    worst = max(abs(sup(r, f * r) - max(1.0 / (f * r), 1.0 / (r - f * r)))
+                for r in np.linspace(0.5, 1.2, 5) for f in (0.2, 0.35, 0.5, 0.65))
     out.append(_rec("tube-grid", 0.0, worst, 1e-6, note="20 (r, rho) pairs"))
     return out
 
@@ -220,11 +211,8 @@ def check_bessel_bounds(seed=DEFAULT_SEED):
         _rec("bessel-j-minus-half", math.pi / 2, bounds.bessel_j_zero(-0.5), 1e-10),
         _rec("bessel-j-zero", 2.404826, bounds.bessel_j_zero(0.0), 1e-6),
     ]
-    bracket_ok = True
-    for nu in range(1, 11):
-        lo, hi = bounds.bessel_bracket(nu)
-        j = bounds.bessel_j_zero(nu)
-        bracket_ok &= lo < j < hi
+    brackets = [(bounds.bessel_bracket(nu), bounds.bessel_j_zero(nu)) for nu in range(1, 11)]
+    bracket_ok = all(lo < j < hi for (lo, hi), j in brackets)
     out.append(_rec("bessel-bracket", True, bracket_ok, 0, note="nu = 1..10"))
     out.append(_rec("focal-exceeds-2.5", True, bounds.lower_focal(8, 1.0) > 2.5, 0,
                     note=f"lower_focal(8,1) = {bounds.lower_focal(8, 1.0):.4f}"))

@@ -2,6 +2,7 @@
 and the design pipeline (exact construction -> verify -> torus -> curvature).
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -739,3 +740,64 @@ def test_csv_output_format(sphere_spec, capsys):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("curv,") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the parser each call builds
+
+PARSE_CASES = [
+    [], ["-h"], ["bogus"], ["--seed", "1"],
+    *([cmd, "--help"] for cmd in cli.COMMANDS),
+    *([cmd, "--bogus"] for cmd in cli.COMMANDS),
+    ["design", "torus", "--help"], ["design", "hilbert", "--n", "0"], ["design", "bogus"],
+    ["curve", "arm", "--help"], ["curve", "bow", "x"], ["bounds", "report", "--n-min", "a"],
+    ["curv"], ["curv", "x", "--points", "0"], ["curv", "x", "--tol", "-1"],
+    ["verify-paper", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "none")
+def test_main_prints_the_full_parsers_help_and_flag_errors(argv):
+    # main adds arguments to the invoked sub-command only: what it prints, and
+    # its exit code, are those of the parser with every sub-command built
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_:
+            parse()
+        return exit_.value.code, out.getvalue(), err.getvalue()
+    assert outcome(lambda: cli.main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
+
+
+def test_main_builds_only_the_invoked_subcommand(monkeypatch):
+    built = set()
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recorded(self, *args, **kwargs):
+        if args[:1] != ("-h",):
+            built.add(self.prog)
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-paper", "--only", "scope"]) == 0
+    assert built == {"curvlab verify-paper"}
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 11  # every command and nested sub-command that takes arguments
+
+
+def test_curv_status_reads_convergence_not_spread(tmp_path, capsys, monkeypatch):
+    # the tube's nodes differ by 1.32, and its search converged
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps({"kind": "tube", "r": 1.0, "n1": 1, "n2": 1, "rho": 0.65}))
+    code, out, _ = run(capsys, "curv", str(path), "--no-meta")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "OK"
+    assert payload["curv"] == pytest.approx(1.0 / 0.35, rel=0, abs=1e-12)
+    assert payload["per_point_spread"] > 1.0 and payload["n_points"] == 20
+    # an ascent given no steps leaves the best candidate direction unpolished
+    from curvlab import curvature
+    monkeypatch.setattr(curvature, "_MAX_ASCENT_STEPS", 0)
+    code, out, _ = run(capsys, "curv", str(path), "--no-meta")
+    assert code == cli.EXIT_NON_CONVERGED
+    assert json.loads(out)["status"] == "NON_CONVERGED"

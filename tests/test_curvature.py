@@ -30,11 +30,16 @@ def test_sphere_directional_curvature_is_reciprocal_radius():
         assert math.isclose(cv.curv_dir(fd, tau), 0.5, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("n,R", [(1, 1.0), (2, 0.5), (3, 2.0)])
+# the rank test is relative (the metric's eigenvalues are R^2), and the search
+# runs on the form over a power of two, so no power of curv overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n,R", [(1, 1.0), (2, 0.5), (3, 2.0), (2, 1e-100), (3, 1e150),
+                                 *((n, R) for R in (1e-9, 1e-12) for n in (1, 2, 3))])
 def test_sphere_normal_curvature(n, R):
     res = cv.normal_curvature_global(im.round_sphere(n, R), n_points=5)
-    assert abs(res["sup"] - 1.0 / R) < 1e-9
+    assert math.isclose(res["sup"], 1.0 / R, rel_tol=1e-12)
     assert res["per_point_spread"] < 1e-9
+    assert res["stationarity"] < 1e-12  # unit-free: the gradient over curv
 
 
 def test_sphere_product_curvature_is_max_reciprocal_radius():
@@ -373,7 +378,7 @@ def many_start_max(M, n_starts, rng):
         w /= np.linalg.norm(w, axis=1, keepdims=True)
     q = np.einsum("kci,ki->kc", (w @ Mf).reshape(n_starts, C, n), w)
     best = np.argsort(np.einsum("kc,kc->k", q, q))[-16:]
-    F, _ = cv._ascend(M[None], w[best][None], 500, 1e-9)
+    F, _, _ = cv._ascend(M[None], w[best][None], 500, 1e-9)
     return math.sqrt(float(F.max()))
 
 
@@ -414,3 +419,93 @@ def test_curv_and_gauss_map_import_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# orbit search, scale and contraction order
+
+HOMOGENEOUS = [im.round_sphere(1, 1.0), im.round_sphere(3, 2.0),
+               im.sphere_product([(1, 0.5), (2, 2.0)]), im.clifford_torus(4),
+               im.torus_linear([[1.0, 0.0], [0.6, 0.8]]), im.veronese(3)]
+
+
+@pytest.mark.parametrize("spec", HOMOGENEOUS, ids=lambda s: s.kind)
+def test_homogeneous_kinds_search_one_regular_node(spec):
+    u = spec.orbit_nodes(20)
+    assert u.shape == (1, spec.intrinsic_dim)
+    polar = np.zeros(spec.intrinsic_dim, dtype=bool)
+    polar[spec.polar_columns] = True
+    assert np.all(u[0, polar] == math.pi / 2) and np.all(u[0, ~polar] == 0.0)
+    res = cv.normal_curvature_global(spec, n_points=20)
+    assert res["n_points"] == 1 and res["per_point_spread"] == 0.0
+    # the node's value is the value at random basepoints
+    us = im.sample_params(spec, 8, np.random.default_rng(3))
+    assert np.allclose(cv.normal_curvature_at(cv.fundamental_data(im.jet2(spec, us))),
+                       res["sup"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3, 20])
+def test_tube_nodes_span_phi_from_zero_to_pi(n_points):
+    spec = im.tube_encircle(1.0, 2, 2, 0.65)
+    u = spec.orbit_nodes(n_points)
+    assert u.shape == (max(n_points, 2), 4)
+    assert u[0, -1] == 0.0 and u[-1, -1] == math.pi
+    assert np.all(np.diff(u[:, -1]) > 0) and np.all(u[:, :-1] == u[0, :-1])
+    # the distinguished normal coordinate runs from the outer sphere to the inner one
+    point = im.jet2(spec, u).point
+    np.testing.assert_allclose(np.linalg.norm(point[:, :3], axis=1),
+                               1.0 + 0.65 * np.cos(u[:, -1]), rtol=0, atol=1e-15)
+    res = cv.normal_curvature_global(spec, n_points=n_points)
+    assert res["n_points"] == max(n_points, 2)
+    assert abs(res["sup"] - 1.0 / 0.35) < 1e-6
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tube_chart_is_regular_at_the_extremal_spheres(n1, n2):
+    # the azimuthal normal coordinate keeps phi = 0 and pi off the chart's poles
+    spec = im.tube_encircle(1.0, n1, n2, 0.4)
+    jet = im.jet2(spec, spec.orbit_nodes(2))
+    jet.validate()
+    sv = np.linalg.svd(jet.jac, compute_uv=False)
+    assert np.all(sv[:, -1] > 0.3)
+
+
+def test_orbit_search_needs_no_basepoint_draws(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_params called")
+    monkeypatch.setattr(im, "sample_params", forbidden)
+    for spec in HOMOGENEOUS + [im.tube_encircle(1.0, 1, 1, 0.65)]:
+        cv.normal_curvature_global(spec)
+
+
+def test_degenerate_and_underflowing_metrics_are_rejected():
+    zero = im.Jet2(point=np.zeros(3), jac=np.zeros((3, 2)), hess=np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        cv.fundamental_data(zero)
+    flat = im.Jet2(point=np.zeros(3), jac=np.array([[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0]]),
+                   hess=np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        cv.fundamental_data(flat)
+    # a subnormal metric has lost its digits (R = 1e-160 gave curv off by 1e-5)
+    with pytest.raises(ValueError, match="underflows"):
+        fd_at(im.round_sphere(2, 1e-160), [1.0, 0.5])
+
+
+def test_power_of_two_scaling_leaves_the_search_bit_identical():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        fd = random_form(rng, 2 + trial % 4, 6 + trial % 3)
+        M = fd.whitened_form()[None]
+        a = cv._direction_search(M, 1e-9, trial)
+        b = cv._direction_search(M * 2.0 ** (trial - 10), 1e-9 * 2.0 ** (trial - 10), trial)
+        assert b[0][0] == a[0][0] * 2.0 ** (trial - 10)
+        assert np.array_equal(a[1], b[1])
+
+
+def test_contraction_order_reaches_high_dimension():
+    # Q (Q^T H) and W^T II W: two-operand contractions, O(N n^3) per basepoint
+    assert abs(cv.normal_curvature_global(im.clifford_torus(48))["sup"]
+               - math.sqrt(48.0)) < 1e-12
+    assert abs(cv.normal_curvature_global(im.veronese(12))["sup"]
+               - math.sqrt(24.0 / 13.0)) < 1e-12
+
