@@ -17,7 +17,7 @@ def main():
     print("=== Clifford torus curvature ===")
     for N in (2, 3, 4, 5):
         spec = im.clifford_torus(N)
-        res = cv.normal_curvature_global(spec, n_points=10)
+        res = cv.normal_curvature_global(spec)
         print(f"  N={N}: measured curv = {res['sup']:.9f}   "
               f"sqrt(N) = {np.sqrt(N):.9f}   "
               f"basepoint spread = {res['per_point_spread']:.1e}")

@@ -19,7 +19,7 @@ from curvlab import designs as dg
 
 def measure(design, label):
     spec = dg.torus_immersion_from_design(design)
-    res = cv.normal_curvature_global(spec, n_points=10)
+    res = cv.normal_curvature_global(spec)
     n = design.n
     target = math.sqrt(3.0 * n / (n + 2))
     print(f"  {label}: curv = {res['sup']:.9f}   "

@@ -8,7 +8,8 @@ with a one-line ``error:`` message, as does an input outside a routine's
 domain, a spec whose forms overflow float64, or one too large for memory.
 The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
 overrides it, and an explicit --seed flag wins over both.
-``curv`` searches the orbit space (one node for a homogeneous kind) and its
+``curv`` searches the orbit space (one node for a homogeneous kind, two for
+the tube), reads the pointwise invariants at the first node, and its
 ``status`` is OK when the search converged to ``--tol`` (see curvature).
 """
 
@@ -34,7 +35,7 @@ from .curvature import (
     petrunin_pi,
     scalar_curvature_gauss,
 )
-from .immersions import jet2, sample_params
+from .immersions import jet2
 
 EXIT_PARSE = 1
 EXIT_NON_CONVERGED = 2
@@ -90,17 +91,22 @@ def _emit(payload: dict, args) -> None:
     if args.format == "csv":  # every command takes --format
         lines = [f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
                  for k, v in sorted(payload.items())]
-        _write("\n".join(["key,value", *lines]) + "\n", args)
+        _write("\n".join(["key,value", *lines]) + "\n", args.out)
     else:
-        _write(json.dumps({**payload, "meta": _meta(args)}, indent=2, sort_keys=True) + "\n", args)
+        _write(json.dumps({**payload, "meta": _meta(args)}, indent=2, sort_keys=True) + "\n",
+               args.out)
 
 
-def _write(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, path) -> None:
+    """text to stdout, or to path; an unwritable path raises a one-line ValueError."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from None
 
 
 def _load(path: str, parse):
@@ -134,9 +140,8 @@ def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
 # commands
 
 def _curvature_payload(spec, args) -> dict:
-    res = normal_curvature_global(spec, n_points=args.points, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    fd = fundamental_data(jet2(spec, sample_params(spec, 1, rng)[0]))
+    res = normal_curvature_global(spec, seed=args.seed)
+    fd = fundamental_data(jet2(spec, spec.orbit_nodes()[0]))
     H = mean_curvature(fd)
     return {
         "curv": res["sup"],
@@ -238,21 +243,24 @@ def cmd_curve(args) -> int:
 def cmd_bounds(args) -> int:
     rep = bounds.report(args.n_min, args.n_max)
     if args.format == "csv":
-        _write(bounds.report_to_csv(rep), args)
+        _write(bounds.report_to_csv(rep), args.out)
     else:
         _emit({**rep, "rows": [asdict(e) for e in rep["rows"]]}, args)
     return 0 if rep["ok"] else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:
+    if args.out:  # before the checks run, so an unusable directory fails at once
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise ValueError(f"{args.out}: {e.strerror}") from None
     records = list(verify.run_checks(only=args.only, seed=args.seed))
     lines = [json.dumps(r, sort_keys=True) for r in records]
     for line in lines:
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "results.jsonl"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", os.path.join(args.out, "results.jsonl"))
     n_fail = sum(not r["pass"] for r in records)
     print(f"{len(records) - n_fail}/{len(records)} checks passed", file=sys.stderr)
     return 0 if n_fail == 0 else EXIT_VERIFY
@@ -292,10 +300,8 @@ def _parser(command) -> argparse.ArgumentParser:
         p.add_argument("--no-meta", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
 
-    points = "orbit-space nodes; a homogeneous kind has one"
     if p := add("curv", "curvature report for an immersion spec", cmd_curv):
         p.add_argument("spec", help="immersion spec JSON file")
-        p.add_argument("--points", type=_positive_int, default=20, help=points)
         common(p)
 
     if p := add("design", "degree-4 spherical design tools", cmd_design):
@@ -317,7 +323,6 @@ def _parser(command) -> argparse.ArgumentParser:
         pt.add_argument("file")
         pt.add_argument("--curv", action="store_true",
                         help="also run the curvature report on the result")
-        pt.add_argument("--points", type=_positive_int, default=20, help=points)
         common(pt)
 
     if p := add("curve", "discrete-curve inequality checkers", cmd_curve):

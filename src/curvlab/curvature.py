@@ -216,12 +216,8 @@ def _direction_search(M: np.ndarray, tol: float, seed: int):
     return curv, w, grad
 
 
-def normal_curvature_at(
-    fd: FundamentalData,
-    tol: float = _STATIONARY_TOL,
-    seed: int = DEFAULT_SEED,
-    return_direction: bool = False,
-):
+def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,
+                        return_direction: bool = False):
     """max over g-unit tangent directions of ||II(t,t)||.
 
     ``fd`` holds the forms at one basepoint (from u of shape (n,)), or at a
@@ -232,35 +228,30 @@ def normal_curvature_at(
     was found, so it is a lower bound on the sup, never an upper bound.  It is
     at least ||II|| at every one of 256 unit directions drawn from ``seed``,
     because the 8 best of them start a monotone ascent (_ascend) that stops
-    once the tangential gradient of ||II(t,t)|| is at most ``tol`` or 120
-    steps ran out.  A stationary point can be a lesser local maximum whose
+    once the tangential gradient of ||II(t,t)|| is at most 1e-9 or 120 steps
+    ran out.  A stationary point can be a lesser local maximum whose
     basin no start fell in.  Any intrinsic dimension is accepted.
     """
     M = fd.whitened_form()
     batch = M.shape[:-3]
-    curv, w, _ = _direction_search(M.reshape((-1,) + M.shape[-3:]), tol, seed)
+    curv, w, _ = _direction_search(M.reshape((-1,) + M.shape[-3:]), _STATIONARY_TOL, seed)
     curv = _scalar(curv.reshape(batch))
     if return_direction:
         return curv, (fd.whitener @ w.reshape(batch + (fd.n, 1)))[..., 0]
     return curv
 
 
-def normal_curvature_global(
-    spec: ImmersionSpec,
-    n_points: int = 20,
-    seed: int = DEFAULT_SEED,
-) -> dict:
+def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> dict:
     """Sup of the pointwise normal curvature over the orbit space.
 
     curv is constant on the orbits of the isometries that preserve the
-    immersion, so one stacked search visits ``spec.orbit_nodes(n_points)``.
+    immersion, so one stacked search visits ``spec.orbit_nodes()``: one node
+    for a homogeneous kind, the inner and outer spheres for the tube.
     ``sup`` is the largest node value, ``per_point_spread`` the largest minus
-    the least, and ``stationarity`` the winning direction's tangential
-    gradient of ||II(t,t)|| over ``sup``: unit-free, as rounding leaves about
-    eps * sup (0.003 on a sphere of radius 1e-13)."""
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
-    fd = fundamental_data(jet2(spec, spec.orbit_nodes(n_points)))
+    the least, ``n_points`` the node count, and ``stationarity`` the winning
+    direction's tangential gradient of ||II(t,t)|| over ``sup``: unit-free, as
+    rounding leaves about eps * sup (0.003 on a sphere of radius 1e-13)."""
+    fd = fundamental_data(jet2(spec, spec.orbit_nodes()))
     vals, _, grad = _direction_search(fd.whitened_form(), _STATIONARY_TOL, seed)
     best = int(np.argmax(vals))
     return {

@@ -233,7 +233,7 @@ class ImmersionSpec:
         ends = np.cumsum(self.chart_dims, dtype=int)
         return [c for m, e in zip(self.chart_dims, ends) for c in range(e - m, e - 1)]
 
-    def orbit_nodes(self, n_points: int) -> np.ndarray:
+    def orbit_nodes(self) -> np.ndarray:
         """(B, n) chart points meeting every orbit of the symmetry group: for a
         homogeneous kind, one regular node, polar columns at pi/2, others at 0."""
         u = np.zeros((1, self.intrinsic_dim))
@@ -334,12 +334,15 @@ class Tube(ImmersionSpec):
     ambient_dim = property(lambda self: self.n1 + 1 + self.n2)
     declared_radius = property(lambda self: self.base_r + self.rho)
 
-    def orbit_nodes(self, n_points: int) -> np.ndarray:
-        """max(n_points, 2) nodes on the normal-sphere azimuth phi in [0, pi], ends
-        included: SO(n1+1) x SO(n2) has the level sets of cos phi as orbits (Hsiang
-        & Lawson 1971), and phi = pi is the inner sphere, where 1/(r - rho) is."""
-        u = np.repeat(super().orbit_nodes(1), max(n_points, 2), axis=0)
-        u[:, -1] = np.linspace(0.0, math.pi, len(u))
+    def orbit_nodes(self) -> np.ndarray:
+        """The inner sphere phi = pi, then the outer one phi = 0, on the normal-sphere
+        azimuth: SO(n1+1) x SO(n2) has the level sets of cos phi as orbits (Hsiang &
+        Lawson 1971).  The principal curvatures are 1/rho on the fibre and
+        cos phi / (r + rho cos phi) on the base (Cecil & Ryan 2015), so curv at phi
+        is max(1/rho, |cos phi| / (r + rho cos phi)): phi = pi carries the sup,
+        max(1/rho, 1/(r - rho)), and phi = 0 the least value, 1/rho."""
+        u = np.repeat(super().orbit_nodes(), 2, axis=0)
+        u[0, -1] = math.pi
         return u
 
     def _jet(self, u):
@@ -474,16 +477,15 @@ def jet2(spec: ImmersionSpec, u) -> Jet2:
     return Jet2(point=point, jac=jac, hess=hess)
 
 
-def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator,
-                  margin: float = 0.4) -> np.ndarray:
-    """Random parameter points, kept away from chart boundaries.
+def sample_params(spec: ImmersionSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Random parameter points, polar angles kept 0.4 from the chart's poles.
 
     The draw order is part of the output: one uniform (n_samples, n) draw,
     then one draw per polar column in increasing column order.
     """
     u = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, spec.intrinsic_dim))
     for c in spec.polar_columns:
-        u[:, c] = rng.uniform(margin, math.pi - margin, size=n_samples)
+        u[:, c] = rng.uniform(0.4, math.pi - 0.4, size=n_samples)
     return u
 
 

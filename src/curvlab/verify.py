@@ -49,7 +49,7 @@ def check_clifford(seed=DEFAULT_SEED):
     out = []  # one search: the orbit node, and 20 random basepoints to test homogeneity
     for N in (2, 3, 4):
         spec = immersions.clifford_torus(N)
-        us = np.vstack([spec.orbit_nodes(1),
+        us = np.vstack([spec.orbit_nodes(),
                         sample_params(spec, 20, np.random.default_rng(seed))])
         vals = normal_curvature_at(fundamental_data(jet2(spec, us)), seed=seed)
         out.append(_rec(f"clifford-N{N}", math.sqrt(N), float(vals[0]), 1e-6))
@@ -112,9 +112,8 @@ def check_veronese(seed=DEFAULT_SEED):
 
 
 def check_tube(seed=DEFAULT_SEED):
-    def sup(r, rho):  # 5 orbit nodes: both extremal circles and 3 between
-        return normal_curvature_global(immersions.tube_encircle(r, 1, 1, rho),
-                                       n_points=5, seed=seed)["sup"]
+    def sup(r, rho):  # the orbit nodes are the inner and outer circles
+        return normal_curvature_global(immersions.tube_encircle(r, 1, 1, rho), seed=seed)["sup"]
     out = [_rec("tube-balanced", 3.0, sup(2.0 / 3.0, 1.0 / 3.0), 1e-6)]
     worst = max(abs(sup(r, f * r) - max(1.0 / (f * r), 1.0 / (r - f * r)))
                 for r in np.linspace(0.5, 1.2, 5) for f in (0.2, 0.35, 0.5, 0.65))

@@ -62,7 +62,7 @@ def square_curve(tmp_path):
 # curv
 
 def test_curv_sphere(sphere_spec, capsys):
-    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "5")
+    code, out, _ = run(capsys, "curv", sphere_spec)
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["curv"] - 0.5) < 1e-6
@@ -90,6 +90,19 @@ def test_directory_as_input_file_exits_parse(tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["curv", "SPEC", "--out", "MISSING"],
+    ["verify-paper", "--only", "scope", "--out", "FILE"],
+    ["bounds", "report", "--format", "csv", "--out", "DIR"],
+], ids=["curv-missing-directory", "verify-paper-existing-file", "bounds-csv-directory"])
+def test_unwritable_out_exits_parse_with_one_line(argv, sphere_spec, tmp_path, capsys):
+    file = tmp_path / "file.txt"
+    file.write_text("")
+    paths = {"SPEC": sphere_spec, "MISSING": str(tmp_path / "missing" / "x.json"),
+             "FILE": str(file), "DIR": str(tmp_path)}
+    _assert_one_line_parse_error(*run(capsys, *(paths.get(a, a) for a in argv)))
+
+
 def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "mystery", "n": 2}))
@@ -108,7 +121,7 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
 def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run(capsys, "curv", str(path), "--points", "2")
+    code, out, err = run(capsys, "curv", str(path))
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert "Traceback" not in err
@@ -126,10 +139,6 @@ def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("curv", "SPEC", "--points", "0"),
-    ("curv", "SPEC", "--points", "-1"),
-    ("design", "torus", "SPEC", "--curv", "--points", "-3"),
-    ("design", "torus", "SPEC", "--curv", "--points", "0"),
     ("curve", "crofton", "SPEC", "--dirs", "0"),
     ("design", "optimize", "--cardinality", "5", "--n", "0"),
     ("design", "optimize", "--n", "2", "--cardinality", "0"),
@@ -306,8 +315,7 @@ def test_design_pipeline_hilbert_verify_torus_curv(tmp_path, capsys):
     assert json.loads(out)["exact"] is True
     assert json.loads(out)["residual"] == 0.0
 
-    code, out, _ = run(capsys, "design", "torus", str(dfile), "--curv",
-                       "--points", "5")
+    code, out, _ = run(capsys, "design", "torus", str(dfile), "--curv")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["curv"] - math.sqrt(1.5)) < 1e-6
@@ -621,7 +629,7 @@ def test_curv_exits_documented_code_on_any_spec_text(text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["curv", path, "--no-meta", "--points", "4"])
+            code = cli.main(["curv", path, "--no-meta"])
     assert code in range(6)
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_PARSE:
@@ -665,15 +673,15 @@ def test_verify_paper_unknown_group_exits_parse(capsys):
 
 def test_no_meta_reruns_are_byte_identical(sphere_spec, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "curv", sphere_spec, "--points", "4", "--no-meta",
+    run(capsys, "curv", sphere_spec, "--no-meta",
         "--out", str(a))
-    run(capsys, "curv", sphere_spec, "--points", "4", "--no-meta",
+    run(capsys, "curv", sphere_spec, "--no-meta",
         "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_meta_carries_seed_and_tol(sphere_spec, capsys):
-    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4",
+    code, out, _ = run(capsys, "curv", sphere_spec,
                        "--seed", "0x1234", "--no-meta")
     meta = json.loads(out)["meta"]
     assert meta["seed"] == 0x1234
@@ -682,7 +690,7 @@ def test_meta_carries_seed_and_tol(sphere_spec, capsys):
 
 def test_env_seed_override(sphere_spec, capsys, monkeypatch):
     monkeypatch.setenv("CURVLAB_SEED", "0x42")
-    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4",
+    code, out, _ = run(capsys, "curv", sphere_spec,
                        "--no-meta")
     assert json.loads(out)["meta"]["seed"] == 0x42
 
@@ -694,7 +702,7 @@ def test_malformed_env_seed_exits_parse_with_one_line(sphere_spec, capsys, monke
     assert not out
     assert err == "error: CURVLAB_SEED must be an integer literal, got 'zz'\n"
     # an explicit --seed wins, and the environment is then not read
-    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4", "--seed", "5",
+    code, out, _ = run(capsys, "curv", sphere_spec, "--seed", "5",
                        "--no-meta")
     assert code == 0 and json.loads(out)["meta"]["seed"] == 5
 
@@ -706,7 +714,7 @@ NO_SCIPY_COMMANDS = [
     ["bounds", "report"],
     ["design", "optimize", "--n", "3", "--cardinality", "11"],
     ["design", "hilbert", "--n", "2"],
-    ["curv", "CLIFFORD", "--points", "4"],
+    ["curv", "CLIFFORD"],
     ["curve", "crofton", "SQUARE"],
 ]
 
@@ -735,7 +743,7 @@ def test_cli_import_does_not_load_scipy(tmp_path, square_curve):
 
 
 def test_csv_output_format(sphere_spec, capsys):
-    code, out, _ = run(capsys, "curv", sphere_spec, "--points", "4",
+    code, out, _ = run(capsys, "curv", sphere_spec,
                        "--format", "csv")
     lines = out.splitlines()
     assert lines[0] == "key,value"
@@ -794,10 +802,29 @@ def test_curv_status_reads_convergence_not_spread(tmp_path, capsys, monkeypatch)
     payload = json.loads(out)
     assert code == 0 and payload["status"] == "OK"
     assert payload["curv"] == pytest.approx(1.0 / 0.35, rel=0, abs=1e-12)
-    assert payload["per_point_spread"] > 1.0 and payload["n_points"] == 20
+    assert payload["per_point_spread"] > 1.0 and payload["n_points"] == 2
     # an ascent given no steps leaves the best candidate direction unpolished
     from curvlab import curvature
     monkeypatch.setattr(curvature, "_MAX_ASCENT_STEPS", 0)
     code, out, _ = run(capsys, "curv", str(path), "--no-meta")
     assert code == cli.EXIT_NON_CONVERGED
     assert json.loads(out)["status"] == "NON_CONVERGED"
+
+
+def test_tube_pointwise_invariants_are_the_inner_spheres_at_every_seed(tmp_path, capsys):
+    # read at the first orbit node, not at a random basepoint: no seed moves them
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps({"kind": "tube", "r": 1.0, "n1": 2, "n2": 1, "rho": 0.65}))
+    keys = ("pi", "mean_curvature_norm", "scalar_curvature")
+    got = set()
+    for seed in ("0", "1", "7", "1001", "1008", "1025", "0xC0FFEE"):
+        code, out, _ = run(capsys, "curv", str(path), "--seed", seed, "--no-meta")
+        assert code == 0
+        got.add(tuple(json.loads(out)[k] for k in keys))
+    assert len(got) == 1
+    # the inner sphere's principal curvatures: 1/rho on the fibre, -1/(r - rho) twice
+    k = np.array([1.0 / 0.65, -1.0 / 0.35, -1.0 / 0.35])
+    pi, h, sc = got.pop()
+    assert pi == pytest.approx((2.0 * k @ k + k.sum() ** 2) / 15.0, rel=1e-12, abs=0)
+    assert h == pytest.approx(abs(k.sum()), rel=1e-12, abs=0)
+    assert sc == pytest.approx(k.sum() ** 2 - k @ k, rel=1e-12, abs=0)

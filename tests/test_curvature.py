@@ -36,7 +36,7 @@ def test_sphere_directional_curvature_is_reciprocal_radius():
 @pytest.mark.parametrize("n,R", [(1, 1.0), (2, 0.5), (3, 2.0), (2, 1e-100), (3, 1e150),
                                  *((n, R) for R in (1e-9, 1e-12) for n in (1, 2, 3))])
 def test_sphere_normal_curvature(n, R):
-    res = cv.normal_curvature_global(im.round_sphere(n, R), n_points=5)
+    res = cv.normal_curvature_global(im.round_sphere(n, R))
     assert math.isclose(res["sup"], 1.0 / R, rel_tol=1e-12)
     assert res["per_point_spread"] < 1e-9
     assert res["stationarity"] < 1e-12  # unit-free: the gradient over curv
@@ -44,21 +44,21 @@ def test_sphere_normal_curvature(n, R):
 
 def test_sphere_product_curvature_is_max_reciprocal_radius():
     spec = im.sphere_product([(1, 0.5), (2, 2.0)])
-    res = cv.normal_curvature_global(spec, n_points=8)
+    res = cv.normal_curvature_global(spec)
     assert abs(res["sup"] - 2.0) < 1e-9
 
 
 def test_two_circle_product_matches_clifford():
     r = 1.0 / math.sqrt(2.0)
-    prod = cv.normal_curvature_global(im.sphere_product([(1, r), (1, r)]), n_points=5)
-    cliff = cv.normal_curvature_global(im.clifford_torus(2), n_points=5)
+    prod = cv.normal_curvature_global(im.sphere_product([(1, r), (1, r)]))
+    cliff = cv.normal_curvature_global(im.clifford_torus(2))
     assert abs(prod["sup"] - cliff["sup"]) < 1e-9
     assert abs(cliff["sup"] - math.sqrt(2.0)) < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_clifford_curvature(N):
-    res = cv.normal_curvature_global(im.clifford_torus(N), n_points=6)
+    res = cv.normal_curvature_global(im.clifford_torus(N))
     assert abs(res["sup"] - math.sqrt(N)) < 1e-7
 
 
@@ -209,7 +209,7 @@ def test_global_sup_matches_pointwise_search():
     for u, tau in zip(us, taus):
         assert np.allclose(cv.normal_curvature_at(fd_at(spec, u), return_direction=True)[1],
                            tau, rtol=0, atol=1e-12)
-    res = cv.normal_curvature_global(spec, n_points=8)
+    res = cv.normal_curvature_global(spec)
     assert res["sup"] == pytest.approx(max(pointwise), abs=1e-12)
     assert res["per_point_spread"] == pytest.approx(
         max(pointwise) - min(pointwise), abs=1e-12)
@@ -296,12 +296,6 @@ def test_gauss_petrunin_and_formula_star_records_equal_per_form_loop(monkeypatch
     assert star["pass"] and star["tol"] == 1e-8
 
 
-def test_rejects_nonpositive_counts():
-    spec = im.round_sphere(2, 1.0)
-    with pytest.raises(ValueError):
-        cv.normal_curvature_global(spec, n_points=0)
-
-
 def direction_grid(n, density, rng):
     """Dense reference directions: an even half-circle (n = 2), a Fibonacci
     lattice (n = 3), else uniform random unit vectors."""
@@ -336,7 +330,7 @@ def test_direction_search_is_stationary_on_random_forms():
     for trial in range(30):
         n = 2 + trial % 5
         fd = random_form(rng, n, n + 3 + trial % 4)
-        curv, tau = cv.normal_curvature_at(fd, tol=tol, return_direction=True)
+        curv, tau = cv.normal_curvature_at(fd, return_direction=True)
         M = fd.whitened_form()
         grid = direction_grid(n, 10_000 if n <= 3 else 100_000,
                               np.random.default_rng(cv.DEFAULT_SEED))
@@ -352,8 +346,8 @@ def test_direction_search_is_stationary_on_random_forms():
 
 def test_determinism_same_seed():
     spec = im.clifford_torus(3)
-    a = cv.normal_curvature_global(spec, n_points=4, seed=42)
-    b = cv.normal_curvature_global(spec, n_points=4, seed=42)
+    a = cv.normal_curvature_global(spec, seed=42)
+    b = cv.normal_curvature_global(spec, seed=42)
     assert a == b
 
 
@@ -411,7 +405,7 @@ def test_curv_and_gauss_map_import_no_scipy(tmp_path):
     spec.write_text('{"kind": "clifford_torus", "N": 3}')
     code = ("import sys\n"
             "from curvlab import cli, curvature as cv, immersions as im\n"
-            f"assert cli.main(['curv', {str(spec)!r}, '--points', '2', '--no-meta']) == 0\n"
+            f"assert cli.main(['curv', {str(spec)!r}, '--no-meta']) == 0\n"
             "cv.gauss_map_diff_norm(im.clifford_torus(3), [0.1, 0.2, 0.3], n_dirs=4)\n"
             "assert not [m for m in sys.modules if m.startswith('scipy')]\n")
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -431,12 +425,12 @@ HOMOGENEOUS = [im.round_sphere(1, 1.0), im.round_sphere(3, 2.0),
 
 @pytest.mark.parametrize("spec", HOMOGENEOUS, ids=lambda s: s.kind)
 def test_homogeneous_kinds_search_one_regular_node(spec):
-    u = spec.orbit_nodes(20)
+    u = spec.orbit_nodes()
     assert u.shape == (1, spec.intrinsic_dim)
     polar = np.zeros(spec.intrinsic_dim, dtype=bool)
     polar[spec.polar_columns] = True
     assert np.all(u[0, polar] == math.pi / 2) and np.all(u[0, ~polar] == 0.0)
-    res = cv.normal_curvature_global(spec, n_points=20)
+    res = cv.normal_curvature_global(spec)
     assert res["n_points"] == 1 and res["per_point_spread"] == 0.0
     # the node's value is the value at random basepoints
     us = im.sample_params(spec, 8, np.random.default_rng(3))
@@ -444,27 +438,27 @@ def test_homogeneous_kinds_search_one_regular_node(spec):
                        res["sup"], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n_points", [1, 2, 3, 20])
-def test_tube_nodes_span_phi_from_zero_to_pi(n_points):
-    spec = im.tube_encircle(1.0, 2, 2, 0.65)
-    u = spec.orbit_nodes(n_points)
-    assert u.shape == (max(n_points, 2), 4)
-    assert u[0, -1] == 0.0 and u[-1, -1] == math.pi
-    assert np.all(np.diff(u[:, -1]) > 0) and np.all(u[:, :-1] == u[0, :-1])
-    # the distinguished normal coordinate runs from the outer sphere to the inner one
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tube_nodes_are_the_inner_then_the_outer_sphere(n1, n2):
+    spec = im.tube_encircle(1.0, n1, n2, 0.65)
+    u = spec.orbit_nodes()
+    assert u.shape == (2, n1 + n2)
+    assert u[0, -1] == math.pi and u[1, -1] == 0.0 and np.all(u[0, :-1] == u[1, :-1])
+    # the distinguished normal coordinate puts phi = pi on the inner sphere
     point = im.jet2(spec, u).point
-    np.testing.assert_allclose(np.linalg.norm(point[:, :3], axis=1),
-                               1.0 + 0.65 * np.cos(u[:, -1]), rtol=0, atol=1e-15)
-    res = cv.normal_curvature_global(spec, n_points=n_points)
-    assert res["n_points"] == max(n_points, 2)
-    assert abs(res["sup"] - 1.0 / 0.35) < 1e-6
+    np.testing.assert_allclose(np.linalg.norm(point[:, : n1 + 1], axis=1), [0.35, 1.65],
+                               rtol=0, atol=1e-15)
+    res = cv.normal_curvature_global(spec)
+    assert res["n_points"] == 2
+    assert res["sup"] == pytest.approx(1.0 / 0.35, rel=1e-12, abs=0)
+    assert res["sup"] - res["per_point_spread"] == pytest.approx(1.0 / 0.65, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_tube_chart_is_regular_at_the_extremal_spheres(n1, n2):
     # the azimuthal normal coordinate keeps phi = 0 and pi off the chart's poles
     spec = im.tube_encircle(1.0, n1, n2, 0.4)
-    jet = im.jet2(spec, spec.orbit_nodes(2))
+    jet = im.jet2(spec, spec.orbit_nodes())
     jet.validate()
     sv = np.linalg.svd(jet.jac, compute_uv=False)
     assert np.all(sv[:, -1] > 0.3)

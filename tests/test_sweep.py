@@ -8,6 +8,7 @@ reported 1/rho with exit 0.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 
@@ -60,11 +61,26 @@ def test_curv_specs_hold_at_every_seed(curv_ops):
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
 @pytest.mark.parametrize("frac", [0.35, 0.65])
 def test_tube_sup_holds_at_every_seed(n1, n2, frac):
-    # both extremal spheres are nodes at any node count: 1..8 go round the seeds
     r = 1.3
     rho = frac * r
     spec = immersions.tube_encircle(r, n1, n2, rho)
     expected = max(1.0 / rho, 1.0 / (r - rho))
-    worst = max(abs(normal_curvature_global(spec, n_points=1 + i % 8, seed=seed)["sup"]
-                    - expected) for i, seed in enumerate(SEEDS))
+    worst = max(abs(normal_curvature_global(spec, seed=seed)["sup"]
+                    - expected) for seed in SEEDS)
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("n1,n2", itertools.product(range(1, 5), repeat=2))
+def test_tube_sup_and_spread_are_read_at_the_extremal_spheres(n1, n2):
+    # the inner sphere carries the sup, max(1/rho, 1/(r - rho)), and the outer
+    # one the least value, 1/rho; n1 reaches 3 and 4, where a node at interior phi
+    # can stop the search at the lesser base maximum and so falsify the spread
+    r, bad = 1.3, []
+    for frac, seed in itertools.product((0.2, 0.5, 0.65, 0.8), (0, 1001, 0xC0FFEE)):
+        rho = frac * r
+        res = normal_curvature_global(immersions.tube_encircle(r, n1, n2, rho), seed=seed)
+        least = res["sup"] - res["per_point_spread"]
+        if not (math.isclose(res["sup"], max(1.0 / rho, 1.0 / (r - rho)), rel_tol=1e-12)
+                and math.isclose(least, 1.0 / rho, rel_tol=1e-12)):
+            bad.append((frac, seed, res["sup"], least))
+    assert bad == []
