@@ -28,14 +28,13 @@ import numpy as np
 from . import bounds, curves, designs, immersions, verify
 from .curvature import (
     DEFAULT_SEED,
+    FundamentalData,
     focal_radius,
-    fundamental_data,
     mean_curvature,
     normal_curvature_global,
     petrunin_pi,
     scalar_curvature_gauss,
 )
-from .immersions import jet2
 
 EXIT_PARSE = 1
 EXIT_NON_CONVERGED = 2
@@ -141,7 +140,8 @@ def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
 
 def _curvature_payload(spec, args) -> dict:
     res = normal_curvature_global(spec, seed=args.seed)
-    fd = fundamental_data(jet2(spec, spec.orbit_nodes()[0]))
+    node = res["forms"]  # the invariants are read at the first orbit node
+    fd = FundamentalData(node.g[0], node.II[0], node.whitener[0])
     H = mean_curvature(fd)
     return {
         "curv": res["sup"],

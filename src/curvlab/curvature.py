@@ -55,6 +55,10 @@ class FundamentalData:
     II: np.ndarray
     whitener: np.ndarray = field(repr=False)
 
+    def __eq__(self, other):  # equal forms: every array equal, element for element
+        return isinstance(other, FundamentalData) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("g", "II", "whitener"))
+
     @property
     def n(self) -> int:
         return self.g.shape[-1]
@@ -141,7 +145,7 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol):
     means by more than the rounding error of evaluating F: near a maximum F is
     flat to rounding while the gradient is still ~sqrt(eps).  A lane stops
     once the tangential gradient of sqrt(F), 2 |G - F w| / sqrt(F), is at most
-    tol, a float or (B, 1).  Returns F, w and that gradient (0 at F = 0).
+    tol, in the units of M.  Returns F, w and that gradient (0 at F = 0).
     """
     n = w.shape[-1]
     shift_km = 3.0 * np.einsum("bcij,bcij->b", M, M)[:, None]
@@ -193,10 +197,11 @@ def _direction_search(M: np.ndarray, tol: float, seed: int):
     every basepoint; F at all of them is one matrix product of the flattened
     M_c with the candidates' outer products, (B*C, n*n) @ (n*n, K).  The best
     _N_STARTS per basepoint start the ascent, all lanes at once, on M / 2^k
-    with max |M / 2^k| in [1/2, 1): no power of F overflows, and a power of
-    two scales every step exactly.  Returns sqrt(F) (B,), the maximizing unit
-    directions (B, n) and the tangential gradient of sqrt(F) there (B,); a
-    zero form gives 0 along e_0 (any nonzero form is searched).
+    with max |M / 2^k| in [1/2, 1): no power of F overflows, a power of two
+    scales every step exactly, and the ascent stops at tol in those units, so
+    relative to the form's scale.  Returns sqrt(F) (B,), the maximizing unit
+    directions (B, n) and the tangential gradient of sqrt(F) there (B,), in
+    the units of M; a zero form gives 0 along e_0 (any nonzero form is searched).
     """
     B, C, n, _ = M.shape
     curv, grad, w = np.zeros(B), np.zeros(B), np.eye(1, n).repeat(B, axis=0)
@@ -209,7 +214,7 @@ def _direction_search(M: np.ndarray, tol: float, seed: int):
         q = (Ml.reshape(-1, n * n) @ outer).reshape(len(Ml), C, -1)
         top = np.argsort(-np.einsum("bck,bck->bk", q, q), axis=1,
                          kind="stable")[:, :_N_STARTS]
-        Fk, wk, gk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol / scale[:, None])
+        Fk, wk, gk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol)
         best = np.arange(len(Ml)), np.argmax(Fk, axis=1)
         curv[live], w[live] = np.sqrt(Fk[best]) * scale, wk[best]
         grad[live] = gk[best] * scale
@@ -228,7 +233,8 @@ def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,
     was found, so it is a lower bound on the sup, never an upper bound.  It is
     at least ||II|| at every one of 256 unit directions drawn from ``seed``,
     because the 8 best of them start a monotone ascent (_ascend) that stops
-    once the tangential gradient of ||II(t,t)|| is at most 1e-9 or 120 steps
+    once the tangential gradient of ||II(t,t)|| is at most 1e-9 times the
+    form's scale (a power of two within 2x of its largest entry) or 120 steps
     ran out.  A stationary point can be a lesser local maximum whose
     basin no start fell in.  Any intrinsic dimension is accepted.
     """
@@ -248,9 +254,9 @@ def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> di
     immersion, so one stacked search visits ``spec.orbit_nodes()``: one node
     for a homogeneous kind, the inner and outer spheres for the tube.
     ``sup`` is the largest node value, ``per_point_spread`` the largest minus
-    the least, ``n_points`` the node count, and ``stationarity`` the winning
-    direction's tangential gradient of ||II(t,t)|| over ``sup``: unit-free, as
-    rounding leaves about eps * sup (0.003 on a sphere of radius 1e-13)."""
+    the least, ``n_points`` the node count, ``stationarity`` the winning
+    direction's tangential gradient of ||II(t,t)|| over ``sup`` (unit-free, as
+    rounding leaves about eps * sup), and ``forms`` the node stack's forms."""
     fd = fundamental_data(jet2(spec, spec.orbit_nodes()))
     vals, _, grad = _direction_search(fd.whitened_form(), _STATIONARY_TOL, seed)
     best = int(np.argmax(vals))
@@ -259,6 +265,7 @@ def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> di
         "per_point_spread": float(vals.max() - vals.min()),
         "n_points": len(vals),
         "stationarity": float(grad[best] / vals[best]) if vals[best] > 0 else 0.0,
+        "forms": fd,
     }
 
 

@@ -248,10 +248,7 @@ def rational_sphere_points(n: int, height: int):
 # ---------------------------------------------------------------------------
 # exact feasibility simplex
 
-def _lowest_terms(row, d):
-    """The integer row over d, with row and d divided by their common gcd."""
-    g = math.gcd(*row, d)
-    return (row, d) if g == 1 else ([x // g for x in row], d // g)
+_INT64_MAX = 2**63 - 1  # int64 arithmetic wraps silently past this
 
 
 def exact_lp_feasible(A, b):
@@ -262,18 +259,22 @@ def exact_lp_feasible(A, b):
     Fractions with A p = b and p >= 0, or None if infeasible.  Python int and
     Fraction entries are taken as they are; any other entry x becomes Fraction(x).
 
-    The tableau [A | I | b] holds Python ints: row i is R_i / d_i with integer
-    entries R_i and one positive integer d_i, and the phase-1 cost row is held
-    the same way.  A positive denominator leaves every sign unchanged, so
-    Bland's entering column is read off the integers; the ratio test compares
-    R_i[rhs] / R_i[e] by cross-multiplying positive entries and breaks ties by
-    the smallest basis index.  Each pivot is therefore the one the same simplex
-    takes in Fraction arithmetic, and the vertex is the same.  A pivot replaces
-    R_i by p R_i - a R_l and d_i by d_i p, then divides both by their gcd
-    (fraction-free elimination, Edmonds 1967 / Bareiss 1968): one gcd per row,
-    not one per entry.
+    The tableau is one integer array T of m + 1 rows: row i is [R_i | d_i], the
+    integer row R_i of [A | I | b] over its positive denominator d_i, and the
+    last row is the phase-1 cost row, held the same way.  Positive denominators
+    keep every sign, so Bland's entering column e is the first positive entry
+    of the cost row, and the ratio test cross-multiplies R_i[rhs] and R_i[e] in
+    Python ints, ties to the smallest basis index: the pivots, and the vertex,
+    are those of the same simplex in Fraction arithmetic.  A pivot sets the
+    leaving row to [R_l | p], p = R_l[e], and every other row with
+    a_i = T_i[e] != 0 to p T_i - a_i [R_l | 0] (so d_i becomes d_i p), each over
+    its gcd (fraction-free elimination, Edmonds 1967 / Bareiss 1968): one array
+    expression per pivot.  T is int64 while p max|T_i| + max|a_i| max|R_l|,
+    which bounds every entry of that expression, is at most 2^63 - 1 (checked
+    in Python ints before each pivot, and max|T| on the initial tableau), and
+    holds Python ints (dtype object) from the first pivot where it is not.
     """
-    rows, dens = [], []
+    rows = []
     m = len(A)
     for i, (row, bi) in enumerate(zip(A, b)):
         row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
@@ -282,52 +283,46 @@ def exact_lp_feasible(A, b):
         d = math.lcm(*(x.denominator for x in row))
         R = [x.numerator * (d // x.denominator) for x in row]
         # [A_i | e_i | b_i] over d; the artificials start as the basis
-        rows.append(R[:-1] + [d * (j == i) for j in range(m)] + R[-1:])
-        dens.append(d)
-    k = len(rows[0]) - m - 1 if rows else 0
-    ncols = k + m
+        rows.append(R[:-1] + [d * (j == i) for j in range(m)] + R[-1:] + [d])
+    ncols = len(rows[0]) - 2 if rows else 0
+    k = ncols - m
     basis = [k + i for i in range(m)]
     # reduced cost row for objective sum(artificials): z_j - c_j, over dc
-    dc = math.lcm(*dens)
-    cost = [0] * (ncols + 1)
-    for R, d in zip(rows, dens):
-        s = dc // d
-        cost = [c + s * x for c, x in zip(cost, R)]
-    for j in range(k, ncols):
-        cost[j] -= dc
-    while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
-        if enter is None:
-            break
+    dc = math.lcm(*(R[-1] for R in rows))
+    cost = [sum(dc // R[-1] * R[j] for R in rows) - dc * (k <= j < ncols)
+            for j in range(ncols + 1)]
+    rows.append(cost + [dc])
+    big = max(abs(x) for R in rows for x in R)
+    T = np.array(rows, dtype=np.int64 if big <= _INT64_MAX else object)
+    while (T[m, :ncols] > 0).any():
+        enter = int(np.argmax(T[m, :ncols] > 0))
+        col, rhs = T[:m, enter].tolist(), T[:m, ncols].tolist()
         leave = None
-        for i, R in enumerate(rows):
-            if R[enter] > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                lhs = R[ncols] * rows[leave][enter]
-                rhs = rows[leave][ncols] * R[enter]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+        for i, x in enumerate(col):  # least rhs / x, ties to the least basis index
+            if x > 0 and (leave is None or (rhs[i] * col[leave], basis[i])
+                          < (rhs[leave] * x, basis[leave])):
+                leave = i
         if leave is None:
             break  # unbounded cannot happen in phase 1; defensive
-        Rl, piv = _lowest_terms(rows[leave], rows[leave][enter])
-        rows[leave], dens[leave] = Rl, piv
-        for i, R in enumerate(rows):
-            a = R[enter]
-            if i != leave and a:
-                rows[i], dens[i] = _lowest_terms([piv * x - a * y for x, y in zip(R, Rl)],
-                                                 dens[i] * piv)
-        a = cost[enter]
-        if a:
-            cost, dc = _lowest_terms([piv * x - a * y for x, y in zip(cost, Rl)], dc * piv)
+        Rl = np.append(T[leave, :-1], T[leave, enter])
+        Rl //= np.gcd.reduce(Rl)
+        # the other rows with a nonzero entry in the entering column; the rest stay
+        upd = np.flatnonzero((T[:, enter] != 0) & (np.arange(m + 1) != leave))
+        new, a = T[upd], T[upd, enter:enter + 1]
+        if T.dtype != object and _INT64_MAX < (int(Rl[-1]) * int(np.abs(new).max())
+                                               + int(np.abs(a).max()) * int(np.abs(Rl).max())):
+            T, new, a, Rl = (x.astype(object) for x in (T, new, a, Rl))
+        new *= Rl[-1]
+        new[:, :-1] -= a * Rl[:-1]
+        T[upd] = new // np.gcd.reduce(new, axis=1, keepdims=True)
+        T[leave] = Rl
         basis[leave] = enter
-    if cost[ncols] != 0:
+    if T[m, ncols] != 0:
         return None
     p = [Fraction(0)] * k
-    for i, bi in enumerate(basis):
+    for bi, num, den in zip(basis, T[:m, ncols].tolist(), T[:m, -1].tolist()):
         if bi < k:
-            p[bi] = Fraction(rows[i][ncols], dens[i])
+            p[bi] = Fraction(num, den)
     return p
 
 

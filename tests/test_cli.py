@@ -828,3 +828,26 @@ def test_tube_pointwise_invariants_are_the_inner_spheres_at_every_seed(tmp_path,
     assert pi == pytest.approx((2.0 * k @ k + k.sum() ** 2) / 15.0, rel=1e-12, abs=0)
     assert h == pytest.approx(abs(k.sum()), rel=1e-12, abs=0)
     assert sc == pytest.approx(k.sum() ** 2 - k @ k, rel=1e-12, abs=0)
+
+
+def test_curv_builds_the_fundamental_forms_once(tmp_path, capsys, monkeypatch):
+    # the pointwise invariants are read from the search's node forms, not rebuilt
+    from curvlab import curvature
+    calls = []
+    real = curvature.fundamental_data
+
+    def counted(jet):
+        calls.append(jet)
+        return real(jet)
+
+    monkeypatch.setattr(curvature, "fundamental_data", counted)
+    # also counts calls through a name imported into cli
+    monkeypatch.setattr(cli, "fundamental_data", counted, raising=False)
+    for spec in ({"kind": "clifford_torus", "N": 4},
+                 {"kind": "tube", "r": 1.0, "n1": 2, "n2": 1, "rho": 0.65}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        calls.clear()
+        code, out, _ = run(capsys, "curv", str(path), "--no-meta")
+        assert code == 0 and "scalar_curvature" in json.loads(out)
+        assert len(calls) == 1

@@ -491,9 +491,23 @@ def test_power_of_two_scaling_leaves_the_search_bit_identical():
         fd = random_form(rng, 2 + trial % 4, 6 + trial % 3)
         M = fd.whitened_form()[None]
         a = cv._direction_search(M, 1e-9, trial)
-        b = cv._direction_search(M * 2.0 ** (trial - 10), 1e-9 * 2.0 ** (trial - 10), trial)
+        b = cv._direction_search(M * 2.0 ** (trial - 10), 1e-9, trial)
         assert b[0][0] == a[0][0] * 2.0 ** (trial - 10)
+        assert b[2][0] == a[2][0] * 2.0 ** (trial - 10)
         assert np.array_equal(a[1], b[1])
+
+
+def test_ascent_stops_relative_to_the_form_scale(monkeypatch):
+    # a round sphere's form is stationary in every direction, so the first
+    # evaluation of F stops every lane at any radius (R = 1e-9 ran all 120 steps)
+    calls = []
+    real = cv._quartic
+    monkeypatch.setattr(cv, "_quartic", lambda M, w: calls.append(w.shape) or real(M, w))
+    for R in (1.0, 1e-9, 1e-12):
+        calls.clear()
+        res = cv.normal_curvature_global(im.round_sphere(3, R))
+        assert res["sup"] * R == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert len(calls) == 1
 
 
 def test_contraction_order_reaches_high_dimension():

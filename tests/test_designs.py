@@ -431,6 +431,15 @@ def test_exact_lp_matches_fraction_reference(monkeypatch):
         assert real(A, b) == fraction_bland_simplex(A, b)
 
 
+@pytest.mark.parametrize("scale", [2**40, 2**70], ids=["2^40", "2^70"])
+def test_exact_lp_stays_exact_past_int64(scale):
+    # rows times 2^40 fit int64 until a pivot's products overflow it; times 2^70
+    # they do not fit from the start.  A positive row scale leaves the vertex.
+    for A, b in random_lp_systems(200, seed=7):
+        A2, b2 = [[scale * x for x in row] for row in A], [scale * x for x in b]
+        assert dg.exact_lp_feasible(A2, b2) == fraction_bland_simplex(A2, b2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hilbert_rational_design(n):
     rd = dg.hilbert_rational_design(n)
