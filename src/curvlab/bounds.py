@@ -38,12 +38,6 @@ UNBOUNDED = "UNBOUNDED"
 # order of the truncated Bessel recurrence matrix in bessel_j_zero
 _BESSEL_K = 80
 
-LABELS = frozenset({
-    "petrunin", "sphere-A", "sphere-B", "band", "focal",
-    "clifford", "design-torus", "codim1-pair", "codim1-triple",
-    "codim1-general", "codim1-power", "torus-codim1", "veronese", "j_nu",
-})
-
 
 @dataclass(frozen=True)
 class BoundEntry:
@@ -65,8 +59,6 @@ class BoundEntry:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("bound values are nonnegative")
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
         if self.side not in ("lower", "upper"):
             raise ValueError("side must be 'lower' or 'upper'")
 
@@ -133,15 +125,15 @@ def bessel_j_zero(nu: float) -> float:
     return float(1.0 / np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1])
 
 
-def bessel_bracket(nu: float, eps: float = 0.1) -> tuple[float, float]:
+def bessel_bracket(nu: float) -> tuple[float, float]:
     """Two-sided estimate for the first zero of J_nu, valid for moderate nu > 1/2:
 
         nu + a nu^(1/3)/2^(1/3) < j_nu < (same) + (3/20) 2^(2/3) a^2 / sqrt(nu)
 
-    with a = (9 pi / 8)^(2/3) (1 + eps)."""
+    with a = (9 pi / 8)^(2/3) * 1.1."""
     if nu <= 0.5:
         raise ValueError("bracket applies for nu > 1/2")
-    a = (9.0 * math.pi / 8.0) ** (2.0 / 3.0) * (1.0 + eps)
+    a = (9.0 * math.pi / 8.0) ** (2.0 / 3.0) * 1.1
     lo = nu + a * nu ** (1.0 / 3.0) / 2.0 ** (1.0 / 3.0)
     hi = lo + (3.0 / 20.0) * 2.0 ** (2.0 / 3.0) * a**2 / math.sqrt(nu)
     return lo, hi

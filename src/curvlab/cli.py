@@ -26,15 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import bounds, curves, designs, immersions, verify
-from .curvature import (
-    DEFAULT_SEED,
-    FundamentalData,
-    focal_radius,
-    mean_curvature,
-    normal_curvature_global,
-    petrunin_pi,
-    scalar_curvature_gauss,
-)
+from .curvature import DEFAULT_SEED, focal_radius, normal_curvature_global
 
 EXIT_PARSE = 1
 EXIT_NON_CONVERGED = 2
@@ -69,14 +61,28 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed: a Python integer literal (7001, 0x42) that is at least 0."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer literal: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _env_seed() -> int:
     raw = os.environ.get("CURVLAB_SEED")
     if not raw:
         return DEFAULT_SEED
     try:
-        return int(raw, 0)
+        seed = int(raw, 0)
     except ValueError:
         raise ValueError(f"CURVLAB_SEED must be an integer literal, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"CURVLAB_SEED must be a non-negative integer literal, got {raw!r}")
+    return seed
 
 
 def _meta(args) -> dict:
@@ -140,19 +146,10 @@ def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
 
 def _curvature_payload(spec, args) -> dict:
     res = normal_curvature_global(spec, seed=args.seed)
-    node = res["forms"]  # the invariants are read at the first orbit node
-    fd = FundamentalData(node.g[0], node.II[0], node.whitener[0])
-    H = mean_curvature(fd)
-    return {
-        "curv": res["sup"],
-        "per_point_spread": res["per_point_spread"],
-        "n_points": res["n_points"],
-        "pi": petrunin_pi(fd),
-        "mean_curvature_norm": float(np.linalg.norm(H)),
-        "scalar_curvature": scalar_curvature_gauss(fd),
-        "focal_radius": focal_radius(res["sup"]) if res["sup"] > 0 else None,
-        "status": "OK" if res["stationarity"] <= args.tol else "NON_CONVERGED",
-    }
+    sup = res["curv"] = res.pop("sup")
+    res["focal_radius"] = focal_radius(sup) if sup > 0 else None
+    res["status"] = "OK" if res.pop("stationarity") <= args.tol else "NON_CONVERGED"
+    return res
 
 
 def cmd_curv(args) -> int:
@@ -292,7 +289,7 @@ def _parser(command) -> argparse.ArgumentParser:
         return p if command in (None, name) else None
 
     def common(p, tol=1e-3):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="random seed (default: CURVLAB_SEED, else 0xC0FFEE)")
         p.add_argument("--tol", type=_tolerance, default=tol)
         p.add_argument("--format", choices=("json", "csv"), default="json")

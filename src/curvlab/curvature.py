@@ -55,10 +55,6 @@ class FundamentalData:
     II: np.ndarray
     whitener: np.ndarray = field(repr=False)
 
-    def __eq__(self, other):  # equal forms: every array equal, element for element
-        return isinstance(other, FundamentalData) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("g", "II", "whitener"))
-
     @property
     def n(self) -> int:
         return self.g.shape[-1]
@@ -248,7 +244,8 @@ def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,
 
 
 def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> dict:
-    """Sup of the pointwise normal curvature over the orbit space.
+    """Sup of the pointwise normal curvature over the orbit space, and the
+    pointwise invariants at the first orbit node.
 
     curv is constant on the orbits of the isometries that preserve the
     immersion, so one stacked search visits ``spec.orbit_nodes()``: one node
@@ -256,16 +253,20 @@ def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> di
     ``sup`` is the largest node value, ``per_point_spread`` the largest minus
     the least, ``n_points`` the node count, ``stationarity`` the winning
     direction's tangential gradient of ||II(t,t)|| over ``sup`` (unit-free, as
-    rounding leaves about eps * sup), and ``forms`` the node stack's forms."""
+    rounding leaves about eps * sup); ``pi``, ``mean_curvature_norm`` and
+    ``scalar_curvature`` are read at the first node."""
     fd = fundamental_data(jet2(spec, spec.orbit_nodes()))
     vals, _, grad = _direction_search(fd.whitened_form(), _STATIONARY_TOL, seed)
     best = int(np.argmax(vals))
+    node = FundamentalData(fd.g[0], fd.II[0], fd.whitener[0])
     return {
         "sup": float(vals[best]),
         "per_point_spread": float(vals.max() - vals.min()),
         "n_points": len(vals),
         "stationarity": float(grad[best] / vals[best]) if vals[best] > 0 else 0.0,
-        "forms": fd,
+        "pi": petrunin_pi(node),
+        "mean_curvature_norm": float(np.linalg.norm(mean_curvature(node))),
+        "scalar_curvature": scalar_curvature_gauss(node),
     }
 
 
@@ -303,17 +304,17 @@ def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
     return _scalar(np.mean(np.einsum("...sc,...sc->...s", vals, vals), axis=-1))
 
 
-def scalar_curvature_gauss(fd: FundamentalData, sc_ambient_n: float = 0.0):
-    """Gauss-formula scalar curvature: Sc_|n + ||H||^2 - ||II||_l2^2."""
+def scalar_curvature_gauss(fd: FundamentalData):
+    """Gauss-formula scalar curvature in flat space: ||H||^2 - ||II||_l2^2."""
     H = mean_curvature(fd)
-    return _scalar(sc_ambient_n + np.vecdot(H, H) - second_form_l2_sq(fd))
+    return _scalar(np.vecdot(H, H) - second_form_l2_sq(fd))
 
 
-def scalar_curvature_petrunin(fd: FundamentalData, sc_ambient_n: float = 0.0):
-    """Equivalent form Sc_|n + (3/2)||H||^2 - (n(n+2)/2) Pi."""
+def scalar_curvature_petrunin(fd: FundamentalData):
+    """Equivalent form (3/2)||H||^2 - (n(n+2)/2) Pi."""
     n = fd.n
     H = mean_curvature(fd)
-    return _scalar(sc_ambient_n + 1.5 * np.vecdot(H, H) - 0.5 * n * (n + 2) * petrunin_pi(fd))
+    return _scalar(1.5 * np.vecdot(H, H) - 0.5 * n * (n + 2) * petrunin_pi(fd))
 
 
 def focal_radius(curv: float) -> float:
@@ -342,8 +343,8 @@ def _largest_principal_angle(Qa: np.ndarray, Qb: np.ndarray):
     return np.arcsin(np.minimum(1.0, sin))
 
 
-def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
-                        n_dirs: int = 256, seed: int = DEFAULT_SEED) -> float:
+def gauss_map_diff_norm(spec: ImmersionSpec, u, n_dirs: int = 256,
+                        seed: int = DEFAULT_SEED) -> float:
     """Finite-difference operator norm of the tangent-plane variation.
 
     For each g-unit direction, the rate of tilt of span(jac) is the largest
@@ -352,8 +353,7 @@ def gauss_map_diff_norm(spec: ImmersionSpec, u, h: float = 1e-4,
     maximizer of normal_curvature_at; the sup over directions matches the
     normal curvature.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    h = 1e-4  # central-difference step in arclength
     u = np.asarray(u, dtype=float).reshape(-1)
     fd = fundamental_data(jet2(spec, u))
     _, tau_best = normal_curvature_at(fd, return_direction=True, seed=seed)

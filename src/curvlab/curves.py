@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .immersions import _fields, _list, _real
+
 __all__ = [
     "PolyCurve",
     "SampledCurve",
@@ -137,10 +139,9 @@ def _planar_projection(v: np.ndarray, tol: float = 1e-6):
     return c @ vt[:, :2].mT, flat
 
 
-def _planar_same_turn(v: np.ndarray, closed: bool, where: np.ndarray,
-                      tol: float = 1e-9) -> np.ndarray:
+def _planar_same_turn(v: np.ndarray, closed: bool, where: np.ndarray) -> np.ndarray:
     """(B,) bool: rows in ``where`` (the others skip the SVD) that are planar
-    with every turn of one sign, cyclically for a closed curve."""
+    with every turn of one sign (within 1e-9), cyclically for a closed curve."""
     out = where.copy()
     if not out.any():
         return out
@@ -149,7 +150,7 @@ def _planar_same_turn(v: np.ndarray, closed: bool, where: np.ndarray,
         v2 = np.concatenate([v2, v2[:, :2]], axis=1)
     e = np.diff(v2, axis=1)
     cross = e[:, :-1, 0] * e[:, 1:, 1] - e[:, :-1, 1] * e[:, 1:, 0]
-    out[out] = flat & (np.all(cross >= -tol, axis=1) | np.all(cross <= tol, axis=1))
+    out[out] = flat & (np.all(cross >= -1e-9, axis=1) | np.all(cross <= 1e-9, axis=1))
     return out
 
 
@@ -219,9 +220,8 @@ def circle_curve(radius: float = 1.0) -> SampledCurve:
     return SampledCurve(fn=fn, t0=0.0, t1=2.0 * math.pi, closed=True)
 
 
-def discrete_total_curvature_convergence(curve: SampledCurve, exact: float,
-                                         ns=(8, 16, 32, 64)) -> dict:
-    """Inscribed-polygon total curvature across a resolution ladder.
+def discrete_total_curvature_convergence(curve: SampledCurve, exact: float) -> dict:
+    """Inscribed-polygon total curvature across the resolution ladder n = 8, 16, 32, 64.
 
     `exact` is the analytic curvature integral over the whole curve.  An open
     polygon only turns at its n-2 interior vertices, so its angle sum tracks
@@ -229,6 +229,7 @@ def discrete_total_curvature_convergence(curve: SampledCurve, exact: float,
     (circles, helices) the span correction is the exact factor (n-2)/(n-1).
     The corrected residuals decrease at second order for smooth curves.
     """
+    ns = (8, 16, 32, 64)
     values = [total_curvature(curve.polygon(n)) for n in ns]
     if curve.closed:
         targets = [exact] * len(ns)
@@ -278,16 +279,15 @@ def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
     return PolyCurve(vertices=pts, closed=False)
 
 
-def is_convex_arc(curve: PolyCurve, tol: float = 1e-9) -> bool:
+def is_convex_arc(curve: PolyCurve) -> bool:
     """Planar, same-sign turning, total turn at most pi."""
     return bool(_convex_arcs(curve.vertices[None], external_angles(curve)[None],
-                             curve.closed, tol)[0])
+                             curve.closed)[0])
 
 
-def _convex_arcs(v: np.ndarray, turns: np.ndarray, closed: bool = False,
-                 tol: float = 1e-9) -> np.ndarray:
+def _convex_arcs(v: np.ndarray, turns: np.ndarray, closed: bool = False) -> np.ndarray:
     """(B,) bool: ``is_convex_arc`` of a vertex stack with turning angles (B, A)."""
-    return _planar_same_turn(v, closed, turns.sum(axis=1) <= math.pi + 1e-9, tol)
+    return _planar_same_turn(v, closed, turns.sum(axis=1) <= math.pi + 1e-9)
 
 
 def _arm(q: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> dict:
@@ -416,14 +416,14 @@ def _spatial_arcs(sides, turns, raws) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bow inequality
 
-def _bow(v: np.ndarray, R: np.ndarray, tol: float = 1e-9, curv_tol: float = 1e-3) -> dict:
+def _bow(v: np.ndarray, R: np.ndarray, tol: float = 1e-9) -> dict:
     """Columns of ``bow_check`` for a stack of open curves with radii R (B,),
     the chord columns filled also where the curvature precondition fails."""
     e, sides = _edges(v, closed=False)
     L = sides.sum(axis=1)
     spacing = 0.5 * (sides[:, :-1] + sides[:, 1:])
     discrete_curv = np.max(_turns(e, sides, False) / spacing, axis=1, initial=0.0)
-    curv_ok = (discrete_curv <= (1.0 + curv_tol) / R) & (L <= 2.0 * math.pi * R + tol)
+    curv_ok = (discrete_curv <= 1.001 / R) & (L <= 2.0 * math.pi * R + tol)
     chord = _chord(v)
     bound = 2.0 * R * np.sin(L / (2.0 * R))
     slack = chord - bound
@@ -442,22 +442,21 @@ def _bow(v: np.ndarray, R: np.ndarray, tol: float = 1e-9, curv_tol: float = 1e-3
     }
 
 
-def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9,
-              curv_tol: float = 1e-3) -> dict:
+def bow_check(curve: PolyCurve, R: float, tol: float = 1e-9) -> dict:
     """Chord bound for a curve whose curvature stays at most 1/R.
 
     Discrete curvature at a vertex is the external angle divided by the mean
-    of the adjacent side lengths.  When the curvature precondition or the
-    length bound (at most 2 pi R) fails, the chord check is skipped rather
-    than raised.  Conclusion: chord >= 2 R sin(length / 2R); equality is
-    flagged for planar circular arcs.  R and 2 pi R must be finite and
-    positive, and the curve open.
+    of the adjacent side lengths.  When the curvature precondition (at most
+    1.001/R) or the length bound (at most 2 pi R) fails, the chord check is
+    skipped rather than raised.  Conclusion: chord >= 2 R sin(length / 2R);
+    equality is flagged for planar circular arcs.  R and 2 pi R must be
+    finite and positive, and the curve open.
     """
     if curve.closed:
         raise ValueError("bow_check needs an open curve")
     if not (0.0 < R and 2.0 * math.pi * R < math.inf):
         raise ValueError(f"curvature radius R must be finite and positive (2 pi R too), got {R}")
-    out = _row(_bow(curve.vertices[None], np.array([R]), tol, curv_tol), 0)
+    out = _row(_bow(curve.vertices[None], np.array([R]), tol), 0)
     if not out["curv_ok"]:
         del out["chord"], out["bound"]
         out.update(chord_ok=None, slack=None, equality=None)
@@ -555,14 +554,13 @@ def curve_from_json(data) -> PolyCurve:
         data = json.loads(data)
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("curve must be a JSON object with a 'vertices' list")
-    try:
-        vertices = np.asarray(data["vertices"], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("curve 'vertices' must be equal-length rows of numbers") from None
+    vertices, = _fields("curve", data, (("vertices", _list(_list(_real))),))
+    if len({len(p) for p in vertices}) > 1:
+        raise ValueError("curve 'vertices' must be equal-length rows of numbers")
     closed = data.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError(f"curve 'closed' must be true or false, got {json.dumps(closed)}")
-    return PolyCurve(vertices=vertices, closed=closed)
+    return PolyCurve(vertices=np.array(vertices), closed=closed)
 
 
 def curve_from_csv(text: str, closed: bool = False) -> PolyCurve:

@@ -120,10 +120,10 @@ class RationalDesign:
         return Design(n=self.n, points=pts, weights=w)
 
 
-def multi_indices(n: int, degree: int = 4):
-    """All exponent multi-indices alpha with |alpha| = degree, lexicographic."""
+def multi_indices(n: int):
+    """All exponent multi-indices alpha with |alpha| = 4, lexicographic."""
     return [tuple(combo.count(i) for i in range(n))
-            for combo in itertools.combinations_with_replacement(range(n), degree)]
+            for combo in itertools.combinations_with_replacement(range(n), 4)]
 
 
 def _exponents(n: int) -> np.ndarray:
@@ -468,14 +468,14 @@ def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
 # ---------------------------------------------------------------------------
 # bridge to immersions
 
-def torus_immersion_from_design(d, tol: float = 1e-10) -> immersions.ImmersionSpec:
+def torus_immersion_from_design(d) -> immersions.ImmersionSpec:
     """Flat-torus immersion spanned by the design directions.
 
     One torus factor per design point (amplitude sqrt(w_i), unit row s_i) with
     the default scale sqrt(n/M); the pullback metric is then the identity and
     the measured normal curvature is sqrt(3n/(n+2)).
     """
-    check = is_degree4_design(d, tol=tol)
+    check = is_degree4_design(d)
     if not check["ok"]:
         raise ValueError(f"input is not a degree-4 design (residual {check['residual']})")
     if isinstance(d, RationalDesign):

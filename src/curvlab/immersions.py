@@ -56,11 +56,11 @@ class Jet2:
     jac: np.ndarray
     hess: np.ndarray
 
-    def validate(self, sym_tol: float = 1e-10, rank_rtol: float = 1e-9) -> None:
-        if not np.allclose(self.hess, np.swapaxes(self.hess, -1, -2), atol=sym_tol):
+    def validate(self) -> None:
+        if not np.allclose(self.hess, np.swapaxes(self.hess, -1, -2), atol=1e-10):
             raise ValueError("Hessian stack is not symmetric in the parameter indices")
         sv = np.linalg.svd(self.jac, compute_uv=False)
-        if np.any(sv[..., -1] <= rank_rtol * sv[..., 0]):
+        if np.any(sv[..., -1] <= 1e-9 * sv[..., 0]):
             raise ValueError("Jacobian is rank deficient: not an immersion point")
 
 
@@ -401,6 +401,8 @@ def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpe
     (nonnegative, summing to 1); the default is uniform, which recovers the
     equal-amplitude Clifford wrapping.
     """
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("torus_linear rows must all have the same length")
     L = np.array([[_to_float(x) for x in row] for row in rows], dtype=float)
     if L.ndim != 2 or L.shape[0] < 1:
         raise ValueError("rows must be a nonempty matrix")

@@ -117,7 +117,9 @@ def test_curv_unknown_kind_exits_parse(tmp_path, capsys):
     {"kind": "sphere_product", "factors": [[1]]},
     {"kind": "clifford_torus", "N": True},
     {"kind": "veronese", "m": 2.5},
-], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m"])
+    {"kind": "torus_linear", "rows": [[1, 0], [1]]},
+], ids=["list", "null-N", "factors-int", "short-factor", "bool-N", "fractional-m",
+        "ragged-rows"])
 def test_curv_malformed_spec_exits_parse_with_one_line(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -194,6 +196,47 @@ def test_bad_tolerance_exits_2_with_one_line_error(command, tol, sphere_spec, tm
     assert cli.main(argv + ["--tol", "1e-3", "--no-meta"]) == 0
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "must be a non-negative integer, got -1"),
+    ("-0x10", "must be a non-negative integer, got -0x10"),
+    ("0x", "not an integer literal: '0x'"),
+    ("1.5", "not an integer literal: '1.5'"),
+], ids=["negative", "negative-hex", "bare-0x", "decimal"])
+@pytest.mark.parametrize("command", ["curv", "design verify"])
+def test_bad_seed_exits_2_with_one_line_error(command, seed, message, sphere_spec, tmp_path,
+                                              capsys):
+    from curvlab import designs as dg
+    design = tmp_path / "pentagon.json"
+    design.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
+    argv = {"curv": ["curv", sphere_spec],
+            "design verify": ["design", "verify", str(design)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [f"--seed={seed}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("usage: ")
+    assert [line for line in err.splitlines() if "error" in line] == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].endswith("error: argument --seed: " + message)
+    # 0 is a valid seed
+    code, out, _ = run(capsys, *argv, "--seed", "0", "--no-meta")
+    assert code == 0 and json.loads(out)["meta"]["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [["curv", "SPEC"], ["design", "verify", "DESIGN"]])
+def test_negative_env_seed_exits_parse_with_one_line(argv, sphere_spec, tmp_path, capsys,
+                                                     monkeypatch):
+    from curvlab import designs as dg
+    design = tmp_path / "pentagon.json"
+    design.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
+    argv = [{"SPEC": sphere_spec, "DESIGN": str(design)}.get(a, a) for a in argv]
+    monkeypatch.setenv("CURVLAB_SEED", "-7")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: CURVLAB_SEED must be a non-negative integer literal, got '-7'\n"
+
+
 def _assert_one_line_parse_error(code, out, err):
     assert code == cli.EXIT_PARSE
     assert out == ""
@@ -232,7 +275,9 @@ def test_malformed_design_file_exits_parse_with_one_line(design, command, tmp_pa
     {"vertices": [[0, 0], [1, 0], [1]]},
     {"vertices": [[0, 0], [1, None], [1, 1]]},
     {"vertices": [[0, 0], [1, 0], [1, 1]], "closed": "false"},
-], ids=["list", "missing-vertices", "ragged", "null-coordinate", "string-closed"])
+    {"vertices": [[True, False], [1, 1], [3, 0]]},
+], ids=["list", "missing-vertices", "ragged", "null-coordinate", "string-closed",
+        "bool-coordinate"])
 def test_malformed_curve_file_exits_parse_with_one_line(curve, argv, tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(curve))

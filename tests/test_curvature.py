@@ -5,6 +5,7 @@ Oracles: round spheres (curv = 1/R everywhere), sphere products
 identities linking II, H, Pi and scalar curvature.
 """
 
+import json
 import math
 import os
 import pathlib
@@ -349,6 +350,21 @@ def test_determinism_same_seed():
     a = cv.normal_curvature_global(spec, seed=42)
     b = cv.normal_curvature_global(spec, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("spec", [
+    im.clifford_torus(4), im.veronese(3), im.tube_encircle(1.0, 1, 1, 0.65),
+    im.tube_encircle(1.0, 2, 2, 0.35), im.sphere_product([(1, 0.5), (2, 2.0)]),
+], ids=["clifford-N4", "veronese-m3", "tube-0.65", "tube-2-2-0.35", "sphere-product"])
+def test_global_report_reads_invariants_at_the_first_orbit_node(spec):
+    # reference: the forms at the orbit nodes, built apart, and their row 0
+    node = fd_at(spec, spec.orbit_nodes())
+    fd = cv.FundamentalData(node.g[0], node.II[0], node.whitener[0])
+    res = cv.normal_curvature_global(spec, seed=7)
+    assert res["pi"] == cv.petrunin_pi(fd)
+    assert res["mean_curvature_norm"] == float(np.linalg.norm(cv.mean_curvature(fd)))
+    assert res["scalar_curvature"] == cv.scalar_curvature_gauss(fd)
+    json.dumps(res)  # plain numbers only: no arrays or forms
 
 
 @pytest.mark.parametrize("N", [7, 8, 12])

@@ -683,6 +683,19 @@ def test_curve_json_rejects_non_boolean_closed(closed):
     assert len(str(e.value).splitlines()) == 1
 
 
+@pytest.mark.parametrize("vertices", [[[True, False], [1, 0], [3, 0]], [[0, 0], [1, False]],
+                                      [[0, 0], [1, None]], [[0, 0], ["x", 1]]])
+def test_curve_json_rejects_non_numbers_naming_the_field(vertices):
+    with pytest.raises(ValueError, match="^curve 'vertices': expected a finite number") as e:
+        cu.curve_from_json(json.dumps({"vertices": vertices}))
+    assert len(str(e.value).splitlines()) == 1
+
+
+def test_curve_json_reads_exact_strings_as_in_spec_files():
+    back = cu.curve_from_json(json.dumps({"vertices": [[0, "1/2"], ["3", 0.25]]}))
+    assert back.vertices.tolist() == [[0.0, 0.5], [3.0, 0.25]]
+
+
 def test_curve_csv_round_trip_with_header():
     c = cu.PolyCurve(np.array([[0.125, -1.5], [2.25, 0.75], [3.0, 3.0]]))
     text = "x0,x1\n" + "".join(f"{x!r},{y!r}\n" for x, y in c.vertices.tolist())

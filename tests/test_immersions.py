@@ -226,6 +226,8 @@ def test_torus_linear_validates_rows_and_weights():
         im.torus_linear([[1.0, 0.0], [0.0, 1.0]], weights=[0.9, 0.2])
     with pytest.raises(ValueError):
         im.torus_linear([[1.0, 0.0]], scale=-1.0)
+    with pytest.raises(ValueError, match="^torus_linear rows must all have the same length$"):
+        im.spec_from_json({"kind": "torus_linear", "rows": [[1, 0], [1]]})
 
 
 def test_tube_requires_rho_below_base_radius():
