@@ -11,12 +11,16 @@ overrides it, and an explicit --seed flag wins over both.
 ``curv`` searches the orbit space (one node for a homogeneous kind, two for
 the tube), reads the pointwise invariants at the first node, and its
 ``status`` is OK when the search converged to ``--tol`` (see curvature).
+``verify-paper`` prints JSON lines without ``meta``, so it takes no ``--tol``
+or ``--format``.  The parser is built once per process (``build_parser``); each
+parse makes a new Namespace, so no state carries from one ``main`` to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -86,14 +90,14 @@ def _env_seed() -> int:
 
 
 def _meta(args) -> dict:
-    meta = {"seed": args.seed, "tol": args.tol}  # every command takes --tol
+    meta = {"seed": args.seed, "tol": args.tol}  # every command but verify-paper takes --tol
     if not args.no_meta:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 
 
 def _emit(payload: dict, args) -> None:
-    if args.format == "csv":  # every command takes --format
+    if args.format == "csv":  # every command but verify-paper takes --format
         lines = [f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}"
                  for k, v in sorted(payload.items())]
         _write("\n".join(["key,value", *lines]) + "\n", args.out)
@@ -173,8 +177,7 @@ def cmd_design(args) -> int:
         return 0 if res["status"] == "OK" else EXIT_NON_CONVERGED
     if args.design_cmd == "hilbert":
         try:
-            rd = designs.hilbert_rational_design(args.n, args.height_start,
-                                                 args.height_max)
+            rd = designs.hilbert_rational_design(args.n, args.height_max)
         except designs.HeightExhausted as e:
             print(f"error: HEIGHT_EXHAUSTED: {e} (relaxed residual {e.residual})",
                   file=sys.stderr)
@@ -266,16 +269,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-COMMANDS = ("curv", "design", "curve", "bounds", "verify-paper")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    return _parser(None)
-
-
-def _parser(command) -> argparse.ArgumentParser:
-    """The parser.  Every sub-command is listed, for help and errors, but
-    one in ``COMMANDS`` given as ``command`` alone gets its arguments."""
     ap = argparse.ArgumentParser(
         prog="curvlab",
         description="normal-curvature workbench: immersion curvatures, "
@@ -286,80 +281,79 @@ def _parser(command) -> argparse.ArgumentParser:
     def add(name, text, run):
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
-        return p if command in (None, name) else None
+        return p
 
     def common(p, tol=1e-3):
         p.add_argument("--seed", type=_seed, default=None,
                        help="random seed (default: CURVLAB_SEED, else 0xC0FFEE)")
-        p.add_argument("--tol", type=_tolerance, default=tol)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tol is not None:  # verify-paper reads neither --tol nor --format
+            p.add_argument("--tol", type=_tolerance, default=tol)
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--no-meta", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
 
-    if p := add("curv", "curvature report for an immersion spec", cmd_curv):
-        p.add_argument("spec", help="immersion spec JSON file")
-        common(p)
+    p = add("curv", "curvature report for an immersion spec", cmd_curv)
+    p.add_argument("spec", help="immersion spec JSON file")
+    common(p)
 
-    if p := add("design", "degree-4 spherical design tools", cmd_design):
-        dsub = p.add_subparsers(dest="design_cmd", required=True)
-        pv = dsub.add_parser("verify", help="check a design file")
-        pv.add_argument("file")
-        common(pv, tol=1e-10)
-        po = dsub.add_parser("optimize", help="search for a floating design")
-        po.add_argument("--n", type=_positive_int, required=True)
-        po.add_argument("--cardinality", type=_positive_int, required=True)
-        po.add_argument("--iters", type=_positive_int, default=40)
-        common(po)
-        ph = dsub.add_parser("hilbert", help="exact rational design construction")
-        ph.add_argument("--n", type=_positive_int, required=True)
-        ph.add_argument("--height-start", type=_positive_int, default=1)
-        ph.add_argument("--height-max", type=_positive_int, default=8)
-        common(ph)
-        pt = dsub.add_parser("torus", help="flat-torus immersion from a design")
-        pt.add_argument("file")
-        pt.add_argument("--curv", action="store_true",
-                        help="also run the curvature report on the result")
-        common(pt)
+    dsub = add("design", "degree-4 spherical design tools",
+               cmd_design).add_subparsers(dest="design_cmd", required=True)
+    pv = dsub.add_parser("verify", help="check a design file")
+    pv.add_argument("file")
+    common(pv, tol=1e-10)
+    po = dsub.add_parser("optimize", help="search for a floating design")
+    po.add_argument("--n", type=_positive_int, required=True)
+    po.add_argument("--cardinality", type=_positive_int, required=True)
+    po.add_argument("--iters", type=_positive_int, default=40)
+    common(po)
+    ph = dsub.add_parser("hilbert", help="exact rational design construction")
+    ph.add_argument("--n", type=_positive_int, required=True)
+    ph.add_argument("--height-max", type=_positive_int, default=8)
+    common(ph)
+    pt = dsub.add_parser("torus", help="flat-torus immersion from a design")
+    pt.add_argument("file")
+    pt.add_argument("--curv", action="store_true",
+                    help="also run the curvature report on the result")
+    common(pt)
 
-    if p := add("curve", "discrete-curve inequality checkers", cmd_curve):
-        csub = p.add_subparsers(dest="curve_cmd", required=True)
-        pf = csub.add_parser("fenchel", help="total curvature of a closed curve")
-        pf.add_argument("file")
-        common(pf)
-        pa = csub.add_parser("arm", help="convex-arc straightening check")
-        pa.add_argument("q", nargs="?", help="spatial arc file")
-        pa.add_argument("p", nargs="?", help="planar convex comparison arc file")
-        pa.add_argument("--random", type=_nonnegative_int, default=0,
-                        help="run this many generated instances instead of files "
-                             "(0: read the files)")
-        pa.add_argument("--ambient", type=int, default=3)
-        common(pa, tol=1e-9)
-        pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
-        pb.add_argument("file")
-        pb.add_argument("--R", type=float, required=True, help="curvature bound 1/R")
-        common(pb, tol=1e-9)
-        pc = csub.add_parser("crofton", help="height-function critical point count")
-        pc.add_argument("file")
-        pc.add_argument("--dirs", type=_positive_int, default=10_000)
-        common(pc, tol=0.05)
+    csub = add("curve", "discrete-curve inequality checkers",
+               cmd_curve).add_subparsers(dest="curve_cmd", required=True)
+    pf = csub.add_parser("fenchel", help="total curvature of a closed curve")
+    pf.add_argument("file")
+    common(pf)
+    pa = csub.add_parser("arm", help="convex-arc straightening check")
+    pa.add_argument("q", nargs="?", help="spatial arc file")
+    pa.add_argument("p", nargs="?", help="planar convex comparison arc file")
+    pa.add_argument("--random", type=_nonnegative_int, default=0,
+                    help="run this many generated instances instead of files "
+                         "(0: read the files)")
+    pa.add_argument("--ambient", type=int, default=3)
+    common(pa, tol=1e-9)
+    pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
+    pb.add_argument("file")
+    pb.add_argument("--R", type=float, required=True, help="curvature bound 1/R")
+    common(pb, tol=1e-9)
+    pc = csub.add_parser("crofton", help="height-function critical point count")
+    pc.add_argument("file")
+    pc.add_argument("--dirs", type=_positive_int, default=10_000)
+    common(pc, tol=0.05)
 
-    if p := add("bounds", "curvature bound tables", cmd_bounds):
-        bsub = p.add_subparsers(dest="bounds_cmd", required=True)
-        pr = bsub.add_parser("report", help="bound table with consistency checks")
-        pr.add_argument("--n-min", type=int, default=1)
-        pr.add_argument("--n-max", type=int, default=16)
-        common(pr)
+    bsub = add("bounds", "curvature bound tables",
+               cmd_bounds).add_subparsers(dest="bounds_cmd", required=True)
+    pr = bsub.add_parser("report", help="bound table with consistency checks")
+    pr.add_argument("--n-min", type=int, default=1)
+    pr.add_argument("--n-max", type=int, default=16)
+    common(pr)
 
-    if p := add("verify-paper", "run the full quantitative claim suite", cmd_verify):
-        p.add_argument("--only", default=None, help="run a single check group")
-        common(p)
+    p = add("verify-paper", "run the full quantitative claim suite", cmd_verify)
+    p.add_argument("--only", default=None, help="run a single check group")
+    common(p, tol=None)
     return ap
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _env_seed()

@@ -564,16 +564,18 @@ def curve_from_json(data) -> PolyCurve:
 
 
 def curve_from_csv(text: str, closed: bool = False) -> PolyCurve:
+    """One vertex per row after an optional header, read by curve_from_json's parser."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]  # header
-    pts = np.array([[float(x) for x in r] for r in rows])
-    return PolyCurve(vertices=pts, closed=closed)
+    return curve_from_json({"vertices": rows, "closed": closed})
 
 
 def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+    for parse in (float, _real):  # float for "nan" and "inf", _real for "p/q"
+        try:
+            parse(s)
+            return True
+        except ValueError:
+            pass
+    return False

@@ -326,13 +326,13 @@ def exact_lp_feasible(A, b):
     return p
 
 
-def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) -> RationalDesign:
+def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
     """Exact rational degree-4 design via the dense-points + feasibility route.
 
     At each height, solve the exact moment system (all degree-4 monomial rows
     plus the normalization row) over the rational sphere points; on success,
-    clear denominators into integer multiplicities.  Heights double on
-    infeasibility.
+    clear denominators into integer multiplicities.  Heights start at 1 and
+    double on infeasibility, up to height_max.
 
     The LP gets the integer columns [num_j^alpha ; D_j^4] of s_j = num_j / D_j:
     column j of the rational system times D_j^4 > 0, with p_j = p'_j D_j^4.  A
@@ -344,7 +344,7 @@ def hilbert_rational_design(n: int, height_start: int = 1, height_max: int = 8) 
     E = _exponents(n)
     b = np.append(isotropic_moment_tensor(n, exact=True).values, Fraction(1))
     last_residual = None
-    height = height_start
+    height = 1
     while height <= height_max:
         pts = rational_sphere_points(n, height)
         num, D = _integer_points(pts)

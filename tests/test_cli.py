@@ -146,7 +146,6 @@ def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
     ("design", "optimize", "--n", "2", "--cardinality", "0"),
     ("design", "optimize", "--n", "2", "--cardinality", "5", "--iters", "0"),
     ("design", "hilbert", "--n", "0"),
-    ("design", "hilbert", "--n", "2", "--height-start", "0"),
     ("design", "hilbert", "--n", "2", "--height-max", "-1"),
 ])
 def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys):
@@ -276,11 +275,14 @@ def test_malformed_design_file_exits_parse_with_one_line(design, command, tmp_pa
     {"vertices": [[0, 0], [1, None], [1, 1]]},
     {"vertices": [[0, 0], [1, 0], [1, 1]], "closed": "false"},
     {"vertices": [[True, False], [1, 1], [3, 0]]},
+    "0,0\n1\n2,2\n",
+    "0,0\nx,1\n2,2\n",
 ], ids=["list", "missing-vertices", "ragged", "null-coordinate", "string-closed",
-        "bool-coordinate"])
+        "bool-coordinate", "csv-ragged", "csv-non-number"])
 def test_malformed_curve_file_exits_parse_with_one_line(curve, argv, tmp_path, capsys):
-    path = tmp_path / "curve.json"
-    path.write_text(json.dumps(curve))
+    # a str is a CSV file's text: its rows go through the JSON curves' parser
+    path = tmp_path / ("curve.csv" if isinstance(curve, str) else "curve.json")
+    path.write_text(curve if isinstance(curve, str) else json.dumps(curve))
     argv = [str(path) if a == "FILE" else a for a in argv]
     _assert_one_line_parse_error(*run(capsys, *argv))
 
@@ -796,12 +798,12 @@ def test_csv_output_format(sphere_spec, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the parser each call builds
+# the parser, built once per process
 
 PARSE_CASES = [
     [], ["-h"], ["bogus"], ["--seed", "1"],
-    *([cmd, "--help"] for cmd in cli.COMMANDS),
-    *([cmd, "--bogus"] for cmd in cli.COMMANDS),
+    *([cmd, flag] for flag in ("--help", "--bogus")
+      for cmd in ("curv", "design", "curve", "bounds", "verify-paper")),
     ["design", "torus", "--help"], ["design", "hilbert", "--n", "0"], ["design", "bogus"],
     ["curve", "arm", "--help"], ["curve", "bow", "x"], ["bounds", "report", "--n-min", "a"],
     ["curv"], ["curv", "x", "--points", "0"], ["curv", "x", "--tol", "-1"],
@@ -811,8 +813,7 @@ PARSE_CASES = [
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "none")
 def test_main_prints_the_full_parsers_help_and_flag_errors(argv):
-    # main adds arguments to the invoked sub-command only: what it prints, and
-    # its exit code, are those of the parser with every sub-command built
+    # what main prints, and its exit code, are those of the full parser
     def outcome(parse):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -822,21 +823,46 @@ def test_main_prints_the_full_parsers_help_and_flag_errors(argv):
     assert outcome(lambda: cli.main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
 
 
-def test_main_builds_only_the_invoked_subcommand(monkeypatch):
-    built = set()
-    add_argument = argparse.ArgumentParser.add_argument
+def test_main_builds_the_parser_once_and_carries_no_state(sphere_spec, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "curv", sphere_spec, "--no-meta")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    def recorded(self, *args, **kwargs):
-        if args[:1] != ("-h",):
-            built.add(self.prog)
-        return add_argument(self, *args, **kwargs)
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recorded)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify-paper", "--only", "scope"]) == 0
-    assert built == {"curvlab verify-paper"}
-    built.clear()
-    cli.build_parser()
-    assert len(built) == 11  # every command and nested sub-command that takes arguments
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run(capsys, "curv", sphere_spec, "--seed", "3", "--no-meta")
+    assert code == 0 and json.loads(out)["meta"]["seed"] == 3
+    # the omitted --seed is read from the environment again, not kept from the last call
+    monkeypatch.setenv("CURVLAB_SEED", "11")
+    code, out, _ = run(capsys, "curv", sphere_spec, "--no-meta")
+    assert code == 0 and json.loads(out)["meta"] == {"seed": 11, "tol": 1e-3}
+    # a call that argparse rejects leaves the next call as it was
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curv", sphere_spec, "--tol", "-1", "--seed", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out2, _ = run(capsys, "curv", sphere_spec, "--no-meta")
+    assert code == 0 and out2 == out
+    assert built == []
+
+
+def test_verify_paper_takes_only_the_options_it_reads(tmp_path, capsys):
+    for flag, value in (("--format", "csv"), ("--tol", "1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-paper", "--only", "scope", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: curvlab ")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"curvlab: error: unrecognized arguments: {flag} {value}"]
+    code, out, err = run(capsys, "verify-paper", "--seed", "7", "--no-meta",
+                         "--out", str(tmp_path / "claims"), "--only", "scope")
+    assert code == 0
+    assert out == (tmp_path / "claims" / "results.jsonl").read_text()
+    assert all("meta" not in json.loads(line) for line in out.splitlines())
 
 
 def test_curv_status_reads_convergence_not_spread(tmp_path, capsys, monkeypatch):

@@ -696,6 +696,22 @@ def test_curve_json_reads_exact_strings_as_in_spec_files():
     assert back.vertices.tolist() == [[0.0, 0.5], [3.0, 0.25]]
 
 
+def test_curve_csv_reads_numbers_as_json_does():
+    # "p/q" strings are numbers in CSV rows too, the first row included
+    text = "1/2,0\n3,0.25\n-1e2,7/4\n"
+    rows = [["1/2", "0"], ["3", "0.25"], ["-1e2", "7/4"]]
+    back = cu.curve_from_csv(text)
+    assert back.vertices.tolist() == [[0.5, 0.0], [3.0, 0.25], [-100.0, 1.75]]
+    assert np.array_equal(back.vertices, cu.curve_from_json({"vertices": rows}).vertices)
+    for bad in ("0,0\n1\n2,2\n", "0,0\nx,1\n2,2\n", "nan,0\n1,1\n"):
+        rows = [r.split(",") for r in bad.split()]
+        with pytest.raises(ValueError) as csv_error:
+            cu.curve_from_csv(bad)
+        with pytest.raises(ValueError) as json_error:
+            cu.curve_from_json({"vertices": rows})
+        assert str(csv_error.value) == str(json_error.value)
+
+
 def test_curve_csv_round_trip_with_header():
     c = cu.PolyCurve(np.array([[0.125, -1.5], [2.25, 0.75], [3.0, 3.0]]))
     text = "x0,x1\n" + "".join(f"{x!r},{y!r}\n" for x, y in c.vertices.tolist())

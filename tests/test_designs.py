@@ -451,7 +451,7 @@ def test_hilbert_rational_design(n):
 
 def test_hilbert_height_exhausted():
     with pytest.raises(dg.HeightExhausted) as exc:
-        dg.hilbert_rational_design(3, height_start=1, height_max=1)
+        dg.hilbert_rational_design(3, height_max=1)
     assert exc.value.residual is not None
 
 
