@@ -146,6 +146,7 @@ def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
     ("design", "optimize", "--n", "2", "--cardinality", "0"),
     ("design", "optimize", "--n", "2", "--cardinality", "5", "--iters", "0"),
     ("design", "hilbert", "--n", "0"),
+    ("design", "hilbert", "--n", "2", "--height-max", "0"),
     ("design", "hilbert", "--n", "2", "--height-max", "-1"),
 ])
 def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys):
