@@ -3,37 +3,12 @@
 Immersion catalog with analytic 2-jets, curvature measurement (directional,
 pointwise, global), degree-4 spherical designs with an exact rational
 construction, discrete-curve inequality checkers, and closed-form curvature
-bound registries with a consistency report.
+bound registries with a consistency report.  The package namespace holds the
+six modules; import names from them (``from curvlab import curvature as cv``).
 """
 
 from . import bounds, curvature, curves, designs, immersions, verify
-from .curvature import (
-    DEFAULT_SEED,
-    FundamentalData,
-    curv_dir,
-    fundamental_data,
-    normal_curvature_at,
-    normal_curvature_global,
-)
-from .immersions import (
-    ImmersionSpec,
-    Jet2,
-    clifford_torus,
-    jet2,
-    round_sphere,
-    sphere_product,
-    torus_linear,
-    tube_encircle,
-    veronese,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "bounds", "curvature", "curves", "designs", "immersions", "verify",
-    "DEFAULT_SEED", "FundamentalData", "curv_dir", "fundamental_data",
-    "normal_curvature_at", "normal_curvature_global",
-    "ImmersionSpec", "Jet2", "clifford_torus", "round_sphere",
-    "sphere_product", "torus_linear", "tube_encircle", "veronese",
-    "__version__",
-]
+__all__ = ["bounds", "curvature", "curves", "designs", "immersions", "verify", "__version__"]

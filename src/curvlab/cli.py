@@ -11,9 +11,12 @@ overrides it, and an explicit --seed flag wins over both.
 ``curv`` searches the orbit space (one node for a homogeneous kind, two for
 the tube), reads the pointwise invariants at the first node, and its
 ``status`` is OK when the search converged to ``--tol`` (see curvature).
-``verify-paper`` prints JSON lines without ``meta``, so it takes no ``--tol``
-or ``--format``.  The parser is built once per process (``build_parser``); each
-parse makes a new Namespace, so no state carries from one ``main`` to the next.
+Only the commands that read ``--tol`` take it, and only their ``meta`` reports
+it: ``curv``, ``design verify``, ``design torus`` (under ``--curv``) and
+``curve arm``, ``bow`` and ``crofton``.  ``verify-paper`` prints JSON lines
+without ``meta``, so it takes no ``--format``.  The parser is built once per
+process (``build_parser``); each parse makes a new Namespace, so no state
+carries from one ``main`` to the next.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _env_seed() -> int:
 
 
 def _meta(args) -> dict:
-    meta = {"seed": args.seed, "tol": args.tol}  # every command but verify-paper takes --tol
+    meta = {k: getattr(args, k) for k in ("seed", "tol") if k in args}  # tol where it is read
     if not args.no_meta:
         meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
@@ -136,11 +139,9 @@ def _load(path: str, parse):
 
 
 def _load_curve(path: str, closed: bool) -> curves.PolyCurve:
-    if path.endswith(".csv"):
-        return _load(path, lambda text: curves.curve_from_csv(text, closed=closed))
-
+    """A CSV or JSON curve file; closed=True closes it in parse, so its errors name path."""
     def parse(text):
-        curve = curves.curve_from_json(text)
+        curve = (curves.curve_from_csv if path.endswith(".csv") else curves.curve_from_json)(text)
         return curves.PolyCurve(curve.vertices, closed=True) if closed else curve
     return _load(path, parse)
 
@@ -283,19 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    def common(p, tol=1e-3):
+    def common(p, tol=None, meta=True):
         p.add_argument("--seed", type=_seed, default=None,
                        help="random seed (default: CURVLAB_SEED, else 0xC0FFEE)")
-        if tol is not None:  # verify-paper reads neither --tol nor --format
+        if tol is not None:  # only the commands that read --tol take it
             p.add_argument("--tol", type=_tolerance, default=tol)
+        if meta:  # verify-paper prints JSON lines with no meta
             p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--no-meta", action="store_true",
-                       help="omit the timestamp for byte-identical reruns")
+                       help="omit the timestamp for byte-identical reruns" if meta else
+                       "no effect: verify-paper prints no meta; accepted so that "
+                       "one set of flags can be passed to every command")
 
     p = add("curv", "curvature report for an immersion spec", cmd_curv)
     p.add_argument("spec", help="immersion spec JSON file")
-    common(p)
+    common(p, tol=1e-3)
 
     dsub = add("design", "degree-4 spherical design tools",
                cmd_design).add_subparsers(dest="design_cmd", required=True)
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("file")
     pt.add_argument("--curv", action="store_true",
                     help="also run the curvature report on the result")
-    common(pt)
+    common(pt, tol=1e-3)
 
     csub = add("curve", "discrete-curve inequality checkers",
                cmd_curve).add_subparsers(dest="curve_cmd", required=True)
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-paper", "run the full quantitative claim suite", cmd_verify)
     p.add_argument("--only", default=None, help="run a single check group")
-    common(p, tol=None)
+    common(p, meta=False)
     return ap
 
 

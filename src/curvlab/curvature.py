@@ -175,11 +175,11 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol):
         steps = (np.where(newton[..., None], w + np.einsum("bkin,bkn->bki", U, coord), power),
                  power, G + shift_km[..., None] * w)
         w1, F1 = w, np.full_like(F, -np.inf)
-        for step in steps:  # each lane keeps the first step that does not lower F
+        for trial in steps:  # each lane keeps the first step that does not lower F
             drop = F1 < F - noise
             if not drop.any():
                 break
-            w2 = step / np.linalg.norm(step, axis=-1, keepdims=True)
+            w2 = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
             w1 = np.where(drop[..., None], w2, w1)
             F1 = np.where(drop, _quartic(M, w2)[2], F1)
         active &= F1 >= F - noise

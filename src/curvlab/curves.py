@@ -563,12 +563,12 @@ def curve_from_json(data) -> PolyCurve:
     return PolyCurve(vertices=np.array(vertices), closed=closed)
 
 
-def curve_from_csv(text: str, closed: bool = False) -> PolyCurve:
-    """One vertex per row after an optional header, read by curve_from_json's parser."""
+def curve_from_csv(text: str) -> PolyCurve:
+    """An open curve, one vertex per row after an optional header, by curve_from_json's parser."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]  # header
-    return curve_from_json({"vertices": rows, "closed": closed})
+    return curve_from_json({"vertices": rows})
 
 
 def _is_number(s: str) -> bool:

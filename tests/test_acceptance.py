@@ -6,6 +6,7 @@ command and this gate execute identical code with identical tolerances.
 """
 
 import importlib
+import types
 
 import pytest
 
@@ -48,6 +49,15 @@ def test_every_exported_name_resolves(module):
     # still-listed name would fail there
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_namespace_is_the_six_modules():
+    # callers import a module (from curvlab import curvature); the package copies no names
+    import curvlab
+    modules = ["bounds", "curvature", "curves", "designs", "immersions", "verify"]
+    assert curvlab.__all__ == [*modules, "__version__"]
+    assert all(isinstance(getattr(curvlab, m), types.ModuleType) for m in modules)
+    assert [k for k, v in vars(curvlab).items() if isinstance(v, (type, types.FunctionType))] == []
 
 
 def test_all_groups_are_covered():

@@ -288,6 +288,18 @@ def test_malformed_curve_file_exits_parse_with_one_line(curve, argv, tmp_path, c
     _assert_one_line_parse_error(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("suffix, text", [
+    ("csv", "x0,x1\n0,0\n1,0\n"),
+    ("json", json.dumps({"vertices": [[0, 0], [1, 0]], "closed": False})),
+])
+def test_two_vertex_curve_given_to_a_closed_check_exits_parse(suffix, text, tmp_path, capsys):
+    # the curve is closed inside the file loader, so the error keeps the path
+    path = tmp_path / f"curve.{suffix}"
+    path.write_text(text)
+    assert run(capsys, "curve", "fenchel", str(path)) == (
+        cli.EXIT_PARSE, "", f"error: {path}: closed curve needs at least three vertices\n")
+
+
 def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     path.write_text("x0,x1\n0,0\n1,nan\n1,1\n")
@@ -369,16 +381,17 @@ def test_design_pipeline_hilbert_verify_torus_curv(tmp_path, capsys):
     assert abs(payload["curv"] - math.sqrt(1.5)) < 1e-6
 
 
-# sha256 of the --no-meta output, recorded before the exact LP moved from
-# Fraction to integer arithmetic (n <= 4), and before its matrix became integer
-# columns (n = 5): the same pivots give the same designs
+# sha256 of the --no-meta output: the designs recorded before the exact LP moved
+# from Fraction to integer arithmetic (n <= 4), and before its matrix became
+# integer columns (n = 5), so the same pivots give the same designs; re-recorded
+# when design hilbert stopped taking --tol, whose line and comma left its meta
 HILBERT_SHA256 = {
-    ("--n", "2"): "3078b909a1e9d7224c5bda189191baaed838d2e64079945c80362f71c1b37a59",
-    ("--n", "3"): "f2cc4b8b8317348750af90bb833d5f237c23857ced0432f82745c6be232e8a22",
+    ("--n", "2"): "1587ef67db6e630937f384ddd865dd2fab87018e56957fe9a4aacbfc6b2e4cce",
+    ("--n", "3"): "6751f3bdd9067adf78f718623b4eb9bb6a1a7af9dd5391be04d6c98a59845114",
     ("--n", "4", "--height-max", "1"):
-        "0599101407e7dc6b083ce6333b4989bc33516ba391e164bae618aa8ccbd50c17",
+        "8703a1c8321e4c040296cac57c6ac5b0d1fab1be9f9d10aa8e5f911f610cdd38",
     ("--n", "5", "--height-max", "1"):
-        "56a6dd707cfba5eedf7922fbe12f7e226f61f37135fc49603498891a45b85e20",
+        "f1b93a98bc3b2cec7db1d1350152be99793f636e46c9225ad4491d5b4e0974c9",
 }
 
 
@@ -812,16 +825,44 @@ PARSE_CASES = [
 ]
 
 
+# the start of argparse's last stderr line for each case that is not a help
+# request: the parser that rejects the call, and the argument it names
+PARSE_ERRORS = {
+    "": "curvlab: error: the following arguments are required: command",
+    "bogus": "curvlab: error: argument command: invalid choice: 'bogus'",
+    "--seed 1": "curvlab: error: argument command: invalid choice: '1'",
+    "curv --bogus": "curvlab curv: error: the following arguments are required: spec",
+    "design --bogus": "curvlab design: error: the following arguments are required: design_cmd",
+    "curve --bogus": "curvlab curve: error: the following arguments are required: curve_cmd",
+    "bounds --bogus": "curvlab bounds: error: the following arguments are required: bounds_cmd",
+    "verify-paper --bogus": "curvlab: error: unrecognized arguments: --bogus",
+    "design hilbert --n 0":
+        "curvlab design hilbert: error: argument --n: must be a positive integer, got 0",
+    "design bogus": "curvlab design: error: argument design_cmd: invalid choice: 'bogus'",
+    "curve bow x": "curvlab curve bow: error: the following arguments are required: --R",
+    "bounds report --n-min a":
+        "curvlab bounds report: error: argument --n-min: invalid int value: 'a'",
+    "curv": "curvlab curv: error: the following arguments are required: spec",
+    "curv x --points 0": "curvlab: error: unrecognized arguments: --points 0",
+    "curv x --tol -1":
+        "curvlab curv: error: argument --tol: must be a finite non-negative number, got -1",
+}
+
+
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "none")
-def test_main_prints_the_full_parsers_help_and_flag_errors(argv):
-    # what main prints, and its exit code, are those of the full parser
-    def outcome(parse):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                pytest.raises(SystemExit) as exit_:
-            parse()
-        return exit_.value.code, out.getvalue(), err.getvalue()
-    assert outcome(lambda: cli.main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
+def test_main_prints_the_full_parsers_help_and_flag_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    if argv and argv[-1] in ("-h", "--help"):  # the help of the (sub)command named before it
+        assert (exc.value.code, err) == (0, "")
+        assert " ".join(out.split()).startswith(" ".join(["usage: curvlab", *argv[:-1], "[-h]"]))
+        return
+    assert (exc.value.code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: curvlab")
+    assert [line for line in lines if "error" in line] == [lines[-1]]
+    assert lines[-1].startswith(PARSE_ERRORS[" ".join(argv)])
 
 
 def test_main_builds_the_parser_once_and_carries_no_state(sphere_spec, capsys, monkeypatch):
@@ -850,7 +891,7 @@ def test_main_builds_the_parser_once_and_carries_no_state(sphere_spec, capsys, m
     assert built == []
 
 
-def test_verify_paper_takes_only_the_options_it_reads(tmp_path, capsys):
+def test_verify_paper_takes_only_the_options_it_reads(tmp_path, capsys, monkeypatch):
     for flag, value in (("--format", "csv"), ("--tol", "1")):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify-paper", "--only", "scope", flag, value])
@@ -864,6 +905,51 @@ def test_verify_paper_takes_only_the_options_it_reads(tmp_path, capsys):
     assert code == 0
     assert out == (tmp_path / "claims" / "results.jsonl").read_text()
     assert all("meta" not in json.loads(line) for line in out.splitlines())
+    # --no-meta is accepted, so one set of flags serves every command, and says it does nothing
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal's width
+    with pytest.raises(SystemExit):
+        cli.main(["verify-paper", "--help"])
+    help_words = " ".join(capsys.readouterr().out.split())
+    assert "--no-meta no effect: verify-paper prints no meta;" in help_words
+
+
+# each command with the --tol it reads (None: it reads none, so it takes none)
+TOL_COMMANDS = [
+    (["curv", "SPEC"], 1e-3),
+    (["design", "verify", "PENTAGON"], 1e-10),
+    (["design", "torus", "PENTAGON", "--curv"], 1e-3),
+    (["curve", "arm", "--random", "3"], 1e-9),
+    (["curve", "bow", "ARC", "--R", "1.0"], 1e-9),
+    (["curve", "crofton", "SQUARE"], 0.05),
+    (["design", "optimize", "--n", "2", "--cardinality", "5", "--iters", "10"], None),
+    (["design", "hilbert", "--n", "2"], None),
+    (["curve", "fenchel", "SQUARE"], None),
+    (["bounds", "report", "--n-min", "2", "--n-max", "4"], None),
+]
+
+
+@pytest.mark.parametrize("argv, tol", TOL_COMMANDS, ids=[
+    " ".join(w for w in argv[:2] if w.islower()) for argv, _ in TOL_COMMANDS])
+def test_commands_take_tol_only_where_they_read_it(argv, tol, sphere_spec, square_curve,
+                                                   tmp_path, capsys):
+    from curvlab import curves as cu, designs as dg
+    pentagon, arc = tmp_path / "pentagon.json", tmp_path / "arc.csv"
+    pentagon.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
+    arc.write_text(curve_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
+    files = {"SPEC": sphere_spec, "PENTAGON": str(pentagon), "ARC": str(arc),
+             "SQUARE": square_curve}
+    argv = [files.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv, "--seed", "1", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["meta"] == ({"seed": 1} if tol is None else {"seed": 1, "tol": tol})
+    if tol is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: curvlab ")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "curvlab: error: unrecognized arguments: --tol 1"]
 
 
 def test_curv_status_reads_convergence_not_spread(tmp_path, capsys, monkeypatch):
