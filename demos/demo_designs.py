@@ -47,7 +47,7 @@ def main():
         names = ", ".join(
             "(" + ", ".join(str(x) for x in p) + ")" for p in rd.points[:3])
         print(f"  n={n}: {len(rd.points)} distinct rational points, "
-              f"total multiplicity Q = {rd.Q}")
+              f"total multiplicity Q = {rd.N}")
         print(f"        first points: {names} ...")
         print(f"        exact residual: "
               f"{dg.is_degree4_design(rd)['residual']}")

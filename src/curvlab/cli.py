@@ -195,6 +195,8 @@ def cmd_design(args) -> int:
         payload = {"spec": immersions.spec_to_json(spec)}
         if args.curv:
             payload.update(_curvature_payload(spec, args))
+        else:  # --tol is read only under --curv, so only there does meta report it
+            del args.tol
         _emit(payload, args)
         return 0
     raise AssertionError(args.design_cmd)

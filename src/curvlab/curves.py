@@ -281,13 +281,8 @@ def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
 
 def is_convex_arc(curve: PolyCurve) -> bool:
     """Planar, same-sign turning, total turn at most pi."""
-    return bool(_convex_arcs(curve.vertices[None], external_angles(curve)[None],
-                             curve.closed)[0])
-
-
-def _convex_arcs(v: np.ndarray, turns: np.ndarray, closed: bool = False) -> np.ndarray:
-    """(B,) bool: ``is_convex_arc`` of a vertex stack with turning angles (B, A)."""
-    return _planar_same_turn(v, closed, turns.sum(axis=1) <= math.pi + 1e-9)
+    within_pi = external_angles(curve)[None].sum(axis=1) <= math.pi + 1e-9
+    return bool(_planar_same_turn(curve.vertices[None], curve.closed, within_pi)[0])
 
 
 def _arm(q: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> dict:
@@ -300,9 +295,10 @@ def _arm(q: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> dict:
         dominate = lengths_match & np.all(_turns(eq, sides_q, False) <= turns_p + 1e-12, axis=1)
     else:
         lengths_match = dominate = np.zeros(len(p), dtype=bool)
-    hyp = {"lengths_match": lengths_match, "p_convex_arc": _convex_arcs(p, turns_p),
+    p_convex = _planar_same_turn(p, False, turns_p.sum(axis=1) <= math.pi + 1e-9)
+    hyp = {"lengths_match": lengths_match, "p_convex_arc": p_convex,
            "q_angles_dominate": dominate}
-    hypotheses_ok = lengths_match & hyp["p_convex_arc"] & dominate
+    hypotheses_ok = lengths_match & p_convex & dominate
     dist_q, dist_p = _chord(q), _chord(p)
     slack = dist_q - dist_p
     return {

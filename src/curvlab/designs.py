@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .immersions import _count, _fields, _fraction, _list, _optional, _real
 __all__ = [
     "Design",
     "RationalDesign",
-    "MomentTensor4",
     "quartic_moment_tensor",
     "isotropic_moment_tensor",
     "is_degree4_design",
@@ -85,10 +83,8 @@ class Design:
 
 @dataclass(frozen=True)
 class RationalDesign:
-    """Exact design: rational unit points with integer multiplicities P_i.
-
-    Q = sum(P_i) is the common denominator of the construction.
-    """
+    """Exact design: rational unit points with integer multiplicities P_i; their sum N
+    is the common denominator of the construction."""
 
     n: int
     points: tuple[tuple[Fraction, ...], ...]
@@ -106,17 +102,13 @@ class RationalDesign:
             raise ValueError("multiplicities must be positive integers")
 
     @property
-    def Q(self) -> int:
-        return sum(self.multiplicities)
-
-    @property
     def N(self) -> int:
-        return self.Q
+        return sum(self.multiplicities)
 
     def to_float(self) -> Design:
         pts = np.array([[float(x) for x in p] for p in self.points])
-        Q = self.Q
-        w = np.array([P / Q for P in self.multiplicities], dtype=float)
+        N = self.N
+        w = np.array([P / N for P in self.multiplicities], dtype=float)
         return Design(n=self.n, points=pts, weights=w)
 
 
@@ -147,22 +139,10 @@ def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
     return np.array(num, dtype=object), np.array(dens, dtype=object)
 
 
-@dataclass(frozen=True)
-class MomentTensor4:
-    """Degree-4 moment tensor: one value per multi-index, ordered by multi_indices(n)."""
-
-    n: int
-    values: np.ndarray  # C(n+3, 4) entries; float64, or object of Fraction
-
-    @property
-    def entries(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(multi_indices(self.n), self.values.tolist())))
-
-
-def quartic_moment_tensor(d) -> MomentTensor4:
-    """Weighted degree-4 monomial moments; exact Fractions for a RationalDesign, summed
-    in Python ints: with s_j = num_j / D_j (_integer_points) and L = lcm(D_j^4),
-    moment alpha is sum_j P_j num_j^alpha (L / D_j^4) over L Q."""
+def quartic_moment_tensor(d) -> np.ndarray:
+    """Weighted degree-4 monomial moments, ordered by multi_indices(n); exact Fractions for
+    a RationalDesign, summed in Python ints: with s_j = num_j / D_j (_integer_points) and
+    L = lcm(D_j^4), moment alpha is sum_j P_j num_j^alpha (L / D_j^4) over L N."""
     E = _exponents(d.n)
     if isinstance(d, RationalDesign):
         num, D = _integer_points(d.points)
@@ -170,13 +150,13 @@ def quartic_moment_tensor(d) -> MomentTensor4:
         L = math.lcm(*D4)
         # @, not np.vecdot: an object-dtype vecdot keeps about one int per call alive
         sums = _quartic_monomials(num, E) @ (np.array(d.multiplicities, dtype=object) * (L // D4))
-        return MomentTensor4(n=d.n, values=np.array([Fraction(x, L * d.Q) for x in sums]))
+        return np.array([Fraction(x, L * d.N) for x in sums])
     # one dot per row: a matrix-vector product sums in another order
-    return MomentTensor4(n=d.n, values=np.vecdot(_quartic_monomials(d.points, E), d.weights))
+    return np.vecdot(_quartic_monomials(d.points, E), d.weights)
 
 
-def isotropic_moment_tensor(n: int, exact: bool = False) -> MomentTensor4:
-    """Degree-4 moments of the uniform measure on S^{n-1}.
+def isotropic_moment_tensor(n: int, exact: bool = False) -> np.ndarray:
+    """Degree-4 moments of the uniform measure on S^{n-1}, ordered by multi_indices(n).
 
     prod_i (a_i - 1)!! / (n(n+2)) when every exponent a_i is even, else zero:
     3/(n(n+2)) on pure quartics, 1/(n(n+2)) on the (2,2) mixed monomials.
@@ -186,7 +166,7 @@ def isotropic_moment_tensor(n: int, exact: bool = False) -> MomentTensor4:
     # (a - 1)!! for a = 0..4, with 0 at the odd exponents
     numer = np.prod(np.array([1, 0, 1, 0, 3])[_exponents(n)], axis=1)
     values = [Fraction(int(k), n * (n + 2)) for k in numer]
-    return MomentTensor4(n=n, values=np.array(values, dtype=object if exact else float))
+    return np.array(values, dtype=object if exact else float)
 
 
 def is_degree4_design(d, tol: float = 1e-10) -> dict:
@@ -195,7 +175,7 @@ def is_degree4_design(d, tol: float = 1e-10) -> dict:
     Exact zero-test for a RationalDesign; infinity-norm residual otherwise.
     """
     exact = isinstance(d, RationalDesign)
-    diff = quartic_moment_tensor(d).values - isotropic_moment_tensor(d.n, exact=exact).values
+    diff = quartic_moment_tensor(d) - isotropic_moment_tensor(d.n, exact=exact)
     res = np.max(np.abs(diff))
     if exact:
         return {"ok": res == 0, "residual": res}
@@ -342,7 +322,7 @@ def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
     if n < 1:
         raise ValueError("n must be >= 1")
     E = _exponents(n)
-    b = np.append(isotropic_moment_tensor(n, exact=True).values, Fraction(1))
+    b = np.append(isotropic_moment_tensor(n, exact=True), Fraction(1))
     last_residual = None
     height = 1
     while height <= height_max:
@@ -439,7 +419,7 @@ def optimize_design(n: int, N: int, seed: int = 0, iters: int = 40) -> dict:
     if iters < 1:
         raise ValueError("iters must be >= 1")
     E = _exponents(n)
-    iso = isotropic_moment_tensor(n).values
+    iso = isotropic_moment_tensor(n)
 
     def residual(v):
         pts = v.reshape(N, n)

@@ -3,10 +3,10 @@
 Every immersion is an :class:`ImmersionSpec`: one small frozen dataclass per
 kind, holding only that kind's parameters.  A kind owns its dimensions, its
 analytic jet, its hyperspherical charts, its containment radius and its JSON
-form; ``_KINDS`` maps each JSON ``kind`` to its class and constructor.  The
-catalog covers round spheres, products of spheres, Clifford tori, linear
-sub-tori of Clifford tori (the design-torus construction), quadratic Veronese
-embeddings of projective spaces, and tube encirclings of round spheres.
+form; ``_KINDS`` maps each JSON ``kind`` to its wire and constructor.  Five
+classes: products of spheres (a round sphere is the one-factor product), Clifford
+tori, linear sub-tori of Clifford tori (the design-torus construction), quadratic
+Veronese embeddings of projective spaces, and tube encirclings of round spheres.
 
 Parameter domains are unbounded; angle coordinates wrap.  Hyperspherical charts
 are singular at the poles (``sin`` of a polar angle vanishing), so samplers
@@ -210,13 +210,13 @@ def _veronese_basis(m: int) -> np.ndarray:
 # kinds
 
 class ImmersionSpec:
-    """Symbolic description of a catalog immersion; one subclass per kind.
+    """Symbolic description of a catalog immersion; one subclass per kind (a round
+    sphere is a one-factor :class:`SphereProduct`).
 
-    A kind sets ``kind`` (its JSON name), ``wire`` (the JSON key and parser of
-    each field, in field order), ``chart_dims`` (the dimensions of its
-    hyperspherical charts, in parameter order; none for tori), its
-    ``ambient_dim``, its ``declared_radius`` and its analytic ``_jet``.  A
-    kind that is not homogeneous also sets its ``orbit_nodes``.
+    A kind sets ``kind`` (its JSON name), ``wire`` (the JSON key and parser of each
+    field, in field order), ``chart_dims`` (the dimensions of its hyperspherical charts,
+    in parameter order; none for tori), its ``ambient_dim``, its ``declared_radius``
+    and its analytic ``_jet``.  A kind that is not homogeneous also sets ``orbit_nodes``.
     """
 
     kind: ClassVar[str]
@@ -242,27 +242,13 @@ class ImmersionSpec:
 
 
 @dataclass(frozen=True)
-class RoundSphere(ImmersionSpec):
-    n: int
-    R: float
-    kind = "round_sphere"
-    wire = (("n", _count), ("R", _real))
-    chart_dims = property(lambda self: (self.n,))
-    ambient_dim = property(lambda self: self.n + 1)
-    declared_radius = property(lambda self: self.R)
-
-    def _jet(self, u):
-        return _sphere_chart_jet(u, self.R)
-
-
-@dataclass(frozen=True)
 class SphereProduct(ImmersionSpec):
     factors: tuple[tuple[int, float], ...]
     kind = "sphere_product"
     wire = (("factors", _list(_factor)),)
     chart_dims = property(lambda self: tuple(ni for ni, _ in self.factors))
     ambient_dim = property(lambda self: self.intrinsic_dim + len(self.factors))
-    declared_radius = property(lambda self: math.sqrt(sum(R * R for _, R in self.factors)))
+    declared_radius = property(lambda self: math.hypot(*(R for _, R in self.factors)))
 
     def _jet(self, u):
         ends = np.cumsum(self.chart_dims)
@@ -375,7 +361,7 @@ class Tube(ImmersionSpec):
 def round_sphere(n: int, R: float) -> ImmersionSpec:
     if n < 1 or R <= 0:
         raise ValueError("round sphere needs n >= 1 and R > 0")
-    return RoundSphere(n=int(n), R=float(R))
+    return sphere_product([(n, R)])
 
 
 def sphere_product(factors) -> ImmersionSpec:
@@ -441,14 +427,14 @@ def tube_encircle(base_r: float, n1: int, n2: int, rho: float) -> ImmersionSpec:
     return Tube(base_r=float(base_r), n1=int(n1), n2=int(n2), rho=float(rho))
 
 
-_KINDS = {cls.kind: (cls, make) for cls, make in (
-    (RoundSphere, round_sphere),
+_KINDS = {cls.kind: (cls.wire, make) for cls, make in (
     (SphereProduct, sphere_product),
     (CliffordTorus, clifford_torus),
     (TorusLinear, torus_linear),
     (Veronese, veronese),
     (Tube, tube_encircle),
 )}
+_KINDS["round_sphere"] = ((("n", _count), ("R", _real)), round_sphere)  # no class of its own
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +498,8 @@ def spec_from_json(data) -> ImmersionSpec:
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown immersion kind {json.dumps(kind)}")
-    cls, make = _KINDS[kind]
-    return make(*_fields(kind, data, cls.wire))
+    wire, make = _KINDS[kind]
+    return make(*_fields(kind, data, wire))
 
 
 def _plain(v):

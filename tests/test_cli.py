@@ -952,6 +952,20 @@ def test_commands_take_tol_only_where_they_read_it(argv, tol, sphere_spec, squar
             "curvlab: error: unrecognized arguments: --tol 1"]
 
 
+def test_design_torus_reports_tol_only_under_curv(tmp_path, capsys):
+    # --tol is read only by the --curv report; without --curv it is accepted and not reported
+    from curvlab import designs as dg
+    pentagon = tmp_path / "pentagon.json"
+    pentagon.write_text(json.dumps(dg.design_to_json(dg.pentagon_design())))
+    for flags, meta in (([], {"seed": 1}), (["--tol", "0.5"], {"seed": 1}),
+                        (["--curv"], {"seed": 1, "tol": 1e-3}),
+                        (["--curv", "--tol", "0.5"], {"seed": 1, "tol": 0.5})):
+        code, out, _ = run(capsys, "design", "torus", str(pentagon), *flags, "--seed", "1",
+                           "--no-meta")
+        assert code == 0 and json.loads(out)["meta"] == meta
+        assert ("curv" in json.loads(out)) == ("--curv" in flags)
+
+
 def test_curv_status_reads_convergence_not_spread(tmp_path, capsys, monkeypatch):
     # the tube's nodes differ by 1.32, and its search converged
     path = tmp_path / "tube.json"

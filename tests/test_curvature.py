@@ -439,7 +439,9 @@ HOMOGENEOUS = [im.round_sphere(1, 1.0), im.round_sphere(3, 2.0),
                im.torus_linear([[1.0, 0.0], [0.6, 0.8]]), im.veronese(3)]
 
 
-@pytest.mark.parametrize("spec", HOMOGENEOUS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", HOMOGENEOUS, ids=[
+    "round_sphere0", "round_sphere1", "sphere_product", "clifford_torus", "torus_linear",
+    "veronese"])
 def test_homogeneous_kinds_search_one_regular_node(spec):
     u = spec.orbit_nodes()
     assert u.shape == (1, spec.intrinsic_dim)
@@ -511,6 +513,20 @@ def test_power_of_two_scaling_leaves_the_search_bit_identical():
         assert b[0][0] == a[0][0] * 2.0 ** (trial - 10)
         assert b[2][0] == a[2][0] * 2.0 ** (trial - 10)
         assert np.array_equal(a[1], b[1])
+
+
+def test_zero_forms_in_a_stack_give_zero_and_leave_the_others_bit_identical():
+    # the zero lanes skip the ascent, which would normalize their zero power step (0/0)
+    rng = np.random.default_rng(9)
+    M = np.zeros((4, 6, 4, 4))
+    M[1], M[3] = (random_form(rng, 4, 6).whitened_form() for _ in range(2))
+    with np.errstate(all="raise"):
+        curv, w, grad = cv._direction_search(M, 1e-9, 7)
+        singles = [cv._direction_search(M[b:b + 1], 1e-9, 7) for b in (1, 3)]
+    assert np.all(curv[[0, 2]] == 0.0) and np.all(grad[[0, 2]] == 0.0)
+    assert np.array_equal(w[[0, 2]], np.eye(1, 4).repeat(2, axis=0))
+    for b, (c1, w1, g1) in zip((1, 3), singles):
+        assert curv[b] == c1[0] > 0 and grad[b] == g1[0] and np.array_equal(w[b], w1[0])
 
 
 def test_ascent_stops_relative_to_the_form_scale(monkeypatch):

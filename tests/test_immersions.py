@@ -70,7 +70,9 @@ ALL_SPECS = [
 
 
 def spec_id(spec):
-    return spec.kind + str(spec.intrinsic_dim)
+    """kind and dimension; a one-factor sphere product is named as the round sphere it is."""
+    one_sphere = spec.kind == "sphere_product" and len(spec.factors) == 1
+    return ("round_sphere" if one_sphere else spec.kind) + str(spec.intrinsic_dim)
 
 
 # polar-angle columns of each ALL_SPECS entry, written out per kind: every
@@ -272,6 +274,40 @@ def test_param_dimension_checked():
 def test_spec_json_round_trip(spec):
     again = im.spec_from_json(im.spec_to_json(spec))
     assert again == spec
+
+
+RADII = (1e-150, 0.7, 2.0, 1e150)
+
+
+@pytest.mark.parametrize("R", RADII)
+def test_round_sphere_is_a_one_factor_sphere_product(R):
+    for n in range(1, 7):
+        spec = im.round_sphere(n, R)
+        assert spec == im.sphere_product([(n, R)])
+        assert spec.declared_radius == R
+        us = im.sample_params(spec, 5, np.random.default_rng(n))
+        j, ref = im.jet2(spec, us), im._sphere_chart_jet(us, R)
+        for got, want in zip((j.point, j.jac, j.hess), ref):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_round_sphere_json_kind_builds_the_sphere_product():
+    spec = im.spec_from_json({"kind": "round_sphere", "n": 3, "R": "2/3"})
+    assert spec == im.round_sphere(3, 2.0 / 3.0)
+    assert im.spec_to_json(spec) == {"kind": "sphere_product", "factors": [[3, 2.0 / 3.0]]}
+    assert im.spec_from_json(im.spec_to_json(spec)) == spec
+    with pytest.raises(ValueError, match="^round sphere needs n >= 1 and R > 0$"):
+        im.spec_from_json({"kind": "round_sphere", "n": 0, "R": 1})
+    with pytest.raises(ValueError, match="^round_sphere 'R': missing$"):
+        im.spec_from_json({"kind": "round_sphere", "n": 2})
+
+
+def test_sphere_product_radius_neither_overflows_nor_underflows():
+    # sqrt(sum R^2) gave inf and 0.0 for these
+    assert math.isclose(im.sphere_product([(1, 1e160), (1, 1e160)]).declared_radius,
+                        math.sqrt(2.0) * 1e160, rel_tol=1e-15)
+    assert math.isclose(im.sphere_product([(1, 1e-170), (2, 1e-170)]).declared_radius,
+                        math.sqrt(2.0) * 1e-170, rel_tol=1e-15)
 
 
 def test_spec_json_accepts_exact_fractions():
