@@ -44,25 +44,21 @@ _STATIONARY_TOL = 1e-9
 class FundamentalData:
     """First and second fundamental forms of an immersion at a point.
 
-    g is the induced metric J^T J;  II[..., i, j] is the ambient-vector-valued
-    normal projection of the Hessian;  whitener maps g-orthonormal coordinates
-    to parameter coordinates (g^{-1/2}).  The forms of B basepoints carry a
-    leading B axis on every array; every invariant below then gives B values,
-    where one basepoint gives a float (a vector for mean_curvature).
+    g is the induced metric J^T J;  the whitener W maps g-orthonormal coordinates
+    to parameter coordinates (g^{-1/2});  M = W^T II W is the second fundamental
+    form in those coordinates, one n x n form per ambient component, II being the
+    normal projection of the Hessian.  The forms of B basepoints carry a leading B
+    axis on every array; every invariant below then gives B values, where one
+    basepoint gives a float (a vector for mean_curvature).
     """
 
     g: np.ndarray
-    II: np.ndarray
+    M: np.ndarray
     whitener: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.g.shape[-1]
-
-    def whitened_form(self) -> np.ndarray:
-        """II in g-orthonormal tangent coordinates, shape ([B,] N, n, n)."""
-        W = self.whitener[..., None, :, :]  # one W for the C normal components
-        return W.mT @ self.II @ W
 
 
 def fundamental_data(jet: Jet2) -> FundamentalData:
@@ -82,7 +78,8 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
     if np.any(evals[..., 0] < np.finfo(float).tiny):  # subnormal: digits are lost
         raise ValueError("the metric underflows float64")
     whitener = (evecs * evals[..., None, :] ** -0.5) @ evecs.mT  # g^{-1/2}
-    return FundamentalData(g=g, II=II, whitener=whitener)
+    W = whitener[..., None, :, :]  # one W for the C normal components
+    return FundamentalData(g=g, M=W.mT @ II @ W, whitener=whitener)
 
 
 def _scalar(x):
@@ -96,8 +93,9 @@ def curv_dir(fd: FundamentalData, tau):
     q = np.vecdot(tau, np.vecdot(fd.g, tau[..., None, :]))  # tau^T g tau
     if not np.all((q > 0.0) & np.isfinite(q)):
         raise ValueError("tangent direction must be nonzero")
-    t = tau / np.sqrt(q)[..., None]
-    v = np.einsum("...cij,...i,...j->...c", fd.II, t, t)
+    # the g-orthonormal coordinates of tau / |tau|_g: g^{1/2} = g W
+    w = np.vecdot(fd.g @ fd.whitener, tau[..., None, :]) / np.sqrt(q)[..., None]
+    v = np.einsum("...cij,...i,...j->...c", fd.M, w, w)
     return _scalar(np.sqrt(np.vecdot(v, v)))
 
 
@@ -107,7 +105,7 @@ def curv_dir(fd: FundamentalData, tau):
 def _random_directions(n: int, count: int, seed: int) -> np.ndarray:
     """count unit vectors in R^n drawn from default_rng(seed): (count, n)."""
     w = np.random.default_rng(seed).standard_normal((count, n))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+    return np.divide(w, np.linalg.norm(w, axis=1, keepdims=True), out=w)  # no second copy
 
 
 _N_CANDIDATES = 256  # seeded directions scored per basepoint
@@ -234,9 +232,8 @@ def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,
     ran out.  A stationary point can be a lesser local maximum whose
     basin no start fell in.  Any intrinsic dimension is accepted.
     """
-    M = fd.whitened_form()
-    batch = M.shape[:-3]
-    curv, w, _ = _direction_search(M.reshape((-1,) + M.shape[-3:]), _STATIONARY_TOL, seed)
+    batch = fd.M.shape[:-3]
+    curv, w, _ = _direction_search(fd.M.reshape(-1, *fd.M.shape[-3:]), _STATIONARY_TOL, seed)
     curv = _scalar(curv.reshape(batch))
     if return_direction:
         return curv, (fd.whitener @ w.reshape(batch + (fd.n, 1)))[..., 0]
@@ -256,9 +253,9 @@ def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> di
     rounding leaves about eps * sup); ``pi``, ``mean_curvature_norm`` and
     ``scalar_curvature`` are read at the first node."""
     fd = fundamental_data(jet2(spec, spec.orbit_nodes()))
-    vals, _, grad = _direction_search(fd.whitened_form(), _STATIONARY_TOL, seed)
+    vals, _, grad = _direction_search(fd.M, _STATIONARY_TOL, seed)
     best = int(np.argmax(vals))
-    node = FundamentalData(fd.g[0], fd.II[0], fd.whitener[0])
+    node = FundamentalData(fd.g[0], fd.M[0], fd.whitener[0])
     return {
         "sup": float(vals[best]),
         "per_point_spread": float(vals.max() - vals.min()),
@@ -279,14 +276,12 @@ def mean_curvature(fd: FundamentalData) -> np.ndarray:
     The sum convention (not the average) is what balances the Gauss formula:
     Sc(S^n(R)) = n(n-1)/R^2 comes out exactly.
     """
-    ginv = fd.whitener @ fd.whitener
-    return np.einsum("...cij,...ij->...c", fd.II, ginv)
+    return np.einsum("...cii->...c", fd.M)  # tr(g^{-1} II_c) = tr M_c
 
 
 def second_form_l2_sq(fd: FundamentalData):
     """sum_{i,j} ||II(e_i, e_j)||^2 over a g-orthonormal frame."""
-    M = fd.whitened_form()
-    return _scalar(np.einsum("...cij,...cij->...", M, M))
+    return _scalar(np.einsum("...cij,...cij->...", fd.M, fd.M))
 
 
 def petrunin_pi(fd: FundamentalData):
@@ -300,8 +295,8 @@ def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
                    seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the same average; cross-validates the closed form."""
     w = _random_directions(fd.n, n_samples, seed)
-    vals = np.einsum("si,...cij,sj->...sc", w, fd.whitened_form(), w)
-    return _scalar(np.mean(np.einsum("...sc,...sc->...s", vals, vals), axis=-1))
+    vals = np.einsum("si,...cij,sj->...sc", w, fd.M, w)
+    return _scalar(np.einsum("...sc,...sc->...", vals, vals) / n_samples)
 
 
 def scalar_curvature_gauss(fd: FundamentalData):

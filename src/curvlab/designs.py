@@ -501,6 +501,8 @@ def design_from_json(data):
         ("points", _list(_list(_rational if exact else _real))),
         ("multiplicities", _list(_count)) if exact else ("weights", _optional(_list(_real))),
     ))
+    if n < 1:
+        raise ValueError(f"design 'n': expected an integer >= 1, got {n}")
     if not pts or any(len(p) != n for p in pts):
         raise ValueError(f"design 'points': expected a non-empty list of {n}-coordinate points")
     if exact:

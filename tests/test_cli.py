@@ -264,6 +264,19 @@ def test_malformed_design_file_exits_parse_with_one_line(design, command, tmp_pa
     _assert_one_line_parse_error(*run(capsys, "design", command, str(path)))
 
 
+@pytest.mark.parametrize("command", ["verify", "torus"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_design_dimension_below_one_names_the_field(n, exact, command, tmp_path, capsys):
+    design = ({"n": n, "points": [["1"]], "multiplicities": [1]} if exact
+              else {"n": n, "points": [[1.0]]})
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    code, out, err = run(capsys, "design", command, str(path))
+    _assert_one_line_parse_error(code, out, err)
+    assert err == f"error: {path}: design 'n': expected an integer >= 1, got {n}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("curve", "fenchel", "FILE"),
     ("curve", "bow", "FILE", "--R", "1.0"),

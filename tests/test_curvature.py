@@ -170,6 +170,54 @@ def test_scalar_curvature_formulas_agree_on_random_data():
                                [cv.curv_dir(fd, taus[0]) for fd in fds], rtol=1e-14)
 
 
+def reference_forms(J, H):
+    """W^T (H - Q Q^T H) W and tr(g^{-1} II), built apart from fundamental_data."""
+    Q, _ = np.linalg.qr(J)
+    II = H - np.einsum("...ca,...da,...dij->...cij", Q, Q, H)
+    g = J.mT @ J
+    lam, U = np.linalg.eigh(g)
+    W = (U / np.sqrt(lam)[..., None, :]) @ U.mT
+    M = np.einsum("...ia,...cij,...jb->...cab", W, II, W)
+    return M, II, np.einsum("...cij,...ij->...c", II, np.linalg.inv(g))
+
+
+@pytest.mark.parametrize("batch", [(), (6,)], ids=["single", "stacked"])
+def test_second_form_matches_a_reference_built_from_the_jet(batch):
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        n, N = 1 + trial % 6, 2 + trial % 6 + trial % 4
+        J = rng.standard_normal(batch + (N, n))
+        H = rng.standard_normal(batch + (N, n, n))
+        H = 0.5 * (H + H.mT)
+        fd = cv.fundamental_data(im.Jet2(point=np.zeros(batch + (N,)), jac=J, hess=H))
+        M, II, mean = reference_forms(J, H)
+        w = rng.standard_normal((1000, n))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+
+        def F(forms):
+            q = np.einsum("si,...cij,sj->...sc", w, forms, w)
+            return np.einsum("...sc,...sc->...s", q, q)
+        # relative to each form's largest value: F is a sum of squares of
+        # w^T M_c w, which cancel to rounding near a zero of every q_c
+        ref = F(M)
+        top = ref.max(axis=-1, keepdims=True)
+        assert np.all(np.abs(F(fd.M) - ref) <= 1e-13 * top)
+        l2_sq = np.einsum("...cij,...cij->...", M, M)
+        np.testing.assert_allclose(cv.second_form_l2_sq(fd), l2_sq, rtol=1e-13, atol=0)
+        # relative to the form's l2 norm, which bounds the trace; the eigh
+        # whitener carries ~eps cond(g), where inv(g) does not (cond(J) = 20,
+        # the 5-dimensional stacked jet here, puts 1.4e-13 on tr M)
+        cond = np.linalg.cond(J) ** 2
+        assert np.all(np.abs(cv.mean_curvature(fd) - mean)
+                      <= 1e-13 * (np.sqrt(l2_sq) * np.maximum(1.0, cond / 100))[..., None])
+        # curv_dir against ||II(t,t)|| for the g-unit t along tau, with no whitener
+        tau = rng.standard_normal(batch + (n,))
+        t = tau / np.sqrt(np.einsum("...i,...ij,...j->...", tau, J.mT @ J, tau))[..., None]
+        v = np.einsum("...cij,...i,...j->...c", II, t, t)
+        assert np.all(np.abs(cv.curv_dir(fd, tau) - np.linalg.norm(v, axis=-1))
+                      <= 1e-13 * np.sqrt(top[..., 0]))
+
+
 def test_clifford_is_scalar_flat():
     fd = fd_at(im.clifford_torus(2), [0.4, 1.3])
     assert abs(cv.scalar_curvature_gauss(fd)) < 1e-10
@@ -255,9 +303,10 @@ def loop_gauss_petrunin(seed):
     out.append(_rec("gauss-petrunin-identity", 0.0, worst, 1e-9))
     s2 = im.round_sphere(2, 1.0)
     fd2 = fd_at(s2, im.sample_params(s2, 1, rng)[0])
-    pi_cf = cv.petrunin_pi(fd2)
-    out.append(_rec("pi-round-sphere", 1.0, pi_cf, 1e-9))
-    pi_mc = cv.petrunin_pi_mc(fd2, n_samples=200_000, seed=seed)
+    out.append(_rec("pi-round-sphere", 1.0, cv.petrunin_pi(fd2), 1e-9))
+    fdt = fd_at(im.clifford_torus(2), [0.0, 0.0])
+    pi_cf = cv.petrunin_pi(fdt)
+    pi_mc = cv.petrunin_pi_mc(fdt, n_samples=200_000, seed=seed)
     out.append(_rec("pi-monte-carlo", 0.0, abs(pi_mc - pi_cf) / pi_cf, 0.01))
     return out
 
@@ -279,7 +328,7 @@ def loop_formula_star(seed):
 
 @pytest.mark.parametrize("seed", [cv.DEFAULT_SEED, 7001])
 def test_gauss_petrunin_and_formula_star_records_equal_per_form_loop(monkeypatch, seed):
-    # gauss-petrunin builds its 100 random forms in one of its 3 fundamental_data
+    # gauss-petrunin builds its 100 random forms in one of its 4 fundamental_data
     # calls and formula-star scores its 1000 directions in one curv_dir call;
     # the draws keep the per-form stream order
     from curvlab import verify
@@ -291,10 +340,23 @@ def test_gauss_petrunin_and_formula_star_records_equal_per_form_loop(monkeypatch
         monkeypatch.setattr(verify, name, counted)
     assert verify.check_gauss_petrunin(seed=seed) == loop_gauss_petrunin(seed)
     (star,) = verify.check_formula_star(seed=seed)
-    assert calls == {"fundamental_data": 4, "curv_dir": 1}
+    assert calls == {"fundamental_data": 5, "curv_dir": 1}
     # the ratio's vectorized ** 0.25 rounds apart from Python's float pow
     assert star["got"] == pytest.approx(loop_formula_star(seed), rel=0, abs=1e-14)
     assert star["pass"] and star["tol"] == 1e-8
+
+
+def test_pi_monte_carlo_claim_fails_on_the_mean_of_the_norm(monkeypatch):
+    # the mean of ||II(t,t)|| in place of the mean of its square: equal on a
+    # round sphere (the record passed), about 1.22 against 3/2 on the Clifford 2-torus
+    from curvlab import verify
+
+    def mean_norm(fd, n_samples, seed):
+        w = cv._random_directions(fd.n, n_samples, seed)
+        return float(np.mean(cv.curv_dir(fd, w @ fd.whitener.T)))
+    monkeypatch.setattr(verify, "petrunin_pi_mc", mean_norm)
+    (mc,) = [r for r in verify.check_gauss_petrunin() if r["check_id"] == "pi-monte-carlo"]
+    assert not mc["pass"] and mc["got"] > 0.15
 
 
 def direction_grid(n, density, rng):
@@ -332,7 +394,7 @@ def test_direction_search_is_stationary_on_random_forms():
         n = 2 + trial % 5
         fd = random_form(rng, n, n + 3 + trial % 4)
         curv, tau = cv.normal_curvature_at(fd, return_direction=True)
-        M = fd.whitened_form()
+        M = fd.M
         grid = direction_grid(n, 10_000 if n <= 3 else 100_000,
                               np.random.default_rng(cv.DEFAULT_SEED))
         vals = np.einsum("si,cij,sj->sc", grid, M, grid)
@@ -359,7 +421,7 @@ def test_determinism_same_seed():
 def test_global_report_reads_invariants_at_the_first_orbit_node(spec):
     # reference: the forms at the orbit nodes, built apart, and their row 0
     node = fd_at(spec, spec.orbit_nodes())
-    fd = cv.FundamentalData(node.g[0], node.II[0], node.whitener[0])
+    fd = cv.FundamentalData(node.g[0], node.M[0], node.whitener[0])
     res = cv.normal_curvature_global(spec, seed=7)
     assert res["pi"] == cv.petrunin_pi(fd)
     assert res["mean_curvature_norm"] == float(np.linalg.norm(cv.mean_curvature(fd)))
@@ -397,7 +459,7 @@ def test_direction_search_matches_many_start_oracle_above_six_dimensions():
     for trial in range(8):
         n = 7 + trial % 4
         fd = random_form(rng, n, n + 2 + trial % 3)
-        oracle = many_start_max(fd.whitened_form(), 2000, rng)
+        oracle = many_start_max(fd.M, 2000, rng)
         assert cv.normal_curvature_at(fd) >= oracle - 1e-9
 
 
@@ -507,7 +569,7 @@ def test_power_of_two_scaling_leaves_the_search_bit_identical():
     rng = np.random.default_rng(5)
     for trial in range(20):
         fd = random_form(rng, 2 + trial % 4, 6 + trial % 3)
-        M = fd.whitened_form()[None]
+        M = fd.M[None]
         a = cv._direction_search(M, 1e-9, trial)
         b = cv._direction_search(M * 2.0 ** (trial - 10), 1e-9, trial)
         assert b[0][0] == a[0][0] * 2.0 ** (trial - 10)
@@ -519,7 +581,7 @@ def test_zero_forms_in_a_stack_give_zero_and_leave_the_others_bit_identical():
     # the zero lanes skip the ascent, which would normalize their zero power step (0/0)
     rng = np.random.default_rng(9)
     M = np.zeros((4, 6, 4, 4))
-    M[1], M[3] = (random_form(rng, 4, 6).whitened_form() for _ in range(2))
+    M[1], M[3] = (random_form(rng, 4, 6).M for _ in range(2))
     with np.errstate(all="raise"):
         curv, w, grad = cv._direction_search(M, 1e-9, 7)
         singles = [cv._direction_search(M[b:b + 1], 1e-9, 7) for b in (1, 3)]
