@@ -44,12 +44,13 @@ _STATIONARY_TOL = 1e-9
 class FundamentalData:
     """First and second fundamental forms of an immersion at a point.
 
-    g is the induced metric J^T J;  the whitener W maps g-orthonormal coordinates
-    to parameter coordinates (g^{-1/2});  M = W^T II W is the second fundamental
-    form in those coordinates, one n x n form per ambient component, II being the
-    normal projection of the Hessian.  The forms of B basepoints carry a leading B
-    axis on every array; every invariant below then gives B values, where one
-    basepoint gives a float (a vector for mean_curvature).
+    g is the induced metric J^T J;  the whitener W = g^{-1/2} = V diag(1/s) V^T,
+    read from the SVD of J (not from g, whose eigenvalues carry eps cond(J)^2),
+    maps g-orthonormal coordinates to parameter coordinates;  M = W^T II W is the
+    second fundamental form in those coordinates, one n x n form per ambient
+    component, II being the normal projection of the Hessian.  The forms of B
+    basepoints carry a leading B axis on every array; every invariant below then
+    gives B values, where one basepoint gives a float (a vector for mean_curvature).
     """
 
     g: np.ndarray
@@ -62,22 +63,25 @@ class FundamentalData:
 
 
 def fundamental_data(jet: Jet2) -> FundamentalData:
-    """Forms at one basepoint, or at B basepoints from a stacked (B, n) jet."""
+    """Forms at one basepoint, or at B basepoints from a stacked (B, n) jet,
+    all from one thin SVD J = U diag(s) V^T: the normal projector I - U U^T,
+    the whitener, and the rank and underflow tests on s."""
     J, H = jet.jac, jet.hess
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, rejected below
+    overflow = ValueError("the metric or the second fundamental form overflows float64")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, rejected here
         g = J.mT @ J
-        # tangential projector via a thin QR frame; P_perp = I - Q Q^T
-        Q, _ = np.linalg.qr(J)
-        QtH = np.einsum("...ba,...bij->...aij", Q, H)  # contract N first: O(N n^3)
-        II = H - np.einsum("...ca,...aij->...cij", Q, QtH)
-    if not (np.isfinite(g).all() and np.isfinite(II).all()):
-        raise ValueError("the metric or the second fundamental form overflows float64")
-    evals, evecs = np.linalg.eigh(g)
-    if np.any(evals[..., 0] <= 1e-18 * evals[..., -1]):  # relative: any scale is kept
+        if not np.isfinite(g).all():  # so J is finite: LAPACK's SVD can hang on inf
+            raise overflow
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        UtH = np.einsum("...ba,...bij->...aij", U, H)  # contract N first: O(N n^3)
+        II = H - np.einsum("...ca,...aij->...cij", U, UtH)
+        if not np.isfinite(II).all():
+            raise overflow
+    if np.any(s[..., -1] <= 1e-9 * s[..., 0]):  # relative: any scale is kept
         raise ValueError("rank-deficient Jacobian: not an immersion point")
-    if np.any(evals[..., 0] < np.finfo(float).tiny):  # subnormal: digits are lost
+    if np.any(s[..., -1] ** 2 < np.finfo(float).tiny):  # subnormal: digits are lost
         raise ValueError("the metric underflows float64")
-    whitener = (evecs * evals[..., None, :] ** -0.5) @ evecs.mT  # g^{-1/2}
+    whitener = (Vt.mT / s[..., None, :]) @ Vt  # g^{-1/2}
     W = whitener[..., None, :, :]  # one W for the C normal components
     return FundamentalData(g=g, M=W.mT @ II @ W, whitener=whitener)
 
@@ -295,8 +299,10 @@ def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
                    seed: int = DEFAULT_SEED):
     """Monte-Carlo estimate of the same average; cross-validates the closed form."""
     w = _random_directions(fd.n, n_samples, seed)
-    vals = np.einsum("si,...cij,sj->...sc", w, fd.M, w)
-    return _scalar(np.einsum("...sc,...sc->...", vals, vals) / n_samples)
+    # sum_s (w_s^T M_c w_s)^2 = Mf_c^T (sum_s ww_s ww_s^T) Mf_c: one (n^2, n^2) moment
+    ww = (w[:, :, None] * w[:, None, :]).reshape(n_samples, -1)
+    Mf = fd.M.reshape(*fd.M.shape[:-2], -1)
+    return _scalar(np.einsum("...ck,kl,...cl->...", Mf, ww.T @ ww, Mf) / n_samples)
 
 
 def scalar_curvature_gauss(fd: FundamentalData):

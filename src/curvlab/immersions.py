@@ -56,13 +56,6 @@ class Jet2:
     jac: np.ndarray
     hess: np.ndarray
 
-    def validate(self) -> None:
-        if not np.allclose(self.hess, np.swapaxes(self.hess, -1, -2), atol=1e-10):
-            raise ValueError("Hessian stack is not symmetric in the parameter indices")
-        sv = np.linalg.svd(self.jac, compute_uv=False)
-        if np.any(sv[..., -1] <= 1e-9 * sv[..., 0]):
-            raise ValueError("Jacobian is rank deficient: not an immersion point")
-
 
 # ---------------------------------------------------------------------------
 # JSON field parsers: each returns a clean value or raises ValueError

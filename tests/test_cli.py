@@ -336,9 +336,11 @@ def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     (["curv"], "json", '{"kind": "tube", "r": 1e308, "n1": 1, "n2": 1, "rho": 1e307}'),
     (["curv"], "json", '{"kind": "sphere_product", "factors": [[1, 1e-200], [1, 1e200]]}'),
     (["curv"], "json", '{"kind": "torus_linear", "rows": [[1, 0], [0, 1]], "scale": 1e300}'),
+    # r + rho overflows, so the Jacobian holds inf, on which an SVD can hang
+    (["curv"], "json", '{"kind": "tube", "r": 1.7e308, "n1": 2, "n2": 1, "rho": 1.6e308}'),
 ], ids=["fenchel-edge", "arm-edge", "bow-chord", "crofton-vertex-sum", "bow-R",
         "verify-norm", "torus-norm", "verify-weight-sum", "curv-sphere-metric",
-        "curv-tube-metric", "curv-product-metric", "curv-torus-hessian"])
+        "curv-tube-metric", "curv-product-metric", "curv-torus-hessian", "curv-tube-jacobian"])
 def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path, capsys):
     path = tmp_path / f"input.{suffix}"
     path.write_text(text)
@@ -346,6 +348,18 @@ def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_one_line_parse_error(*run(capsys, *argv, "--no-meta"))
+
+
+def test_torus_whose_rows_span_a_plane_exits_parse_with_one_line(tmp_path, capsys):
+    # four rows in a plane of R^3: the 3-torus's Jacobian has rank 2
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"kind": "torus_linear", "rows": [
+        [0.6, 0.8, 0], [0, 0.6, 0.8], [0.6, 0.8, 0], [0, 0.6, 0.8]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "curv", str(path), "--no-meta")
+    _assert_one_line_parse_error(code, out, err)
+    assert err == "error: rank-deficient Jacobian: not an immersion point\n"
 
 
 # The first array of a 10^15-dimensional spec, 20 x 10^15 float64, is larger

@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -171,14 +172,19 @@ def test_scalar_curvature_formulas_agree_on_random_data():
 
 
 def reference_forms(J, H):
-    """W^T (H - Q Q^T H) W and tr(g^{-1} II), built apart from fundamental_data."""
-    Q, _ = np.linalg.qr(J)
-    II = H - np.einsum("...ca,...da,...dij->...cij", Q, Q, H)
-    g = J.mT @ J
-    lam, U = np.linalg.eigh(g)
-    W = (U / np.sqrt(lam)[..., None, :]) @ U.mT
-    M = np.einsum("...ia,...cij,...jb->...cab", W, II, W)
-    return M, II, np.einsum("...cij,...ij->...c", II, np.linalg.inv(g))
+    """M = W^T II W, II and tr M of one jet at 40 digits, built apart from
+    fundamental_data: II = H - J g^{-1} J^T H and W = g^{-1/2} from mpmath's
+    eigsy.  Each is rounded to float64 once, at the end."""
+    with mpmath.workdps(40):
+        J, H = np.frompyfunc(mpmath.mpf, 1, 1)(J), np.frompyfunc(mpmath.mpf, 1, 1)(H)
+        g = mpmath.matrix((J.T @ J).tolist())
+        lam, U = mpmath.eigsy(g)
+        U = np.array(U.tolist(), dtype=object)
+        W = (U / np.array([mpmath.sqrt(x) for x in lam], dtype=object)) @ U.T
+        P = J @ np.array(mpmath.inverse(g).tolist(), dtype=object) @ J.T
+        II = H - (P @ H.reshape(len(H), -1)).reshape(H.shape)
+        M = W.T @ II @ W
+        return M.astype(float), II.astype(float), np.einsum("cii->c", M).astype(float)
 
 
 @pytest.mark.parametrize("batch", [(), (6,)], ids=["single", "stacked"])
@@ -190,7 +196,9 @@ def test_second_form_matches_a_reference_built_from_the_jet(batch):
         H = rng.standard_normal(batch + (N, n, n))
         H = 0.5 * (H + H.mT)
         fd = cv.fundamental_data(im.Jet2(point=np.zeros(batch + (N,)), jac=J, hess=H))
-        M, II, mean = reference_forms(J, H)
+        # a stack is checked row by row against the one-jet reference
+        refs = [reference_forms(j, h) for j, h in zip(J.reshape(-1, N, n), H.reshape(-1, N, n, n))]
+        M, II, mean = (np.stack(r).reshape(batch + r[0].shape) for r in zip(*refs))
         w = rng.standard_normal((1000, n))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
 
@@ -204,12 +212,8 @@ def test_second_form_matches_a_reference_built_from_the_jet(batch):
         assert np.all(np.abs(F(fd.M) - ref) <= 1e-13 * top)
         l2_sq = np.einsum("...cij,...cij->...", M, M)
         np.testing.assert_allclose(cv.second_form_l2_sq(fd), l2_sq, rtol=1e-13, atol=0)
-        # relative to the form's l2 norm, which bounds the trace; the eigh
-        # whitener carries ~eps cond(g), where inv(g) does not (cond(J) = 20,
-        # the 5-dimensional stacked jet here, puts 1.4e-13 on tr M)
-        cond = np.linalg.cond(J) ** 2
-        assert np.all(np.abs(cv.mean_curvature(fd) - mean)
-                      <= 1e-13 * (np.sqrt(l2_sq) * np.maximum(1.0, cond / 100))[..., None])
+        # relative to the form's l2 norm, which bounds the trace
+        assert np.all(np.abs(cv.mean_curvature(fd) - mean) <= 1e-13 * np.sqrt(l2_sq)[..., None])
         # curv_dir against ||II(t,t)|| for the g-unit t along tau, with no whitener
         tau = rng.standard_normal(batch + (n,))
         t = tau / np.sqrt(np.einsum("...i,...ij,...j->...", tau, J.mT @ J, tau))[..., None]
@@ -539,7 +543,8 @@ def test_tube_chart_is_regular_at_the_extremal_spheres(n1, n2):
     # the azimuthal normal coordinate keeps phi = 0 and pi off the chart's poles
     spec = im.tube_encircle(1.0, n1, n2, 0.4)
     jet = im.jet2(spec, spec.orbit_nodes())
-    jet.validate()
+    cv.fundamental_data(jet)  # raises on a rank-deficient Jacobian
+    assert np.allclose(jet.hess, jet.hess.mT, atol=1e-10)
     sv = np.linalg.svd(jet.jac, compute_uv=False)
     assert np.all(sv[:, -1] > 0.3)
 
@@ -563,6 +568,25 @@ def test_degenerate_and_underflowing_metrics_are_rejected():
     # a subnormal metric has lost its digits (R = 1e-160 gave curv off by 1e-5)
     with pytest.raises(ValueError, match="underflows"):
         fd_at(im.round_sphere(2, 1e-160), [1.0, 0.5])
+
+
+# J = A B with A (N, n-1) and B (n-1, n) has rank n - 1, so its least singular
+# value is rounding, ~eps s_max, far below the 1e-9 s_max test, while the least
+# eigenvalue of g = J^T J carries ~eps lam_max of error, above any threshold
+# that g could resolve.  In a stack, one such row rejects the stack.
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "stacked"])
+def test_every_exactly_rank_deficient_jacobian_is_rejected(batch):
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        n = 2 + trial % 4
+        N = n + 1 + trial // 4 % 4
+        J = rng.standard_normal(batch + (N, n))
+        bad = (trial % batch[0],) if batch else ()
+        J[bad] = rng.standard_normal((N, n - 1)) @ rng.standard_normal((n - 1, n))
+        H = rng.standard_normal(batch + (N, n, n))
+        jet = im.Jet2(point=np.zeros(batch + (N,)), jac=J, hess=H + H.mT)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            cv.fundamental_data(jet)
 
 
 def test_power_of_two_scaling_leaves_the_search_bit_identical():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from curvlab import curvature as cv
 from curvlab import immersions as im
 from curvlab.immersions import ImmersionSpec, Jet2, _check_params, jet2
 
@@ -95,10 +96,12 @@ def test_jet_matches_finite_differences(spec):
     rng = np.random.default_rng(7)
     us = im.sample_params(spec, 4, rng)
     stacked = im.jet2(spec, us)
-    stacked.validate()
+    cv.fundamental_data(stacked)  # raises on a rank-deficient Jacobian
+    assert np.allclose(stacked.hess, stacked.hess.mT, atol=1e-10)
     for b, u in enumerate(us):
         j = im.jet2(spec, u)
-        j.validate()
+        cv.fundamental_data(j)
+        assert np.allclose(j.hess, j.hess.mT, atol=1e-10)
         jf = jet2_fd(spec, u, h=1e-4)
         assert np.allclose(j.point, jf.point, atol=1e-12)
         assert np.allclose(j.jac, jf.jac, atol=1e-6)
