@@ -126,9 +126,14 @@ def _exponents(n: int) -> np.ndarray:
 def _quartic_monomials(P: np.ndarray, E: np.ndarray) -> np.ndarray:
     """(K, N) monomials s_i^alpha_k of the (N, n) points P, one per row of E.
 
-    P is float64, or an object array of Python ints for exact arithmetic.
+    P is float64, or an object array of Python ints for exact arithmetic.  Each
+    coordinate is raised to each power 0..max E once, the powers are gathered by
+    E, and each monomial multiplies its n factors in coordinate order: the same
+    elementwise pow and products as np.prod(P[None] ** E[:, None, :], axis=-1),
+    so the same bits, with (max E + 1) n N pow calls in place of K n N.
     """
-    return np.prod(P[None] ** E.astype(P.dtype)[:, None, :], axis=-1)
+    powers = P.T[:, None, :] ** np.arange(E.max() + 1).astype(P.dtype)[:, None]
+    return np.prod(powers[np.arange(P.shape[1]), E], axis=1)
 
 
 def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +205,35 @@ def design_ratio(d, c):
 # ---------------------------------------------------------------------------
 # rational sphere points
 
+def _sphere_numerators(n: int, height: int) -> list[tuple[tuple[int, ...], int]]:
+    """The points of rational_sphere_points(n, height), in its order, as Python-int
+    pairs (num, D): the point num / D, D > 0 the lcm of its coordinates' denominators.
+
+    a = P / Q in Q^{n-1} (Q the lcm of the coordinates' denominators) maps to
+    x = (2PQ, Q^2 - |P|^2) / (Q^2 + |P|^2), taken over the gcd of those n + 1
+    integers: (2a, 1 - |a|^2) / (1 + |a|^2) without a Fraction.
+    """
+    if n < 1 or height < 1:
+        raise ValueError("n >= 1 and height >= 1 required")
+    if n == 1:
+        return [((1,), 1), ((-1,), 1)]
+    vals = sorted({Fraction(p, q) for q in range(1, height + 1)
+                   for p in range(-height, height + 1)})
+    seen, out = set(), []
+    for a in itertools.product([(x.numerator, x.denominator) for x in vals], repeat=n - 1):
+        Q = math.lcm(*(q for _, q in a))
+        P = [p * (Q // q) for p, q in a]
+        Q2, P2 = Q * Q, sum(x * x for x in P)
+        v = [2 * Q * x for x in P] + [Q2 - P2]
+        g = math.gcd(Q2 + P2, *v)
+        num, D = tuple(x // g for x in v), (Q2 + P2) // g
+        for pt in ((num, D), (tuple(-x for x in num), D)):
+            if pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+    return out
+
+
 def rational_sphere_points(n: int, height: int):
     """Exact rational unit vectors via inverse stereographic projection.
 
@@ -207,28 +241,19 @@ def rational_sphere_points(n: int, height: int):
     coordinates have numerator and denominator bounded by ``height``; closed
     under the antipodal map (which preserves exact rationality).
     """
-    if n < 1 or height < 1:
-        raise ValueError("n >= 1 and height >= 1 required")
-    if n == 1:
-        return [(Fraction(1),), (Fraction(-1),)]
-    vals = sorted({Fraction(p, q) for q in range(1, height + 1)
-                   for p in range(-height, height + 1)})
-    seen, out = set(), []
-    for a in itertools.product(vals, repeat=n - 1):
-        na = sum(x * x for x in a)
-        denom = 1 + na
-        x = tuple(2 * ai / denom for ai in a) + ((1 - na) / denom,)
-        for pt in (x, tuple(-xi for xi in x)):
-            if pt not in seen:
-                seen.add(pt)
-                out.append(pt)
-    return out
+    return [tuple(Fraction(x, D) for x in num) for num, D in _sphere_numerators(n, height)]
 
 
 # ---------------------------------------------------------------------------
 # exact feasibility simplex
 
 _INT64_MAX = 2**63 - 1  # int64 arithmetic wraps silently past this
+
+
+def _int64_update_overflows(new: np.ndarray, enter: int, Rl: np.ndarray) -> bool:
+    """Whether p max|new| + max|a| max|R_l| (p = R_l[-1], a = new[:, enter]) exceeds int64."""
+    return _INT64_MAX < (int(Rl[-1]) * int(np.abs(new).max())
+                         + int(np.abs(new[:, enter]).max()) * int(np.abs(Rl).max()))
 
 
 def exact_lp_feasible(A, b):
@@ -239,6 +264,12 @@ def exact_lp_feasible(A, b):
     Fractions with A p = b and p >= 0, or None if infeasible.  Python int and
     Fraction entries are taken as they are; any other entry x becomes Fraction(x).
 
+    A repeated column of A enters the tableau once, at its first index, and its
+    later copies get p = 0: row operations keep copies equal, so a later copy
+    has its first copy's reduced cost and a higher index, Bland's rule never
+    picks it, and the pivots and the vertex are those of the full system.  (A
+    rational sphere point and its antipode have equal quartic columns.)
+
     The tableau is one integer array T of m + 1 rows: row i is [R_i | d_i], the
     integer row R_i of [A | I | b] over its positive denominator d_i, and the
     last row is the phase-1 cost row, held the same way.  Positive denominators
@@ -246,34 +277,44 @@ def exact_lp_feasible(A, b):
     of the cost row, and the ratio test cross-multiplies R_i[rhs] and R_i[e] in
     Python ints, ties to the smallest basis index: the pivots, and the vertex,
     are those of the same simplex in Fraction arithmetic.  A pivot sets the
-    leaving row to [R_l | p], p = R_l[e], and every other row with
-    a_i = T_i[e] != 0 to p T_i - a_i [R_l | 0] (so d_i becomes d_i p), each over
-    its gcd (fraction-free elimination, Edmonds 1967 / Bareiss 1968): one array
+    leaving row to [R_l | p], p = R_l[e], over its gcd, and every other row with
+    a_i = T_i[e] != 0 to p T_i - a_i [R_l | 0] (so d_i becomes d_i p;
+    fraction-free elimination, Edmonds 1967 / Bareiss 1968): one array
     expression per pivot.  T is int64 while p max|T_i| + max|a_i| max|R_l|,
     which bounds every entry of that expression, is at most 2^63 - 1 (checked
-    in Python ints before each pivot, and max|T| on the initial tableau), and
-    holds Python ints (dtype object) from the first pivot where it is not.
+    in Python ints before each pivot, and max|T| on the initial tableau).  A
+    positive row scale moves no sign or ratio, so int64 rows are reduced by
+    their gcds only where that check fails, which leaves the rows of a tableau
+    reduced on every pivot, and the check runs again; T holds Python ints
+    (dtype object), reduced on every pivot, from the first pivot where it
+    still fails.
     """
-    rows = []
     m = len(A)
+    k = len(A[0]) if m else 0
+    first = {}  # each distinct column of A -> its first index
+    for j, column in enumerate(zip(*A)):
+        first.setdefault(column, j)
+    cols = list(first.values())
+    rows = []
     for i, (row, bi) in enumerate(zip(A, b)):
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+               for x in (*(row[j] for j in cols), bi)]
         if row[-1] < 0:
             row = [-x for x in row]
         d = math.lcm(*(x.denominator for x in row))
         R = [x.numerator * (d // x.denominator) for x in row]
         # [A_i | e_i | b_i] over d; the artificials start as the basis
         rows.append(R[:-1] + [d * (j == i) for j in range(m)] + R[-1:] + [d])
-    ncols = len(rows[0]) - 2 if rows else 0
-    k = ncols - m
-    basis = [k + i for i in range(m)]
+    ncols = len(cols) + m
+    basis = [len(cols) + i for i in range(m)]
     # reduced cost row for objective sum(artificials): z_j - c_j, over dc
     dc = math.lcm(*(R[-1] for R in rows))
-    cost = [sum(dc // R[-1] * R[j] for R in rows) - dc * (k <= j < ncols)
+    cost = [sum(dc // R[-1] * R[j] for R in rows) - dc * (len(cols) <= j < ncols)
             for j in range(ncols + 1)]
     rows.append(cost + [dc])
     big = max(abs(x) for R in rows for x in R)
     T = np.array(rows, dtype=np.int64 if big <= _INT64_MAX else object)
+    stale = np.zeros(m + 1, dtype=bool)  # int64 rows updated since their gcd reduction
     while (T[m, :ncols] > 0).any():
         enter = int(np.argmax(T[m, :ncols] > 0))
         col, rhs = T[:m, enter].tolist(), T[:m, ncols].tolist()
@@ -288,21 +329,25 @@ def exact_lp_feasible(A, b):
         Rl //= np.gcd.reduce(Rl)
         # the other rows with a nonzero entry in the entering column; the rest stay
         upd = np.flatnonzero((T[:, enter] != 0) & (np.arange(m + 1) != leave))
-        new, a = T[upd], T[upd, enter:enter + 1]
-        if T.dtype != object and _INT64_MAX < (int(Rl[-1]) * int(np.abs(new).max())
-                                               + int(np.abs(a).max()) * int(np.abs(Rl).max())):
-            T, new, a, Rl = (x.astype(object) for x in (T, new, a, Rl))
+        new = T[upd]
+        if T.dtype != object and _int64_update_overflows(new, enter, Rl):
+            s = stale[upd]
+            new[s] //= np.gcd.reduce(new[s], axis=1, keepdims=True)
+            if _int64_update_overflows(new, enter, Rl):
+                T, new, Rl = (x.astype(object) for x in (T, new, Rl))
+        a = new[:, enter:enter + 1].copy()
         new *= Rl[-1]
         new[:, :-1] -= a * Rl[:-1]
-        T[upd] = new // np.gcd.reduce(new, axis=1, keepdims=True)
-        T[leave] = Rl
+        if T.dtype == object:
+            new //= np.gcd.reduce(new, axis=1, keepdims=True)
+        T[upd], T[leave], stale[upd], stale[leave] = new, Rl, True, False
         basis[leave] = enter
     if T[m, ncols] != 0:
         return None
     p = [Fraction(0)] * k
     for bi, num, den in zip(basis, T[:m, ncols].tolist(), T[:m, -1].tolist()):
-        if bi < k:
-            p[bi] = Fraction(num, den)
+        if bi < len(cols):
+            p[cols[bi]] = Fraction(num, den)
     return p
 
 
@@ -314,10 +359,11 @@ def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
     clear denominators into integer multiplicities.  Heights start at 1 and
     double on infeasibility, up to height_max.
 
-    The LP gets the integer columns [num_j^alpha ; D_j^4] of s_j = num_j / D_j:
-    column j of the rational system times D_j^4 > 0, with p_j = p'_j D_j^4.  A
-    positive column scale keeps the sign of every reduced cost and scales the
-    entering column's ratios by one factor, so Bland's pivots and vertex stay.
+    The LP gets the integer columns [num_j^alpha ; D_j^4] of s_j = num_j / D_j
+    (_sphere_numerators): column j of the rational system times D_j^4 > 0, with
+    p_j = p'_j D_j^4.  A positive column scale keeps the sign of every reduced
+    cost and scales the entering column's ratios by one factor, so Bland's
+    pivots and vertex stay.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -326,17 +372,17 @@ def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
     last_residual = None
     height = 1
     while height <= height_max:
-        pts = rational_sphere_points(n, height)
-        num, D = _integer_points(pts)
-        D4 = D**4
+        nums, Ds = zip(*_sphere_numerators(n, height))
+        D4 = np.array(Ds, dtype=object) ** 4
         # moment rows, then the normalization row, each column j times D_j^4
-        A = np.vstack([_quartic_monomials(num, E), D4])
+        A = np.vstack([_quartic_monomials(np.array(nums, dtype=object), E), D4])
         p = exact_lp_feasible(A, b)
-        if p is not None:
-            keep = [(s, w * d4) for s, w, d4 in zip(pts, p, D4) if w > 0]
-            Q = math.lcm(*(w.denominator for _, w in keep))
-            return RationalDesign(n=n, points=tuple(s for s, _ in keep),
-                                  multiplicities=tuple(int(w * Q) for _, w in keep))
+        if p is not None:  # Fractions for the kept points only
+            keep = [(s, D, w * d4) for s, D, w, d4 in zip(nums, Ds, p, D4) if w > 0]
+            Q = math.lcm(*(w.denominator for *_, w in keep))
+            return RationalDesign(n=n, points=tuple(tuple(Fraction(x, D) for x in s)
+                                                    for s, D, _ in keep),
+                                  multiplicities=tuple(int(w * Q) for *_, w in keep))
         # how close a least-squares relaxation of the rational system got, for
         # diagnostics; int / int rounds correctly, as float(Fraction) does
         Af, bf = (A / D4).astype(float), b.astype(float)

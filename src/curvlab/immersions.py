@@ -482,7 +482,8 @@ def spec_from_json(data) -> ImmersionSpec:
     {"kind":"veronese","m":2},
     {"kind":"tube","r":0.6667,"n1":1,"n2":1,"rho":0.3333}.
     Numbers may be decimals or exact "p/q" strings.  Any malformed input
-    raises ValueError with a one-line message; unknown extra keys are ignored.
+    raises ValueError with a one-line message, as does a key the kind does not
+    read ("veronese 'R': unknown key"), so no field is silently dropped.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -492,6 +493,9 @@ def spec_from_json(data) -> ImmersionSpec:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown immersion kind {json.dumps(kind)}")
     wire, make = _KINDS[kind]
+    unknown = next((key for key in data if key != "kind" and key not in dict(wire)), None)
+    if unknown is not None:
+        raise ValueError(f"{kind} {unknown!r}: unknown key")
     return make(*_fields(kind, data, wire))
 
 

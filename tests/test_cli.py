@@ -362,6 +362,24 @@ def test_torus_whose_rows_span_a_plane_exits_parse_with_one_line(tmp_path, capsy
     assert err == "error: rank-deficient Jacobian: not an immersion point\n"
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "veronese", "m": 2, "bogus": 1}, "bogus"),
+    ({"kind": "veronese", "m": 2, "R": 1e308}, "R"),
+    ({"kind": "round_sphere", "n": 2, "R": 1, "N": 3}, "N"),
+    ({"kind": "clifford_torus", "n": 4}, "n"),
+], ids=["bogus", "veronese-R", "round-sphere-N", "lowercase-N"])
+def test_spec_key_the_kind_does_not_read_exits_parse_with_one_line(spec, key, tmp_path,
+                                                                   capsys):
+    # such a key was ignored: the first two printed the unit Veronese surface's curv
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "curv", str(path), "--no-meta")
+    _assert_one_line_parse_error(code, out, err)
+    assert err == f"error: {path}: {spec['kind']} {key!r}: unknown key\n"
+
+
 # The first array of a 10^15-dimensional spec, 20 x 10^15 float64, is larger
 # than any 64-bit user address space, so its allocation fails at once.
 @pytest.mark.parametrize("spec", [

@@ -270,7 +270,8 @@ def test_global_sup_matches_pointwise_search():
 
 def test_verify_runs_one_direction_search_per_spec(monkeypatch):
     # every spec's basepoints go through one batched search; the tube group
-    # checks 21 specs (one balanced tube, a 5 x 4 grid of (r, rho))
+    # stacks the orbit nodes of its 21 specs (one balanced tube, a 5 x 4 grid
+    # of (r, rho)) into one search
     from curvlab import verify
     calls = []
     search = cv._direction_search
@@ -280,13 +281,33 @@ def test_verify_runs_one_direction_search_per_spec(monkeypatch):
         return search(M, tol, seed)
 
     monkeypatch.setattr(cv, "_direction_search", counted)
-    want = {"clifford": 3, "design-torus": 1, "hilbert": 2, "veronese": 2, "tube": 21}
+    want = {"clifford": 3, "design-torus": 1, "hilbert": 2, "veronese": 2, "tube": 1}
     counts = {}
     for group in want:
         calls.clear()
         assert all(r["pass"] for r in verify.run_checks(only=group))
         counts[group] = len(calls)
     assert counts == want
+
+
+def loop_check_tube(seed):
+    """check_tube with one orbit search per tube, kept as the reference."""
+    from curvlab.verify import _rec
+
+    def sup(r, rho):
+        return cv.normal_curvature_global(im.tube_encircle(r, 1, 1, rho), seed=seed)["sup"]
+    out = [_rec("tube-balanced", 3.0, sup(2.0 / 3.0, 1.0 / 3.0), 1e-6)]
+    worst = max(abs(sup(r, f * r) - max(1.0 / (f * r), 1.0 / (r - f * r)))
+                for r in np.linspace(0.5, 1.2, 5) for f in (0.2, 0.35, 0.5, 0.65))
+    out.append(_rec("tube-grid", 0.0, worst, 1e-6, note="20 (r, rho) pairs"))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1001, cv.DEFAULT_SEED])
+def test_tube_group_is_bit_identical_to_one_search_per_tube(seed):
+    from curvlab import verify
+    got, want = verify.check_tube(seed), loop_check_tube(seed)
+    assert json.dumps(got) == json.dumps(want)
 
 
 def loop_gauss_petrunin(seed):

@@ -190,6 +190,41 @@ def test_kernel_exact_moments_equal_loops():
         assert all(isinstance(v, Fraction) for v in values)
 
 
+def direct_monomials(P, E):
+    """The one-expression kernel that the gathered powers replaced, kept as the reference."""
+    return np.prod(P[None] ** E.astype(P.dtype)[:, None, :], axis=-1)
+
+
+def lowered_exponents(E):
+    """The Jacobian's exponents alpha_k - e_j, clipped at 0, as _moment_jacobian builds them."""
+    K, n = E.shape
+    return np.maximum(E[:, None, :] - np.eye(n, dtype=E.dtype), 0).reshape(K * n, n)
+
+
+def test_monomial_kernel_is_bit_identical_to_the_direct_product():
+    rng = np.random.default_rng(26)
+    for t in range(600):
+        n, N = 1 + t % 7, int(rng.integers(1, 150))
+        P = rng.standard_normal((N, n)) * 10.0 ** int(rng.integers(-3, 4))
+        if t % 2:
+            P /= np.linalg.norm(P, axis=1, keepdims=True)
+        if t % 5 == 0:  # exact zeros of both signs
+            P[rng.random(P.shape) < 0.2] = 0.0
+            P[rng.random(P.shape) < 0.1] = -0.0
+        E = dg._exponents(n)
+        for F in (E, lowered_exponents(E)):
+            got = dg._quartic_monomials(P, F)
+            assert got.dtype == np.float64 and np.array_equal(got, direct_monomials(P, F))
+            assert np.array_equal(np.signbit(got), np.signbit(direct_monomials(P, F)))
+    for n, h in [(1, 1), (2, 4), (3, 2), (4, 1), (5, 1)]:
+        num = np.array([s for s, _ in dg._sphere_numerators(n, h)], dtype=object)
+        E = dg._exponents(n)
+        for F in (E, lowered_exponents(E)):
+            got = dg._quartic_monomials(num, F)
+            assert got.tolist() == direct_monomials(num, F).tolist()
+            assert all(type(x) is int for x in got.ravel())
+
+
 def point_denominator4(s):
     """D^4 for the least common denominator D of a rational point's coordinates."""
     return math.lcm(*(x.denominator for x in s)) ** 4
@@ -311,6 +346,39 @@ def test_rational_sphere_points_height_monotone():
     assert a <= b
 
 
+def loop_rational_sphere_points(n, height):
+    """The Fraction loop that the integer points replaced, kept as the reference."""
+    if n == 1:
+        return [(Fraction(1),), (Fraction(-1),)]
+    vals = sorted({Fraction(p, q) for q in range(1, height + 1)
+                   for p in range(-height, height + 1)})
+    seen, out = set(), []
+    for a in itertools.product(vals, repeat=n - 1):
+        na = sum(x * x for x in a)
+        x = tuple(2 * ai / (1 + na) for ai in a) + ((1 - na) / (1 + na),)
+        for pt in (x, tuple(-xi for xi in x)):
+            if pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("n, height", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 8), (3, 1),
+                                       (3, 2), (3, 4), (4, 1), (4, 2), (5, 1), (5, 2)])
+def test_rational_sphere_points_equal_the_fraction_loop(n, height):
+    pts = dg.rational_sphere_points(n, height)
+    assert pts == loop_rational_sphere_points(n, height)  # same points, same order
+    # the integer pairs are the points' numerators over the lcm of their denominators
+    num, D = dg._integer_points(pts)
+    assert dg._sphere_numerators(n, height) == list(zip(map(tuple, num.tolist()), D.tolist()))
+
+
+def test_rational_sphere_points_domain():
+    for n, height in [(0, 1), (2, 0), (-1, -1)]:
+        with pytest.raises(ValueError, match="n >= 1 and height >= 1 required"):
+            dg.rational_sphere_points(n, height)
+
+
 def test_exact_lp_trivial_cases():
     assert dg.exact_lp_feasible([[1]], [1]) == [Fraction(1)]
     # b = 1/3 on the segment [0, 1]: barycentric weights 2/3, 1/3
@@ -424,6 +492,27 @@ def test_exact_lp_matches_fraction_reference(monkeypatch):
     assert [A.shape for A, _ in calls] == [(2, 2), (6, 4), (6, 8), (16, 14), (16, 78), (36, 48)]
     for A, b in calls:
         assert real(A, b) == fraction_bland_simplex(A, b)
+
+
+def test_exact_lp_with_shuffled_duplicate_columns_matches_fraction_reference():
+    # copies of random columns at random places: the LP keeps each column's first
+    # copy, and gives the later ones p = 0, at the vertex of the Fraction simplex
+    rng = np.random.default_rng(26)
+    copies = 0
+    for scale in (1, 2**40):  # 2^40 also crosses into Python ints mid-run
+        for A, b in random_lp_systems(200, seed=26):
+            k = len(A[0])
+            picks = rng.permutation(np.concatenate(
+                [np.arange(k), rng.integers(0, k, size=int(rng.integers(1, k + 2)))]))
+            A2 = [[scale * row[j] for j in picks] for row in A]
+            b2 = [scale * x for x in b]
+            p = dg.exact_lp_feasible(A2, b2)
+            assert p == fraction_bland_simplex(A2, b2)
+            if p is not None:
+                later = [j for j in range(len(picks)) if picks[j] in picks[:j]]
+                assert all(p[j] == 0 for j in later)
+                copies += len(later)
+    assert copies > 200
 
 
 @pytest.mark.parametrize("scale", [2**40, 2**70], ids=["2^40", "2^70"])

@@ -328,3 +328,11 @@ def test_spec_json_accepts_exact_fractions():
 def test_spec_json_unknown_kind():
     with pytest.raises(ValueError):
         im.spec_from_json({"kind": "mobius"})
+
+
+def test_spec_json_rejects_a_key_the_kind_does_not_read():
+    with pytest.raises(ValueError, match=r"^veronese 'R': unknown key$"):
+        im.spec_from_json({"kind": "veronese", "m": 2, "R": 1e308})
+    # the first unknown key in the object's order is named, before any field is parsed
+    with pytest.raises(ValueError, match=r"^tube 'x': unknown key$"):
+        im.spec_from_json({"kind": "tube", "x": 1, "r": None, "y": 2})
