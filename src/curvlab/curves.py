@@ -544,13 +544,14 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
 def curve_from_json(data) -> PolyCurve:
     """Parse {"vertices": [[x, ...], ...], "closed": bool}; malformed input raises ValueError.
 
-    "closed" must be JSON true or false; a missing key means an open curve.
+    "closed" must be JSON true or false; a missing key means an open curve.  Any
+    other key is an error ("curve 'closd': unknown key").
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("curve must be a JSON object with a 'vertices' list")
-    vertices, = _fields("curve", data, (("vertices", _list(_list(_real))),))
+    vertices, = _fields("curve", data, (("vertices", _list(_list(_real))),), also=("closed",))
     if len({len(p) for p in vertices}) > 1:
         raise ValueError("curve 'vertices' must be equal-length rows of numbers")
     closed = data.get("closed", False)

@@ -535,7 +535,8 @@ def design_from_json(data):
     Rational mode: {"n":2,"points":[["3/5","4/5"],...],"multiplicities":[...]}
     with exact "p/q" strings.  Float mode: decimal points and optional
     "weights" (default uniform).  Any malformed input raises ValueError with a
-    one-line message.
+    one-line message, as does an unknown key ("design 'wieghts': unknown key"),
+    except the ones that ``design hilbert|optimize --out`` write beside the design.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -546,7 +547,7 @@ def design_from_json(data):
         ("n", _count),
         ("points", _list(_list(_rational if exact else _real))),
         ("multiplicities", _list(_count)) if exact else ("weights", _optional(_list(_real))),
-    ))
+    ), also=("cardinality", "residual", "status", "meta"))
     if n < 1:
         raise ValueError(f"design 'n': expected an integer >= 1, got {n}")
     if not pts or any(len(p) != n for p in pts):

@@ -7,6 +7,7 @@ form; ``_KINDS`` maps each JSON ``kind`` to its wire and constructor.  Five
 classes: products of spheres (a round sphere is the one-factor product), Clifford
 tori, linear sub-tori of Clifford tori (the design-torus construction), quadratic
 Veronese embeddings of projective spaces, and tube encirclings of round spheres.
+A kind states its map; one chain rule builds the Veronese and tube jets.
 
 Parameter domains are unbounded; angle coordinates wrap.  Hyperspherical charts
 are singular at the poles (``sin`` of a polar angle vanishing), so samplers
@@ -105,8 +106,13 @@ def _optional(parse):
     return lambda x: None if x is None else parse(x)
 
 
-def _fields(what: str, data: dict, wire) -> list:
-    """Each (key, parse) of wire applied to data[key]; errors name the field."""
+def _fields(what: str, data: dict, wire, also=()) -> list:
+    """Each (key, parse) of wire applied to data[key]; errors name the field.  A key in
+    neither wire nor also (keys the caller reads itself, or skips) is an error."""
+    known = {key for key, _ in wire}.union(also)
+    unknown = next((key for key in data if key not in known), None)
+    if unknown is not None:
+        raise ValueError(f"{what} {unknown!r}: unknown key")
     out = []
     for key, parse in wire:
         try:
@@ -178,6 +184,16 @@ def _torus_jet(u: np.ndarray, L: np.ndarray, scale: float, w: np.ndarray):
     jac = np.stack([-as_[..., None] * g, ac[..., None] * g], axis=-2)
     hess = np.stack([-ac[..., None, None] * gg, -as_[..., None, None] * gg], axis=-3)
     return point, jac.reshape(batch + (2 * M, n)), hess.reshape(batch + (2 * M, n, n))
+
+
+def _quadratic_jet(A, T, x, Jx, Hx):
+    """2-jet of f(x) = A x + T[x, x] / 2 (T symmetric, N x D x D) after the inner jet
+    (x, Jx, Hx): the chain rule with Df = A + T x and D^2 f = T.  T[Jx, Jx] is
+    contracted one Jx at a time, in O(N D n (D + n)) rather than O(N D^2 n^2)."""
+    Df = A + np.einsum("kab,...b->...ka", T, x)
+    point = np.einsum("ka,...a->...k", A, x) + 0.5 * np.einsum("kab,...a,...b->...k", T, x, x)
+    TJJ = np.swapaxes(Jx, -1, -2)[..., None, :, :] @ (T @ Jx[..., None, :, :])
+    return point, Df @ Jx, np.einsum("...ka,...aij->...kij", Df, Hx) + TJJ
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,17 +304,9 @@ class Veronese(ImmersionSpec):
     declared_radius = 1.0
 
     def _jet(self, u):
-        m = self.m
-        x, Jx, Hx = _sphere_chart_jet(u, 1.0)
-        basis = _veronese_basis(m)  # K x d x d, K = ambient dim
-        alpha = math.sqrt((m + 1) / m)
-        # f_k = alpha * x^T B_k x  (the -I/(m+1) shift is killed by tracelessness)
-        point = alpha * np.einsum("kab,...a,...b->...k", basis, x, x)
-        Bx = np.einsum("kab,...b->...ka", basis, x)  # ... x K x d
-        jac = 2.0 * alpha * Bx @ Jx
-        hess = 2.0 * alpha * (np.einsum("...ka,...aij->...kij", Bx, Hx)
-                              + np.einsum("kab,...ai,...bj->...kij", basis, Jx, Jx))
-        return point, jac, hess
+        # f_k(x) = sqrt((m+1)/m) x^T B_k x on S^m (B_k traceless: the -I/(m+1) shift drops)
+        T = 2.0 * math.sqrt((self.m + 1) / self.m) * _veronese_basis(self.m)
+        return _quadratic_jet(np.zeros(T.shape[:2]), T, *_sphere_chart_jet(u, 1.0))
 
 
 @dataclass(frozen=True)
@@ -325,27 +333,13 @@ class Tube(ImmersionSpec):
         return u
 
     def _jet(self, u):
-        n1, n2, r, rho = self.n1, self.n2, self.base_r, self.rho
-        s, Js, Hs = _sphere_chart_jet(u[..., :n1], r)  # base sphere S^{n1}(r)
-        w, Jw, Hw = _sphere_chart_jet(u[..., n1:], 1.0)  # normal sphere S^{n2}(1)
-        k = n2 - 1  # distinguished: the azimuthal coordinate, regular at phi = 0, pi
-        others = [i for i in range(n2 + 1) if i != k]
-        a = 1.0 + (rho / r) * w[..., k, None]
-        da = (rho / r) * Jw[..., None, k, :]  # 1 x n2
-        dda = (rho / r) * Hw[..., None, k, :, :]  # 1 x n2 x n2
-        point = np.concatenate([a * s, rho * w[..., others]], axis=-1)
-        N, n = self.ambient_dim, self.intrinsic_dim
-        jac, hess = np.zeros(a.shape[:-1] + (N, n)), np.zeros(a.shape[:-1] + (N, n, n))
-        jac[..., : n1 + 1, :n1] = a[..., None] * Js
-        jac[..., : n1 + 1, n1:] = s[..., None] * da
-        jac[..., n1 + 1 :, n1:] = rho * Jw[..., others, :]
-        hess[..., : n1 + 1, :n1, :n1] = a[..., None, None] * Hs
-        cross = Js[..., None] * da[..., None, :]
-        hess[..., : n1 + 1, :n1, n1:] = cross
-        hess[..., : n1 + 1, n1:, :n1] = np.swapaxes(cross, -1, -2)
-        hess[..., : n1 + 1, n1:, n1:] = s[..., None, None] * dda
-        hess[..., n1 + 1 :, n1:, n1:] = rho * Hw[..., others, :, :]
-        return point, jac, hess
+        # f(s, w) = ((1 + (rho/r) w_k) s, rho w_others) on S^{n1}(r) x S^{n2}(1), with w_k,
+        # k = n2 - 1, the normal azimuth (regular at phi = 0, pi): column c of x = (s, w)
+        n1, N, c = self.n1, self.ambient_dim, self.n1 + self.n2
+        A = np.delete(np.diag(np.where(np.arange(N + 1) <= n1, 1.0, self.rho)), c, axis=0)
+        T, i = np.zeros((N, N + 1, N + 1)), np.arange(n1 + 1)
+        T[i, i, c] = T[i, c, i] = self.rho / self.base_r
+        return _quadratic_jet(A, T, *SphereProduct(((n1, self.base_r), (self.n2, 1.0)))._jet(u))
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +487,7 @@ def spec_from_json(data) -> ImmersionSpec:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown immersion kind {json.dumps(kind)}")
     wire, make = _KINDS[kind]
-    unknown = next((key for key in data if key != "kind" and key not in dict(wire)), None)
-    if unknown is not None:
-        raise ValueError(f"{kind} {unknown!r}: unknown key")
-    return make(*_fields(kind, data, wire))
+    return make(*_fields(kind, data, wire, also=("kind",)))
 
 
 def _plain(v):

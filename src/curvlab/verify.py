@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import bounds, curvature, curves, designs, immersions
+from . import bounds, curves, designs, immersions
 from .curvature import (
     DEFAULT_SEED,
     curv_dir,
@@ -116,8 +116,9 @@ def check_tube(seed=DEFAULT_SEED):
     pairs = [(2.0 / 3.0, 1.0 / 3.0)] + [(r, f * r) for r in np.linspace(0.5, 1.2, 5)
                                         for f in (0.2, 0.35, 0.5, 0.65)]
     specs = [immersions.tube_encircle(r, 1, 1, rho) for r, rho in pairs]
-    M = np.concatenate([fundamental_data(jet2(s, s.orbit_nodes())).M for s in specs])
-    sups = curvature._direction_search(M, curvature._STATIONARY_TOL, seed)[0]
+    jets = [jet2(s, s.orbit_nodes()) for s in specs]
+    jet = Jet2(*(np.concatenate([getattr(j, f) for j in jets]) for f in ("point", "jac", "hess")))
+    sups = normal_curvature_at(fundamental_data(jet), seed=seed)
     sups = sups.reshape(len(specs), -1).max(axis=1).tolist()
     out = [_rec("tube-balanced", 3.0, sups[0], 1e-6)]
     worst = max(abs(sup - max(1.0 / rho, 1.0 / (r - rho)))

@@ -380,6 +380,43 @@ def test_spec_key_the_kind_does_not_read_exits_parse_with_one_line(spec, key, tm
     assert err == f"error: {path}: {spec['kind']} {key!r}: unknown key\n"
 
 
+@pytest.mark.parametrize("argv, data, key", [
+    (["design", "verify", "FILE"],
+     {"n": 2, "points": [[1.0, 0.0], [0.0, 1.0]], "wieghts": [0.9, 0.1]}, "design 'wieghts'"),
+    (["design", "torus", "FILE"], {"n": 2, "points": [["1", "0"], ["0", "1"]],
+                                   "multiplicities": [1, 1], "weights": [0.5, 0.5]},
+     "design 'weights'"),
+    (["curve", "bow", "FILE", "--R", "1.0"],
+     {"vertices": [[0, 0], [1, 0], [1, 1]], "closd": True}, "curve 'closd'"),
+    (["curve", "fenchel", "FILE"], {"vertices": [[0, 0], [1, 0], [1, 1]], "meta": {}}, "curve 'meta'"),
+], ids=["float-design-misspelt-weights", "exact-design-weights", "curve-misspelt-closed",
+        "curve-meta"])
+def test_design_or_curve_key_the_parser_does_not_read_exits_parse_with_one_line(
+        argv, data, key, tmp_path, capsys):
+    # such a key was ignored: the misspelt weights gave uniform weights, and
+    # curve bow ran the misspelt closed curve as an open one with exit 0
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--no-meta")
+    _assert_one_line_parse_error(code, out, err)
+    assert err == f"error: {path}: {key}: unknown key\n"
+
+
+@pytest.mark.parametrize("build, written", [
+    (["design", "hilbert", "--n", "2"], {"cardinality", "meta"}),
+    (["design", "optimize", "--n", "2", "--cardinality", "5"], {"residual", "status", "meta"}),
+], ids=["hilbert", "optimize"])
+def test_design_file_written_by_out_reads_back(build, written, tmp_path, capsys):
+    # the keys the builders write beside the design are accepted, not rejected as unknown
+    path = tmp_path / "design.json"
+    assert run(capsys, *build, "--out", str(path))[0] == 0
+    assert written <= set(json.loads(path.read_text()))
+    for command in ("verify", "torus"):
+        code, out, err = run(capsys, "design", command, str(path), "--no-meta")
+        assert (code, err) == (0, "") and json.loads(out)
+
+
 # The first array of a 10^15-dimensional spec, 20 x 10^15 float64, is larger
 # than any 64-bit user address space, so its allocation fails at once.
 @pytest.mark.parametrize("spec", [

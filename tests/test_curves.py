@@ -683,6 +683,11 @@ def test_curve_json_rejects_non_boolean_closed(closed):
     assert len(str(e.value).splitlines()) == 1
 
 
+def test_curve_json_rejects_a_key_it_does_not_read():
+    with pytest.raises(ValueError, match=r"^curve 'closd': unknown key$"):
+        cu.curve_from_json({"vertices": [[0, 0], [1, 0], [1, 1]], "closd": True})
+
+
 @pytest.mark.parametrize("vertices", [[[True, False], [1, 0], [3, 0]], [[0, 0], [1, False]],
                                       [[0, 0], [1, None]], [[0, 0], ["x", 1]]])
 def test_curve_json_rejects_non_numbers_naming_the_field(vertices):

@@ -729,3 +729,15 @@ def test_design_json_round_trip_float():
 def test_design_json_uniform_default():
     d = dg.design_from_json({"n": 2, "points": [[1.0, 0.0], [0.0, 1.0]]})
     assert np.allclose(d.weights, 0.5)
+
+
+def test_design_json_rejects_a_key_it_does_not_read():
+    with pytest.raises(ValueError, match=r"^design 'wieghts': unknown key$"):
+        dg.design_from_json({"n": 2, "points": [[1.0, 0.0], [0.0, 1.0]], "wieghts": [0.9, 0.1]})
+    # an exact design reads multiplicities, not weights
+    with pytest.raises(ValueError, match=r"^design 'weights': unknown key$"):
+        dg.design_from_json({"n": 1, "points": [["1"]], "multiplicities": [1], "weights": [1]})
+    # what design hilbert|optimize --out write beside the design is accepted
+    d = dg.design_from_json({"n": 2, "points": [[1.0, 0.0], [0.0, 1.0]], "residual": 0.0,
+                             "status": "OK", "cardinality": 2, "meta": {"seed": 1}})
+    assert np.allclose(d.weights, 0.5)

@@ -65,15 +65,21 @@ ALL_SPECS = [
     im.torus_linear([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
     im.veronese(2),
     im.veronese(3),
+    im.veronese(4),
     im.tube_encircle(2.0 / 3.0, 1, 1, 1.0 / 3.0),
     im.tube_encircle(1.0, 2, 1, 0.4),
+    # normal spheres S^2 and S^3: more than one non-azimuthal normal coordinate
+    im.tube_encircle(1.0, 1, 2, 0.3),
+    im.tube_encircle(1.0, 2, 3, 0.25),
 ]
 
 
 def spec_id(spec):
-    """kind and dimension; a one-factor sphere product is named as the round sphere it is."""
+    """kind and dimension; a one-factor sphere product is named as the round sphere it is,
+    and a tube whose normal sphere is not a circle also names that sphere's dimension."""
     one_sphere = spec.kind == "sphere_product" and len(spec.factors) == 1
-    return ("round_sphere" if one_sphere else spec.kind) + str(spec.intrinsic_dim)
+    name = ("round_sphere" if one_sphere else spec.kind) + str(spec.intrinsic_dim)
+    return f"{name}-normal{spec.n2}" if spec.kind == "tube" and spec.n2 > 1 else name
 
 
 # polar-angle columns of each ALL_SPECS entry, written out per kind: every
@@ -85,9 +91,11 @@ POLAR_COLUMNS = {
     "sphere_product3": [0],  # S^2 x S^1
     "clifford_torus2": [], "clifford_torus4": [], "clifford_torus6": [],
     "torus_linear2": [],
-    "veronese2": [0], "veronese3": [0, 1],
+    "veronese2": [0], "veronese3": [0, 1], "veronese4": [0, 1, 2],
     "tube2": [],  # S^1 base, S^1 normal circle
     "tube3": [0],  # S^2 base, S^1 normal circle
+    "tube3-normal2": [1],  # S^1 base, S^2 normal sphere
+    "tube5-normal3": [0, 2, 3],  # S^2 base, S^3 normal sphere
 }
 
 
@@ -207,6 +215,62 @@ def test_chart_and_torus_jets_match_loop_references():
     for u in rng.uniform(-7, 7, (20, 2)):
         for got, ref in zip(im._torus_jet(u, L, 0.7, w), _torus_jet_loop(u, L, 0.7, w)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps)
+
+
+def _veronese_jet_product_rule(u, m):
+    # the contractions written out: the reference for the chain-rule form
+    x, Jx, Hx = im._sphere_chart_jet(u, 1.0)
+    basis, alpha = im._veronese_basis(m), math.sqrt((m + 1) / m)
+    point = alpha * np.einsum("kab,...a,...b->...k", basis, x, x)
+    Bx = np.einsum("kab,...b->...ka", basis, x)
+    jac = 2.0 * alpha * Bx @ Jx
+    hess = 2.0 * alpha * (np.einsum("...ka,...aij->...kij", Bx, Hx)
+                          + np.einsum("kab,...ai,...bj->...kij", basis, Jx, Jx))
+    return point, jac, hess
+
+
+def _tube_jet_product_rule(u, r, n1, n2, rho):
+    # the product rule written out block by block: the reference for the chain-rule form
+    s, Js, Hs = im._sphere_chart_jet(u[..., :n1], r)
+    w, Jw, Hw = im._sphere_chart_jet(u[..., n1:], 1.0)
+    k = n2 - 1
+    others = [i for i in range(n2 + 1) if i != k]
+    a = 1.0 + (rho / r) * w[..., k, None]
+    da = (rho / r) * Jw[..., None, k, :]
+    dda = (rho / r) * Hw[..., None, k, :, :]
+    point = np.concatenate([a * s, rho * w[..., others]], axis=-1)
+    N, n = n1 + 1 + n2, n1 + n2
+    jac, hess = np.zeros(a.shape[:-1] + (N, n)), np.zeros(a.shape[:-1] + (N, n, n))
+    jac[..., : n1 + 1, :n1] = a[..., None] * Js
+    jac[..., : n1 + 1, n1:] = s[..., None] * da
+    jac[..., n1 + 1 :, n1:] = rho * Jw[..., others, :]
+    hess[..., : n1 + 1, :n1, :n1] = a[..., None, None] * Hs
+    cross = Js[..., None] * da[..., None, :]
+    hess[..., : n1 + 1, :n1, n1:] = cross
+    hess[..., : n1 + 1, n1:, :n1] = np.swapaxes(cross, -1, -2)
+    hess[..., : n1 + 1, n1:, n1:] = s[..., None, None] * dda
+    hess[..., n1 + 1 :, n1:, n1:] = rho * Hw[..., others, :, :]
+    return point, jac, hess
+
+
+def test_veronese_and_tube_jets_match_product_rule_references():
+    # the same map differentiated two ways: within a few ulps of each basepoint's
+    # largest entry, at the chart poles and at random points
+    rng = np.random.default_rng(5)
+    cases = [(im.veronese(m), lambda u, m=m: _veronese_jet_product_rule(u, m))
+             for m in range(1, 7)]
+    cases += [(im.tube_encircle(r, n1, n2, rho),
+               lambda u, a=(r, n1, n2, rho): _tube_jet_product_rule(u, *a))
+              for n1 in (1, 2, 3) for n2 in (1, 2, 3)
+              for r, rho in ((1.0, 0.3), (2.5, 2.0), (0.01, 0.004))]
+    for spec, reference in cases:
+        n = spec.intrinsic_dim
+        us = np.vstack([np.zeros(n), np.full(n, math.pi / 2), rng.uniform(-7, 7, (20, n))])
+        j = im.jet2(spec, us)
+        for got, want in zip((j.point, j.jac, j.hess), reference(us)):
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)), keepdims=True)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_sphere_points_have_declared_norm():
