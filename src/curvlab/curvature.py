@@ -130,28 +130,25 @@ def _quartic(M: np.ndarray, w: np.ndarray):
 def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol):
     """Monotone ascent of F(w) = sum_c (w^T M_c w)^2 on the sphere, all lanes at once.
 
-    G = sum_c q_c M_c w is grad F / 4.  The eigenpairs (p_i, u_i) of the
-    Hessian projected to the tangent space at w choose each lane's step:
-    where every p_i < 4F (F is concave on the sphere there), the Newton step
-    w + sum_i u_i 4 u_i^T (G - F w) / (4F - p_i); elsewhere the shifted power
-    step G + alpha w, alpha the smallest shift that makes the projected
-    Hessian of F + alpha |w|^4 positive definite (the adaptive shift of GEAP,
-    Kolda & Mayo 2014).  A lane whose Newton step would lower F takes the power
-    step, and one whose power step would, the power step with
-    alpha = 3 sum_c |M_c|_F^2; that bounds 3 max rho(Hess F / 12) on the
-    sphere, so SS-HOPM (Kolda & Mayo 2011) ascends monotonically.  "Lower"
-    means by more than the rounding error of evaluating F: near a maximum F is
-    flat to rounding while the gradient is still ~sqrt(eps).  A lane stops
-    once the tangential gradient of sqrt(F), 2 |G - F w| / sqrt(F), is at most
-    tol, in the units of M.  Returns F, w and that gradient (0 at F = 0).
+    With q_c = w^T M_c w, S = sum_c q_c M_c is the shape operator along the
+    normal q, and G = S w = grad F / 4.  Each lane takes the higher of two
+    steps.  The block step goes to the top eigenvector w' of S, eigenvalue mu:
+    for unit v, v^T S v = q(w).q(v) <= |q(w)| |q(v)|, so
+    F(w') >= mu^2 / F >= w^T S w = F, with no shift bound.  The eigenpairs
+    (p_i, u_i) of the Hessian projected to the tangent space at w give the
+    Newton step w + sum_i u_i 4 u_i^T (G - F w) / (4F - p_i), tried where
+    every p_i < 4F (F is concave on the sphere there) and kept where its F is
+    at least mu^2 / F less the rounding error of evaluating F, so F(w') is
+    never evaluated.  A lane stops once the tangential gradient of sqrt(F),
+    2 |G - F w| / sqrt(F), is at most tol, in the units of M.  Returns F, w
+    and that gradient (0 at F = 0).
     """
     n = w.shape[-1]
-    shift_km = 3.0 * np.einsum("bcij,bcij->b", M, M)[:, None]
-    # puts the radial eigenvalue last: rho(Hess F) <= 4 shift_km
-    radial = 8.0 * shift_km[..., None, None]
-    tau = 1e-6 * shift_km  # margin that keeps a shifted Hessian definite
-    # bound on the rounding error of two evaluations of F (|q_c| <= |M_c|_F)
-    noise = 4.0 * n * np.finfo(float).eps * shift_km
+    size = np.einsum("bcij,bcij->b", M, M)[:, None]  # sum_c |M_c|_F^2, at least F
+    # puts the radial eigenvalue last: rho(Hess F) <= 12 size
+    radial = 24.0 * size[..., None, None]
+    tau = 3e-6 * size  # margin that keeps the Newton step's Hessian definite
+    noise = 12.0 * n * np.finfo(float).eps * size  # bounds the rounding error of F
     eye = np.eye(n)
     active = np.ones(w.shape[:2], dtype=bool)
     for step in range(iters + 1):
@@ -162,29 +159,21 @@ def _ascend(M: np.ndarray, w: np.ndarray, iters: int, tol):
         active &= r > tol * sqrt_F
         if step == iters or not active.any():
             return F, w, r / np.where(F > 0.0, sqrt_F, 1.0)
-        hess = 8.0 * np.einsum("bkci,bkcj->bkij", V, V) \
-            + 4.0 * np.einsum("bkc,bcij->bkij", q, M)
+        S = np.einsum("bkc,bcij->bkij", q, M)
         ww = w[..., :, None] * w[..., None, :]
         proj = eye - ww
+        hess = 8.0 * np.einsum("bkci,bkcj->bkij", V, V) + 4.0 * S
         lam, U = np.linalg.eigh(proj @ hess @ proj + radial * ww)
         lam, U = lam[..., :-1], U[..., :-1]
         gap = 4.0 * F[..., None] - lam
         newton = gap[..., -1] > tau
         coord = 4.0 * np.einsum("bkin,bki->bkn", U, resid) \
-            / np.where(newton[..., None], gap, 1.0)
-        shift = np.maximum(0.0, 0.25 * (tau - lam[..., 0]))
-        power = G + shift[..., None] * w
-        steps = (np.where(newton[..., None], w + np.einsum("bkin,bkn->bki", U, coord), power),
-                 power, G + shift_km[..., None] * w)
-        w1, F1 = w, np.full_like(F, -np.inf)
-        for trial in steps:  # each lane keeps the first step that does not lower F
-            drop = F1 < F - noise
-            if not drop.any():
-                break
-            w2 = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            w1 = np.where(drop[..., None], w2, w1)
-            F1 = np.where(drop, _quartic(M, w2)[2], F1)
-        active &= F1 >= F - noise
+            / np.where(newton[..., None], gap, np.inf)  # 0 off the Newton lanes
+        w1 = w + np.einsum("bkin,bkn->bki", U, coord)
+        w1 /= np.linalg.norm(w1, axis=-1, keepdims=True)
+        mu, E = np.linalg.eigh(S)
+        newton &= _quartic(M, w1)[2] * F >= mu[..., -1] ** 2 - noise * F
+        w1 = np.where(newton[..., None], w1, E[..., -1])
         w = np.where(active[..., None], w1, w)
 
 
@@ -230,10 +219,11 @@ def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,
     What the value certifies: it is ||II(t,t)|| at a g-unit direction t that
     was found, so it is a lower bound on the sup, never an upper bound.  It is
     at least ||II|| at every one of 256 unit directions drawn from ``seed``,
-    because the 8 best of them start a monotone ascent (_ascend) that stops
-    once the tangential gradient of ||II(t,t)|| is at most 1e-9 times the
-    form's scale (a power of two within 2x of its largest entry) or 120 steps
-    ran out.  A stationary point can be a lesser local maximum whose
+    because the 8 best of them start a monotone ascent (_ascend: each step
+    is Newton or the shape-operator block step, whichever is higher) that
+    stops once the tangential gradient of ||II(t,t)|| is at most 1e-9 times
+    the form's scale (a power of two within 2x of its largest entry) or 120
+    steps ran out.  A stationary point can be a lesser local maximum whose
     basin no start fell in.  Any intrinsic dimension is accepted.
     """
     batch = fd.M.shape[:-3]

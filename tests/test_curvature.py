@@ -15,6 +15,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvlab import immersions as im
 from curvlab import curvature as cv
@@ -623,7 +625,7 @@ def test_power_of_two_scaling_leaves_the_search_bit_identical():
 
 
 def test_zero_forms_in_a_stack_give_zero_and_leave_the_others_bit_identical():
-    # the zero lanes skip the ascent, which would normalize their zero power step (0/0)
+    # the live mask returns e_0 for the zero lanes without entering the ascent
     rng = np.random.default_rng(9)
     M = np.zeros((4, 6, 4, 4))
     M[1], M[3] = (random_form(rng, 4, 6).M for _ in range(2))
@@ -647,6 +649,60 @@ def test_ascent_stops_relative_to_the_form_scale(monkeypatch):
         res = cv.normal_curvature_global(im.round_sphere(3, R))
         assert res["sup"] * R == pytest.approx(1.0, rel=1e-12, abs=0)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [cv.DEFAULT_SEED, 7, 1001])
+@pytest.mark.parametrize("spec, sup", [
+    (im.clifford_torus(6), math.sqrt(6.0)),
+    (im.clifford_torus(32), math.sqrt(32.0)),
+    (im.tube_encircle(1.0, 2, 2, 0.35), 1.0 / 0.35),
+])
+def test_block_step_reaches_the_maximum_in_one_step(monkeypatch, spec, sup, seed):
+    # F at the starts and at their Newton steps, then F at the block step's
+    # eigenvectors, which stop every lane: on these forms the top eigenvector
+    # of S = sum_c q_c M_c is a maximizer (shifted power steps took 12 to 31 calls)
+    calls = []
+    real = cv._quartic
+    monkeypatch.setattr(cv, "_quartic", lambda M, w: calls.append(w.shape) or real(M, w))
+    res = cv.normal_curvature_global(spec, seed=seed)
+    assert res["sup"] == pytest.approx(sup, rel=1e-12, abs=0)
+    assert len(calls) <= 3
+
+
+@st.composite
+def _forms_and_starts(draw):
+    """A (B, C, n, n) stack of random symmetric forms, some of them zero, and (B, K, n) starts."""
+    n = draw(st.integers(2, 8))
+    C = draw(st.integers(1, n * (n + 1)))
+    zero = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((len(zero), C, n, n))
+    M[zero] = 0.0
+    return M + M.mT, rng.standard_normal((len(zero), 4, n))
+
+
+def _clifford_beside_a_zero_form():
+    # S = sum_c q_c M_c is a multiple of diag(w_i^2) on the Clifford torus,
+    # so starts whose two largest |w_i| tie give S a repeated top eigenvalue
+    M = fd_at(im.clifford_torus(8), np.linspace(0.1, 2.0, 8)).M
+    w = np.ones((2, 3, 8))
+    w[:, 0, :2] = w[:, 1, 3:5] = 2.0
+    w[:, 2, :4] = 3.0
+    return np.stack([M, np.zeros_like(M)]), w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(case=_clifford_beside_a_zero_form())
+@given(case=_forms_and_starts())
+def test_each_ascent_step_never_lowers_F_beyond_rounding(case):
+    M, w = case
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    n = M.shape[-1]
+    noise = 12.0 * n * np.finfo(float).eps * np.einsum("bcij,bcij->b", M, M)[:, None]
+    with np.errstate(all="raise"):
+        F = [cv._ascend(M, w, k, 0.0)[0] for k in range(7)]
+    for before, after in zip(F, F[1:]):
+        assert np.all(after >= before - noise)
 
 
 def test_contraction_order_reaches_high_dimension():
