@@ -290,7 +290,7 @@ def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
     """Monte-Carlo estimate of the same average; cross-validates the closed form."""
     w = _random_directions(fd.n, n_samples, seed)
     # sum_s (w_s^T M_c w_s)^2 = Mf_c^T (sum_s ww_s ww_s^T) Mf_c: one (n^2, n^2) moment
-    ww = (w[:, :, None] * w[:, None, :]).reshape(n_samples, -1)
+    ww = np.einsum("si,sj->sij", w, w).reshape(n_samples, -1)
     Mf = fd.M.reshape(*fd.M.shape[:-2], -1)
     return _scalar(np.einsum("...ck,kl,...cl->...", Mf, ww.T @ ww, Mf) / n_samples)
 

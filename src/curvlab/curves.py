@@ -337,27 +337,38 @@ def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
 
 
 def _arm_stacks(ks, ambients, seeds):
-    """``(members, p, q)`` per (k, ambient) shape: the vertex stacks (B, k+1, 2)
-    and (B, k+1, ambient) of ``random_arm_instance(ks[i], ambients[i], seeds[i])``
-    for i in members, each drawn from its own ``default_rng(seeds[i])``."""
+    """``(members, p, q)`` per arm length k: the vertex stacks (B, k+1, 2) and
+    (B, k+1, width) of ``random_arm_instance(ks[i], ambients[i], seeds[i])``
+    for i in members, each drawn from its own ``default_rng(seeds[i])``.
+
+    q's bending normals are zero-padded to the widest ambient of its stack,
+    so its trailing coordinates stay exactly +0.0.  numpy sums a row of fewer
+    than 8 terms in order, so the padding leaves every norm and dot of an
+    ambient up to 7 bit-identical; a wider ambient keeps a stack of its own.
+    The four uniform blocks of an instance (sides, c, the scale of c, the
+    turns of q) are one ``rng.random(3k - 1)`` mapped by ``Generator.uniform``'s
+    own lo + (hi - lo) r: each of its values is that formula on one double,
+    so both the values and the stream point of the normals stay as they were."""
     _same_lengths(ks=ks, ambients=ambients, seeds=seeds)
     if any(k < 3 or amb < 2 for k, amb in zip(ks, ambients)):
         raise ValueError("k >= 3 and ambient_n >= 2 required")
     groups = {}
     for i, (k, amb, seed) in enumerate(zip(ks, ambients, seeds)):
         rng = np.random.default_rng(seed)
-        sides = rng.uniform(0.2, 1.0, size=k)
-        c = rng.uniform(0.05, 1.0, size=k - 1)
-        c *= rng.uniform(0.3, 0.95) * math.pi / c.sum()
-        turns_q = c * rng.uniform(0.0, 1.0, size=k - 1)
-        groups.setdefault((k, amb), []).append(
-            (i, sides, c, turns_q, rng.standard_normal((k - 1, amb))))
+        groups.setdefault((k, max(amb, 7)), []).append(
+            (i, rng.random(3 * k - 1), rng.standard_normal((k - 1, amb))))
     out = []
-    for draws in groups.values():
-        members, sides, c, turns_q, raws = zip(*draws)
-        sides = np.stack(sides)
-        out.append((members, _planar_arcs(sides, np.stack(c)),
-                    _spatial_arcs(sides, np.stack(turns_q), np.stack(raws))))
+    for (k, _), draws in groups.items():
+        members, r, normals = zip(*draws)
+        r = np.stack(r)
+        raws = np.zeros((len(members), k - 1, max(z.shape[1] for z in normals)))
+        for raw, z in zip(raws, normals):
+            raw[:, :z.shape[1]] = z
+        sides = 0.2 + (1.0 - 0.2) * r[:, :k]
+        c = 0.05 + (1.0 - 0.05) * r[:, k:2 * k - 1]
+        c *= (0.3 + (0.95 - 0.3) * r[:, 2 * k - 1, None]) * math.pi / c.sum(axis=1, keepdims=True)
+        turns_q = c * r[:, 2 * k:]  # uniform(0.0, 1.0) is r itself
+        out.append((members, _planar_arcs(sides, c), _spatial_arcs(sides, turns_q, raws)))
     return out
 
 
@@ -521,10 +532,10 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         for start in range(0, batch.shape[0], _CROFTON_BLOCK):
             dots = u @ batch[start:start + _CROFTON_BLOCK].T
-            generic = np.min(np.abs(dots), axis=0) > 1e-9
-            resampled += int((~generic).sum())
             up = dots > 0  # a generic direction has no zero dot, so this is its sign
-            good = ((up[1:] != up[:-1]).sum(axis=0) + (up[0] != up[-1]))[generic]
+            generic = np.abs(dots, out=dots).min(axis=0) > 1e-9
+            resampled += int(np.count_nonzero(~generic))
+            good = (np.count_nonzero(up[1:] != up[:-1], axis=0) + (up[0] != up[-1]))[generic]
             counts[filled:filled + good.shape[0]] = good
             filled += good.shape[0]
     mc_estimate = 4.0 * math.pi * float(counts.mean())

@@ -152,11 +152,13 @@ def check_gauss_petrunin(seed=DEFAULT_SEED):
 
 def check_fenchel(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    shapes = {}  # (k, dim) -> vertex blocks, drawn in the one-polygon order
-    for _ in range(1000):
+    shapes = {}  # k -> vertex blocks, drawn in the one-polygon order and zero-padded
+    for _ in range(1000):  # to R^5, which leaves every turn bit-identical (curves._arm_stacks)
         k = int(rng.integers(4, 21))
+        v = np.zeros((k, 5))
         dim = int(rng.integers(3, 6))
-        shapes.setdefault((k, dim), []).append(rng.standard_normal((k, dim)))
+        v[:, :dim] = rng.standard_normal((k, dim))
+        shapes.setdefault(k, []).append(v)
     worst = min(float(curves._fenchel(np.stack(vs))["slack"].min()) for vs in shapes.values())
     out = [_rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
                 note="worst slack over 1000 random closed polygons, dims 3-5")]
@@ -221,8 +223,9 @@ def check_bessel_bounds(seed=DEFAULT_SEED):
     brackets = [(bounds.bessel_bracket(nu), bounds.bessel_j_zero(nu)) for nu in range(1, 11)]
     bracket_ok = all(lo < j < hi for (lo, hi), j in brackets)
     out.append(_rec("bessel-bracket", True, bracket_ok, 0, note="nu = 1..10"))
-    out.append(_rec("focal-exceeds-2.5", True, bounds.lower_focal(8, 1.0) > 2.5, 0,
-                    note=f"lower_focal(8,1) = {bounds.lower_focal(8, 1.0):.4f}"))
+    focal = bounds.lower_focal(8, 1.0)
+    out.append(_rec("focal-exceeds-2.5", True, focal > 2.5, 0,
+                    note=f"lower_focal(8,1) = {focal:.4f}"))
     rep = bounds.report(1, 16)
     out.append(_rec("bounds-report", 0, len(rep["violations"]), 0,
                     note=f"{len(rep['checks'])} cross-checks, n = 1..16"))

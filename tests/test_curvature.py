@@ -134,6 +134,22 @@ def test_petrunin_pi_monte_carlo_on_asymmetric_point():
     assert abs(mc - cf) / cf < 0.01
 
 
+@pytest.mark.parametrize("seed", [0, 9, 0xC0FFEE])
+def test_petrunin_pi_mc_equals_the_broadcast_outer_product(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        for C in range(1, 5):
+            H = rng.standard_normal((C, n, n))
+            M = H + H.mT
+            fd = cv.FundamentalData(g=np.eye(n), M=M, whitener=np.eye(n))
+            w = np.random.default_rng(seed).standard_normal((300, n))
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+            ww = (w[:, :, None] * w[:, None, :]).reshape(300, -1)
+            Mf = M.reshape(C, -1)
+            ref = np.einsum("ck,kl,cl->", Mf, ww.T @ ww, Mf) / 300
+            assert cv.petrunin_pi_mc(fd, n_samples=300, seed=seed) == ref
+
+
 def test_scalar_curvature_gauss_on_spheres():
     # Sc(S^n(R)) = n(n-1)/R^2
     for n, R in [(2, 1.0), (3, 2.0), (2, 0.5)]:

@@ -335,10 +335,11 @@ def test_fallback_lane_inside_a_batch_matches_loop(dim):
 
 def test_batched_entries_match_one_at_a_time_in_input_order():
     rng = np.random.default_rng(17)
-    cases = [(k, amb) for k in range(3, 11) for amb in range(2, 6)] * 2
+    cases = [(k, amb) for k in range(3, 11) for amb in range(2, 8)] * 2
     rng.shuffle(cases)
     ks, ambients = [k for k, _ in cases], [amb for _, amb in cases]
     seeds = [int(s) for s in rng.integers(0, 2**32, size=len(cases))]
+    seeds[0] = 2**64 - 1  # the largest 64-bit seed
     pairs = stacked_arm_instances(ks, ambients, seeds)
     for (p, q), k, amb, s in zip(pairs, ks, ambients, seeds, strict=True):
         one_p, one_q = cu.random_arm_instance(k, amb, seed=s)
@@ -383,11 +384,14 @@ def test_convex_arc_matches_heading_loop():
 
 
 def stacked_arm_instances(ks, ambients, seeds):
-    """(p, q) pairs in input order, unpacked from the per-shape vertex stacks."""
+    """(p, q) pairs in input order, unpacked from the per-k vertex stacks; each
+    q is sliced to its ambient, its zero padding checked to be exactly +0.0."""
     pairs = [None] * len(ks)
     for members, p, q in cu._arm_stacks(ks, ambients, seeds):
         for i, pv, qv in zip(members, p, q):
-            pairs[i] = (cu.PolyCurve(pv), cu.PolyCurve(qv))
+            padding = qv[:, ambients[i]:]
+            assert np.all(padding == 0.0) and not np.any(np.signbit(padding))
+            pairs[i] = (cu.PolyCurve(pv), cu.PolyCurve(qv[:, :ambients[i]]))
     return pairs
 
 
@@ -509,6 +513,35 @@ def test_stacked_kernels_equal_one_curve_checkers():
             one = {key: val for key, val in one.items() if val is not None}
         assert row == one
     assert cu._row(cols, 5)["equality"]
+
+
+def test_padded_stacks_give_unpadded_columns_bit_for_bit():
+    # ambients up to 7 share one stack per k; 9 and 12, whose rows numpy sums
+    # pairwise, keep their own
+    cases = [(k, amb) for k in range(3, 11) for amb in (*range(2, 8), 9, 12)] * 3
+    ks, ambients = zip(*cases)
+    seeds = list(range(len(cases)))
+    padded = {}
+    for members, p, q in cu._arm_stacks(ks, ambients, seeds):
+        assert {ambients[i] for i in members} in ({9}, {12}, set(range(2, 8)))
+        assert q.shape[2] == max(ambients[i] for i in members)
+        cols = cu._arm(q, p)
+        padded.update((i, cu._row(cols, j)) for j, i in enumerate(members))
+    for k, amb in set(cases):
+        idx = [i for i, case in enumerate(cases) if case == (k, amb)]
+        [(_, p, q)] = cu._arm_stacks([k] * 3, [amb] * 3, [seeds[i] for i in idx])
+        assert q.shape[2] == amb
+        cols = cu._arm(q, p)
+        assert [cu._row(cols, j) for j in range(3)] == [padded[i] for i in idx]
+    rng = np.random.default_rng(19)
+    for k in range(3, 21):
+        for dim in (2, 3, 4, 5):
+            v = closed_polygon_stack(rng, 12, k, dim)
+            wide = np.zeros((12, k, 5))
+            wide[..., :dim] = v
+            one, five = cu._fenchel(v), cu._fenchel(wide)
+            assert [cu._row(five, j) for j in range(12)] == [cu._row(one, j) for j in range(12)]
+            assert five["convex_planar"][:2].all()
 
 
 @pytest.mark.parametrize("closed", [False, True])
