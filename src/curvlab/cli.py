@@ -211,10 +211,9 @@ def cmd_curve(args) -> int:
     if args.curve_cmd == "arm":
         if args.random:
             rng = np.random.default_rng(args.seed)
-            ks = [int(rng.integers(3, 11)) for _ in range(args.random)]
             ok, min_slack = curves._random_arm_summary(
-                ks, [args.ambient] * args.random,
-                [args.seed + i for i in range(args.random)], tol=args.tol)
+                rng.integers(3, 11, size=args.random), [args.ambient] * args.random, rng,
+                tol=args.tol)
             _emit({"instances": args.random, "all_ok": ok, "min_slack": min_slack}, args)
             return 0 if ok else EXIT_VERIFY
         if not args.q or not args.p:

@@ -332,50 +332,51 @@ def random_arm_instance(k: int, ambient_n: int = 3, seed: int = 0):
     ``q`` reuses its side lengths with each turn shrunk by a random factor and
     applied in a random bending plane of R^ambient_n.
     """
-    [(_, p, q)] = _arm_stacks([k], [ambient_n], [seed])
+    [(_, p, q)] = _arm_stacks([k], [ambient_n], np.random.default_rng(seed))
     return PolyCurve(p[0]), PolyCurve(q[0])
 
 
-def _arm_stacks(ks, ambients, seeds):
-    """``(members, p, q)`` per arm length k: the vertex stacks (B, k+1, 2) and
-    (B, k+1, width) of ``random_arm_instance(ks[i], ambients[i], seeds[i])``
-    for i in members, each drawn from its own ``default_rng(seeds[i])``.
+def _arm_stacks(ks, ambients, rng):
+    """``(members, p, q)`` per stack: an index array and the vertex stacks
+    (B, k+1, 2) and (B, k+1, width) of those arm pairs, all drawn from the one
+    generator ``rng``; ``random_arm_instance`` is the B = 1 call on
+    ``default_rng(seed)``.
 
-    q's bending normals are zero-padded to the widest ambient of its stack,
-    so its trailing coordinates stay exactly +0.0.  numpy sums a row of fewer
-    than 8 terms in order, so the padding leaves every norm and dot of an
-    ambient up to 7 bit-identical; a wider ambient keeps a stack of its own.
-    The four uniform blocks of an instance (sides, c, the scale of c, the
-    turns of q) are one ``rng.random(3k - 1)`` mapped by ``Generator.uniform``'s
-    own lo + (hi - lo) r: each of its values is that formula on one double,
-    so both the values and the stream point of the normals stay as they were."""
-    _same_lengths(ks=ks, ambients=ambients, seeds=seeds)
-    if any(k < 3 or amb < 2 for k, amb in zip(ks, ambients)):
+    Pairs are stacked by (k, max(ambient, 7)), stacks in the order their key
+    first appears.  Each stack draws, in this order: the sides
+    ``uniform(0.2, 1.0, (B, k))``; p's turns c ``uniform(0.05, 1.0, (B, k-1))``,
+    scaled to sum to pi times ``uniform(0.3, 0.95, (B, 1))``; q's turn factors
+    ``uniform(0.0, 1.0, (B, k-1))``; the bending normals
+    ``standard_normal((B, k-1, width))``, width the widest ambient of the stack.
+    Normal columns at or past a pair's ambient are set to +0.0, and so are q's
+    trailing coordinates.  numpy sums a row of fewer than 8 terms in order, so
+    the padding leaves every norm and dot of an ambient up to 7 bit-identical; a
+    wider ambient keeps a stack of its own."""
+    _same_lengths(ks=ks, ambients=ambients)
+    ks, ambients = np.asarray(ks, dtype=int), np.asarray(ambients, dtype=int)
+    if np.any(ks < 3) or np.any(ambients < 2):
         raise ValueError("k >= 3 and ambient_n >= 2 required")
     groups = {}
-    for i, (k, amb, seed) in enumerate(zip(ks, ambients, seeds)):
-        rng = np.random.default_rng(seed)
-        groups.setdefault((k, max(amb, 7)), []).append(
-            (i, rng.random(3 * k - 1), rng.standard_normal((k - 1, amb))))
+    for i, key in enumerate(zip(ks.tolist(), np.maximum(ambients, 7).tolist())):
+        groups.setdefault(key, []).append(i)
     out = []
-    for (k, _), draws in groups.items():
-        members, r, normals = zip(*draws)
-        r = np.stack(r)
-        raws = np.zeros((len(members), k - 1, max(z.shape[1] for z in normals)))
-        for raw, z in zip(raws, normals):
-            raw[:, :z.shape[1]] = z
-        sides = 0.2 + (1.0 - 0.2) * r[:, :k]
-        c = 0.05 + (1.0 - 0.05) * r[:, k:2 * k - 1]
-        c *= (0.3 + (0.95 - 0.3) * r[:, 2 * k - 1, None]) * math.pi / c.sum(axis=1, keepdims=True)
-        turns_q = c * r[:, 2 * k:]  # uniform(0.0, 1.0) is r itself
+    for (k, _), members in groups.items():
+        members = np.array(members)
+        B, amb = len(members), ambients[members, None, None]
+        sides = rng.uniform(0.2, 1.0, (B, k))
+        c = rng.uniform(0.05, 1.0, (B, k - 1))
+        c *= rng.uniform(0.3, 0.95, (B, 1)) * math.pi / c.sum(axis=1, keepdims=True)
+        turns_q = c * rng.uniform(0.0, 1.0, (B, k - 1))
+        width = amb.max()
+        raws = np.where(np.arange(width) < amb, rng.standard_normal((B, k - 1, width)), 0.0)
         out.append((members, _planar_arcs(sides, c), _spatial_arcs(sides, turns_q, raws)))
     return out
 
 
-def _random_arm_summary(ks, ambients, seeds, tol: float = 1e-9):
+def _random_arm_summary(ks, ambients, rng, tol: float = 1e-9):
     """(all hypotheses and inequalities hold, least slack) over random arm instances."""
     all_ok, worst = True, math.inf
-    for _, p, q in _arm_stacks(ks, ambients, seeds):
+    for _, p, q in _arm_stacks(ks, ambients, rng):
         res = _arm(q, p, tol)
         all_ok &= bool(np.all(res["inequality_ok"]))
         worst = min(worst, float(res["slack"].min()))
@@ -477,25 +478,25 @@ def random_bounded_curve(R: float, length: float, n: int = 200, dim: int = 3,
     The unit tangent random-walks on the sphere, each per-step turn drawn
     under the step/R admissibility cap.
     """
-    return PolyCurve(_bounded_arcs([R], [length], n, dim, [seed])[0])
+    return PolyCurve(_bounded_arcs([R], [length], n, dim, np.random.default_rng(seed))[0])
 
 
-def _bounded_arcs(Rs, lengths, n: int, dim: int, seeds) -> np.ndarray:
-    """Vertex stack (B, n+1, dim) of ``random_bounded_curve`` at each (Rs[i],
-    lengths[i], seeds[i]): one tangent recurrence."""
-    _same_lengths(Rs=Rs, lengths=lengths, seeds=seeds)
-    if any(length > 2.0 * math.pi * R for R, length in zip(Rs, lengths)):
-        raise ValueError("length must be at most 2*pi*R")
-    sides = np.empty((len(Rs), n))
-    turns = np.empty((len(Rs), n - 1))
-    raws = np.empty((len(Rs), n - 1, dim))
-    for i, (R, length, seed) in enumerate(zip(Rs, lengths, seeds)):
-        rng = np.random.default_rng(seed)
-        h = length / n
-        sides[i] = h
-        turns[i] = rng.uniform(0.0, h / R, size=n - 1)
-        raws[i] = rng.standard_normal((n - 1, dim))
-    return _spatial_arcs(sides, turns, raws)
+def _bounded_arcs(Rs, lengths, n: int, dim: int, rng) -> np.ndarray:
+    """Vertex stack (B, n+1, dim) of random bounded curves at radii ``Rs`` and
+    lengths ``lengths``, all drawn from the one generator ``rng``: first the
+    turns ``uniform(0.0, h/R, (B, n-1))`` with h = length/n, then the bending
+    normals ``standard_normal((B, n-1, dim))``; one tangent recurrence.
+    ``random_bounded_curve`` is the B = 1 call on ``default_rng(seed)``."""
+    _same_lengths(Rs=Rs, lengths=lengths)
+    Rs, lengths = np.asarray(Rs, dtype=float), np.asarray(lengths, dtype=float)
+    if n < 1:
+        raise ValueError(f"n >= 1 steps required, got {n}")
+    if not np.all((0.0 < lengths) & (lengths <= 2.0 * math.pi * Rs)):
+        raise ValueError("length must be positive and at most 2*pi*R")
+    h = lengths / n
+    turns = rng.uniform(0.0, (h / Rs)[:, None], (len(Rs), n - 1))
+    raws = rng.standard_normal((len(Rs), n - 1, dim))
+    return _spatial_arcs(np.broadcast_to(h[:, None], (len(Rs), n)), turns, raws)
 
 
 # ---------------------------------------------------------------------------

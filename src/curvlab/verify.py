@@ -152,14 +152,12 @@ def check_gauss_petrunin(seed=DEFAULT_SEED):
 
 def check_fenchel(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    shapes = {}  # k -> vertex blocks, drawn in the one-polygon order and zero-padded
-    for _ in range(1000):  # to R^5, which leaves every turn bit-identical (curves._arm_stacks)
-        k = int(rng.integers(4, 21))
-        v = np.zeros((k, 5))
-        dim = int(rng.integers(3, 6))
-        v[:, :dim] = rng.standard_normal((k, dim))
-        shapes.setdefault(k, []).append(v)
-    worst = min(float(curves._fenchel(np.stack(vs))["slack"].min()) for vs in shapes.values())
+    ks, dims = rng.integers(4, 21, size=1000), rng.integers(3, 6, size=1000)
+    worst = math.inf
+    for k in np.unique(ks):  # one stack per k, in increasing k, zero-padded to R^5
+        dim = dims[ks == k, None, None]
+        v = np.where(np.arange(5) < dim, rng.standard_normal((len(dim), k, 5)), 0.0)
+        worst = min(worst, float(curves._fenchel(v)["slack"].min()))
     out = [_rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
                 note="worst slack over 1000 random closed polygons, dims 3-5")]
     square = curves.PolyCurve(
@@ -176,11 +174,8 @@ def check_fenchel(seed=DEFAULT_SEED):
 
 def check_arm(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    ks, ambients = [], []
-    for _ in range(1000):
-        ks.append(int(rng.integers(3, 11)))
-        ambients.append(int(rng.integers(2, 6)))
-    all_ok, worst = curves._random_arm_summary(ks, ambients, [seed + i for i in range(1000)])
+    ks, ambients = rng.integers(3, 11, size=1000), rng.integers(2, 6, size=1000)
+    all_ok, worst = curves._random_arm_summary(ks, ambients, rng)
     out = [_rec("arm-random", True, all_ok, 0,
                 note=f"worst slack {worst:.3e} over 1000 instances")]
     p, _ = curves.random_arm_instance(6, 2, seed=seed)
@@ -190,13 +185,9 @@ def check_arm(seed=DEFAULT_SEED):
 
 def check_bow(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    Rs, lengths = [], []
-    for _ in range(500):
-        R = float(rng.uniform(0.5, 2.0))
-        Rs.append(R)
-        lengths.append(float(rng.uniform(0.2, 1.0)) * math.pi * R)
-    res = curves._bow(curves._bounded_arcs(Rs, lengths, 100, 3, [seed + i for i in range(500)]),
-                      np.array(Rs))
+    Rs = rng.uniform(0.5, 2.0, size=500)
+    lengths = rng.uniform(0.2, 1.0, size=500) * math.pi * Rs
+    res = curves._bow(curves._bounded_arcs(Rs, lengths, 100, 3, rng), Rs)
     all_ok = bool(np.all(res["curv_ok"] & res["chord_ok"]))
     worst = float(np.min(res["slack"][res["curv_ok"]], initial=math.inf))
     out = [_rec("bow-random", True, all_ok, 0,

@@ -523,11 +523,12 @@ def test_curve_arm_random_instances(capsys):
 
 
 # sha256 of `curve arm --random 200 --ambient A --no-meta` at seed 0xC0FFEE,
-# recorded before the random arcs were built in batches
+# recorded when all instances came to be drawn from the one default_rng(seed)
+# stream that also draws their k: the instances, so min_slack, moved then
 ARM_RANDOM_SHA256 = {
-    "2": "71087c8dbd669a3023496353d35146bd2c7766fc5bbcfc6e04bde02dcd818318",
-    "3": "90ade14653637112da6a04b8ef66fa101f5af7a84da1f1c8223e4e4fca84ae5e",
-    "5": "8468d0ea13b7a096ec367aab4969f36d3542295d616efa0d93a6050900944655",
+    "2": "1a05ad53b304c0cc9446f7f2f3af1f535f02b13f812249dbdde92c84d7b85b04",
+    "3": "74f0486f102b517b9a0980d2aa6b5d68ff3df937ff958cd973544580ff354b60",
+    "5": "c82fd4f5096de7eea7c5bce4f9e8e29eba34c690d3abfb1758673572687abe89",
 }
 
 

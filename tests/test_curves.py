@@ -10,6 +10,7 @@ curvature density r/(r^2+c^2).
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -340,37 +341,59 @@ def test_batched_entries_match_one_at_a_time_in_input_order():
     ks, ambients = [k for k, _ in cases], [amb for _, amb in cases]
     seeds = [int(s) for s in rng.integers(0, 2**32, size=len(cases))]
     seeds[0] = 2**64 - 1  # the largest 64-bit seed
-    pairs = stacked_arm_instances(ks, ambients, seeds)
-    for (p, q), k, amb, s in zip(pairs, ks, ambients, seeds, strict=True):
+    for s in seeds[:3]:
+        pairs = stacked_arm_instances(ks, ambients, np.random.default_rng(s))
+        twins = loop_arm_instances(ks, ambients, np.random.default_rng(s))
+        for (p, q), (loop_p, loop_q), k, amb in zip(pairs, twins, ks, ambients, strict=True):
+            assert q.vertices.shape == (k + 1, amb)
+            assert np.array_equal(p.vertices, loop_p.vertices)
+            assert np.array_equal(q.vertices, loop_q.vertices)
+    for k, amb, s in zip(ks, ambients, seeds, strict=True):  # one instance: the B = 1 stack
         one_p, one_q = cu.random_arm_instance(k, amb, seed=s)
         loop_p, loop_q = loop_arm_instance(k, amb, s)
-        assert q.vertices.shape == (k + 1, amb)
-        assert np.array_equal(p.vertices, one_p.vertices)
-        assert np.array_equal(p.vertices, loop_p.vertices)
-        assert np.array_equal(q.vertices, one_q.vertices)
-        assert np.array_equal(q.vertices, loop_q.vertices)
+        assert np.array_equal(one_p.vertices, loop_p.vertices)
+        assert np.array_equal(one_q.vertices, loop_q.vertices)
     Rs = rng.uniform(0.5, 2.0, size=12).tolist()
     lengths = [float(f) * math.pi * R for f, R in zip(rng.uniform(0.2, 1.0, size=12), Rs)]
-    curves = stacked_bounded_curves(Rs, lengths, 40, 4, seeds[:12])
-    for c, R, L, s in zip(curves, Rs, lengths, seeds[:12], strict=True):
-        assert np.array_equal(c.vertices,
-                              cu.random_bounded_curve(R, L, n=40, dim=4, seed=s).vertices)
-        assert np.array_equal(c.vertices, loop_bounded_curve(R, L, 40, 4, s).vertices)
+    for s in seeds[:3]:
+        curves = stacked_bounded_curves(Rs, lengths, 40, 4, np.random.default_rng(s))
+        twins = loop_bounded_curves(Rs, lengths, 40, 4, np.random.default_rng(s))
+        for c, twin in zip(curves, twins, strict=True):
+            assert np.array_equal(c.vertices, twin.vertices)
+    for R, L, s in zip(Rs, lengths, seeds[:12]):
+        assert np.array_equal(cu.random_bounded_curve(R, L, n=40, dim=4, seed=s).vertices,
+                              loop_bounded_curve(R, L, 40, 4, s).vertices)
 
 
 def test_batched_entries_reject_bad_inputs():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
-        cu._arm_stacks([5, 2], [3, 3], [0, 1])
+        cu._arm_stacks([5, 2], [3, 3], rng)
     with pytest.raises(ValueError, match="k >= 3 and ambient_n >= 2 required"):
-        cu._arm_stacks([5, 5], [3, 1], [0, 1])
+        cu._arm_stacks([5, 5], [3, 1], rng)
     with pytest.raises(ValueError, match="must have equal lengths"):
-        cu._arm_stacks([5, 5], [3], [0, 1])
+        cu._arm_stacks([5, 5], [3], rng)
     with pytest.raises(ValueError, match="at most 2\\*pi\\*R"):
-        cu._bounded_arcs([1.0, 1.0], [5.0, 7.0], 50, 3, [0, 1])
+        cu._bounded_arcs([1.0, 1.0], [5.0, 7.0], 50, 3, rng)
     with pytest.raises(ValueError, match="must have equal lengths"):
-        cu._bounded_arcs([1.0, 1.0], [5.0, 5.0], 50, 3, [0])
-    assert cu._arm_stacks([], [], []) == []
-    assert cu._bounded_arcs([], [], 50, 3, []).shape == (0, 51, 3)
+        cu._bounded_arcs([1.0, 1.0], [5.0], 50, 3, rng)
+    assert cu._arm_stacks([], [], rng) == []
+    assert cu._bounded_arcs([], [], 50, 3, rng).shape == (0, 51, 3)
+
+
+@pytest.mark.parametrize("R,length,n,message", [
+    (1.0, 2.0, 0, "n >= 1 steps required, got 0"),
+    (1.0, 2.0, -1, "n >= 1 steps required, got -1"),
+    (0.0, 0.0, 5, "length must be positive and at most 2\\*pi\\*R"),
+    (-1.0, -7.0, 5, "length must be positive and at most 2\\*pi\\*R"),
+    (math.nan, 1.0, 5, "length must be positive and at most 2\\*pi\\*R"),
+])
+def test_bounded_curve_rejects_bad_inputs_before_drawing(R, length, n, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero or invalid-value warning first
+        with pytest.raises(ValueError, match=message):
+            cu.random_bounded_curve(R, length, n=n)
+    assert cu.random_bounded_curve(1.0, 2.0, n=1).vertices.shape == (2, 3)
 
 
 def test_convex_arc_matches_heading_loop():
@@ -383,11 +406,11 @@ def test_convex_arc_matches_heading_loop():
                                   loop_convex_arc(sides, angles).vertices)
 
 
-def stacked_arm_instances(ks, ambients, seeds):
-    """(p, q) pairs in input order, unpacked from the per-k vertex stacks; each
-    q is sliced to its ambient, its zero padding checked to be exactly +0.0."""
+def stacked_arm_instances(ks, ambients, rng):
+    """(p, q) pairs in input order, unpacked from the vertex stacks; each q is
+    sliced to its ambient, its zero padding checked to be exactly +0.0."""
     pairs = [None] * len(ks)
-    for members, p, q in cu._arm_stacks(ks, ambients, seeds):
+    for members, p, q in cu._arm_stacks(ks, ambients, rng):
         for i, pv, qv in zip(members, p, q):
             padding = qv[:, ambients[i]:]
             assert np.all(padding == 0.0) and not np.any(np.signbit(padding))
@@ -395,52 +418,79 @@ def stacked_arm_instances(ks, ambients, seeds):
     return pairs
 
 
-def stacked_bounded_curves(Rs, lengths, n, dim, seeds):
-    return [cu.PolyCurve(v) for v in cu._bounded_arcs(Rs, lengths, n, dim, seeds)]
+def stacked_bounded_curves(Rs, lengths, n, dim, rng):
+    return [cu.PolyCurve(v) for v in cu._bounded_arcs(Rs, lengths, n, dim, rng)]
 
 
-def loop_arm_instances(ks, ambients, seeds):
-    return [loop_arm_instance(k, amb, s) for k, amb, s in zip(ks, ambients, seeds, strict=True)]
+def arm_stack_draws(ks, ambients, rng):
+    """(members, sides, c, turns_q, normals) per stack of cu._arm_stacks: the
+    blocks its docstring names, drawn from rng in its order, one stack per
+    (k, max(ambient, 7)) in first-appearance order.  c is scaled one row at a
+    time as loop_arm_instance scales it; normals keep their full width."""
+    keys = [(k, max(amb, 7)) for k, amb in zip(ks, ambients, strict=True)]
+    for key in dict.fromkeys(keys):
+        members = [i for i, other in enumerate(keys) if other == key]
+        B, k = len(members), key[0]
+        sides = rng.uniform(0.2, 1.0, (B, k))
+        c = rng.uniform(0.05, 1.0, (B, k - 1))
+        scale = rng.uniform(0.3, 0.95, (B, 1))
+        factors = rng.uniform(0.0, 1.0, (B, k - 1))
+        normals = rng.standard_normal((B, k - 1, max(ambients[i] for i in members)))
+        c = np.stack([row * (f * math.pi / row.sum()) for row, f in zip(c, scale[:, 0])])
+        yield members, sides, c, c * factors, normals
 
 
-def loop_bounded_curves(Rs, lengths, n, dim, seeds):
-    return [loop_bounded_curve(R, L, n, dim, s)
-            for R, L, s in zip(Rs, lengths, seeds, strict=True)]
+def loop_arm_instances(ks, ambients, rng):
+    """(p, q) pairs in input order: row b of each stack's draws fed to both loops."""
+    pairs = [None] * len(ks)
+    for members, sides, c, turns_q, normals in arm_stack_draws(ks, ambients, rng):
+        for b, i in enumerate(members):
+            amb = ambients[i]
+            pairs[i] = (loop_convex_arc(sides[b], c[b]),
+                        loop_spatial_arc(sides[b], turns_q[b], amb, RowDraws(normals[b, :, :amb])))
+    return pairs
+
+
+def loop_bounded_curves(Rs, lengths, n, dim, rng):
+    """cu._bounded_arcs' two blocks, drawn from rng in its order; row b of
+    each fed to the per-step loop."""
+    h = np.asarray(lengths, dtype=float) / n
+    turns = rng.uniform(0.0, (h / np.asarray(Rs, dtype=float))[:, None], (len(h), n - 1))
+    normals = rng.standard_normal((len(h), n - 1, dim))
+    return [loop_spatial_arc(np.full(n, hb), tb, dim, RowDraws(nb))
+            for hb, tb, nb in zip(h, turns, normals, strict=True)]
 
 
 def per_instance_records(seed, arm_instances=loop_arm_instances,
                          bounded_curves=loop_bounded_curves):
     """The random records of check_fenchel, check_arm and check_bow from one
-    checker call per PolyCurve, by default built by the loop builders: the
-    per-instance construction the vertex stacks replaced, kept as their
-    reference."""
+    checker call per PolyCurve, on the stack members each group draws; by
+    default these are built by the loop builders, the per-instance
+    construction the vertex stacks replaced, kept as their reference."""
     from curvlab.verify import _rec
 
     rng = np.random.default_rng(seed)
+    ks, dims = rng.integers(4, 21, size=1000), rng.integers(3, 6, size=1000)
     worst = math.inf
-    for _ in range(1000):
-        k = int(rng.integers(4, 21))
-        dim = int(rng.integers(3, 6))
-        poly = cu.PolyCurve(rng.standard_normal((k, dim)), closed=True)
-        worst = min(worst, cu.fenchel_check(poly)["slack"])
+    for k in sorted(set(ks.tolist())):  # one R^5 block per k, in increasing k
+        for v, dim in zip(rng.standard_normal((np.count_nonzero(ks == k), k, 5)), dims[ks == k]):
+            worst = min(worst, cu.fenchel_check(cu.PolyCurve(v[:, :dim], closed=True))["slack"])
     fenchel = _rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
                    note="worst slack over 1000 random closed polygons, dims 3-5")
     rng = np.random.default_rng(seed)
-    shapes = [(int(rng.integers(3, 11)), int(rng.integers(2, 6))) for _ in range(1000)]
+    ks, ambients = rng.integers(3, 11, size=1000).tolist(), rng.integers(2, 6, size=1000).tolist()
     worst, all_ok = math.inf, True
-    for p, q in arm_instances(*zip(*shapes), [seed + i for i in range(1000)]):
+    for p, q in arm_instances(ks, ambients, rng):
         res = cu.arm_check(q, p)
         all_ok &= res["hypotheses_ok"] and res["inequality_ok"]
         worst = min(worst, res["slack"])
     arm = _rec("arm-random", True, all_ok, 0, note=f"worst slack {worst:.3e} over 1000 instances")
     rng = np.random.default_rng(seed)
-    Rs, lengths = [], []
-    for _ in range(500):
-        Rs.append(float(rng.uniform(0.5, 2.0)))
-        lengths.append(float(rng.uniform(0.2, 1.0)) * math.pi * Rs[-1])
+    Rs = rng.uniform(0.5, 2.0, size=500)
+    lengths = rng.uniform(0.2, 1.0, size=500) * math.pi * Rs
     worst, all_ok = math.inf, True
-    for R, curve in zip(Rs, bounded_curves(Rs, lengths, 100, 3, [seed + i for i in range(500)])):
-        res = cu.bow_check(curve, R)
+    for R, curve in zip(Rs, bounded_curves(Rs, lengths, 100, 3, rng), strict=True):
+        res = cu.bow_check(curve, float(R))
         all_ok &= bool(res["curv_ok"] and res["chord_ok"])
         if res["slack"] is not None:
             worst = min(worst, res["slack"])
@@ -484,7 +534,7 @@ def test_stacked_kernels_equal_one_curve_checkers():
         assert not rows[2]["convex_planar"] or k == 3
     ks = [3, 7, 7, 4, 10, 7] * 4
     ambients = [2, 3, 3, 5, 2, 4] * 4
-    for members, p, q in cu._arm_stacks(ks, ambients, list(range(24))):
+    for members, p, q in cu._arm_stacks(ks, ambients, rng):
         q = q.copy()
         q[0] *= 1.01  # side lengths no longer match: a failed hypothesis
         cols = cu._arm(q, p)
@@ -496,7 +546,7 @@ def test_stacked_kernels_equal_one_curve_checkers():
         assert not cols["hypotheses"]["q_angles_dominate"][0]  # the turns alone would pass
     Rs = rng.uniform(0.5, 2.0, size=20)
     lengths = rng.uniform(0.2, 1.0, size=20) * math.pi * Rs
-    v = cu._bounded_arcs(list(Rs), list(lengths), 1000, 3, list(range(20)))
+    v = cu._bounded_arcs(Rs, lengths, 1000, 3, rng)
     radii = Rs.copy()
     radii[:5] /= 3.0  # curvature cap fails: the chord columns are blanked
     ts = np.linspace(0.0, 1.5, 1001)
@@ -517,22 +567,25 @@ def test_stacked_kernels_equal_one_curve_checkers():
 
 def test_padded_stacks_give_unpadded_columns_bit_for_bit():
     # ambients up to 7 share one stack per k; 9 and 12, whose rows numpy sums
-    # pairwise, keep their own
+    # pairwise, keep their own.  The unpadded q are rebuilt from the same
+    # draws, the normals sliced to each pair's ambient.
     cases = [(k, amb) for k in range(3, 11) for amb in (*range(2, 8), 9, 12)] * 3
     ks, ambients = zip(*cases)
-    seeds = list(range(len(cases)))
-    padded = {}
-    for members, p, q in cu._arm_stacks(ks, ambients, seeds):
+    padded, unpadded = {}, {}
+    stacks = cu._arm_stacks(ks, ambients, np.random.default_rng(0))
+    draws = arm_stack_draws(ks, ambients, np.random.default_rng(0))
+    for (members, p, q), (_, sides, c, turns_q, normals) in zip(stacks, draws, strict=True):
         assert {ambients[i] for i in members} in ({9}, {12}, set(range(2, 8)))
         assert q.shape[2] == max(ambients[i] for i in members)
         cols = cu._arm(q, p)
         padded.update((i, cu._row(cols, j)) for j, i in enumerate(members))
-    for k, amb in set(cases):
-        idx = [i for i, case in enumerate(cases) if case == (k, amb)]
-        [(_, p, q)] = cu._arm_stacks([k] * 3, [amb] * 3, [seeds[i] for i in idx])
-        assert q.shape[2] == amb
-        cols = cu._arm(q, p)
-        assert [cu._row(cols, j) for j in range(3)] == [padded[i] for i in idx]
+        for amb in {ambients[i] for i in members}:
+            rows = [j for j, i in enumerate(members) if ambients[i] == amb]
+            one_q = cu._spatial_arcs(sides[rows], turns_q[rows], normals[rows, :, :amb])
+            assert one_q.shape[2] == amb
+            cols = cu._arm(one_q, cu._planar_arcs(sides[rows], c[rows]))
+            unpadded.update((members[j], cu._row(cols, r)) for r, j in enumerate(rows))
+    assert len(padded) == len(cases) and padded == unpadded
     rng = np.random.default_rng(19)
     for k in range(3, 21):
         for dim in (2, 3, 4, 5):

@@ -1,4 +1,5 @@
-"""Seed sweep: the curvature outputs hold at every seed, not only the defaults.
+"""Seed sweep: the curvature outputs and the random curve claims hold at
+every seed, not only the defaults.
 
 The 64 seeds are the ones `verify-paper` is swept over in CI (0-59, 1001,
 1008, 1025, 0xC0FFEE).  Before the orbit search, random basepoints missed
@@ -12,9 +13,10 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from curvlab import cli, designs, immersions
+from curvlab import cli, curves, designs, immersions, verify
 from curvlab.curvature import normal_curvature_global
 
 SEEDS = [*range(60), 1001, 1008, 1025, 0xC0FFEE]
@@ -84,3 +86,32 @@ def test_tube_sup_and_spread_are_read_at_the_extremal_spheres(n1, n2):
                 and math.isclose(least, 1.0 / rho, rel_tol=1e-12)):
             bad.append((frac, seed, res["sup"], least))
     assert bad == []
+
+
+def test_random_curve_groups_pass_at_every_seed():
+    bad = [(seed, r["check_id"]) for seed in SEEDS
+           for check in (verify.check_fenchel, verify.check_arm, verify.check_bow)
+           for r in check(seed) if not r["pass"]]
+    assert bad == []
+
+
+def test_arm_instances_at_the_next_seed_are_new(monkeypatch):
+    # with one default_rng(seed + i) per instance, instance i at seed s + 1 was
+    # instance i + 1 at seed s: 999 of the 1000 first sides were shared
+    calls = []
+    arm_stacks = curves._arm_stacks
+
+    def recording(ks, ambients, rng):
+        stacks = arm_stacks(ks, ambients, rng)
+        calls.append(np.concatenate([p[:, 1, 0] for _, p, _ in stacks]))
+        return stacks
+
+    monkeypatch.setattr(curves, "_arm_stacks", recording)
+    first_sides = {}
+    for seed in sorted({*SEEDS, *(s + 1 for s in SEEDS)}):
+        calls.clear()
+        verify.check_arm(seed)
+        first_sides[seed] = calls[0]  # the 1000 random pairs; later calls are single
+        assert len(first_sides[seed]) == 1000
+    shared = {s: len(np.intersect1d(first_sides[s], first_sides[s + 1])) for s in SEEDS}
+    assert set(shared.values()) == {0}
