@@ -3,7 +3,7 @@
 Induced metric, second fundamental form, normal curvature (directional, at a
 point, and global over the immersion's orbit space), mean curvature, the degree-4
 averaged curvature invariant Pi with its Monte-Carlo cross-check, Gauss-formula
-scalar curvature, focal radius, and the Gauss-map finite-difference cross-check.
+scalar curvature and the focal radius.
 
 All functions are pure; Monte-Carlo routines are deterministic for a fixed seed.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "second_form_l2_sq",
     "focal_radius",
     "spherical_curvature",
-    "gauss_map_diff_norm",
     "DEFAULT_SEED",
 ]
 
@@ -323,32 +322,3 @@ def spherical_curvature(curv_euclid: float, R_sphere: float) -> float:
     if curv_euclid < inv * (1.0 - 1e-12):
         raise ValueError("Euclidean curvature below 1/R: not contained in that sphere")
     return math.sqrt(max(0.0, curv_euclid**2 - inv * inv))
-
-
-def _largest_principal_angle(Qa: np.ndarray, Qb: np.ndarray):
-    """Largest principal angle between the equal-dimension column spans of
-    orthonormal Qa and Qb: arcsin |Qb - Qa Qa^T Qb|_2, accurate for small
-    angles, where the cosine form loses them to rounding.  Stacks of frames
-    give one angle per pair."""
-    sin = np.linalg.norm(Qb - Qa @ (Qa.mT @ Qb), 2, axis=(-2, -1))
-    return np.arcsin(np.minimum(1.0, sin))
-
-
-def gauss_map_diff_norm(spec: ImmersionSpec, u, n_dirs: int = 256,
-                        seed: int = DEFAULT_SEED) -> float:
-    """Finite-difference operator norm of the tangent-plane variation.
-
-    For each g-unit direction, the rate of tilt of span(jac) is the largest
-    principal angle between nearby tangent planes over the arclength step.
-    The candidates are ``n_dirs`` unit directions drawn from ``seed`` and the
-    maximizer of normal_curvature_at; the sup over directions matches the
-    normal curvature.
-    """
-    h = 1e-4  # central-difference step in arclength
-    u = np.asarray(u, dtype=float).reshape(-1)
-    fd = fundamental_data(jet2(spec, u))
-    _, tau_best = normal_curvature_at(fd, return_direction=True, seed=seed)
-    taus = np.vstack([_random_directions(fd.n, n_dirs, seed) @ fd.whitener.T, tau_best])
-    # tau is g-unit, so u +- h*tau moves h in arclength to first order
-    Q, _ = np.linalg.qr(jet2(spec, u + h * np.vstack([taus, -taus])).jac)
-    return float(_largest_principal_angle(Q[: len(taus)], Q[len(taus) :]).max()) / (2.0 * h)

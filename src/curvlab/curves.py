@@ -29,7 +29,6 @@ __all__ = [
     "discrete_total_curvature_convergence",
     "convex_arc",
     "circular_arc",
-    "is_convex_arc",
     "arm_check",
     "random_arm_instance",
     "bow_check",
@@ -277,12 +276,6 @@ def circular_arc(R: float, arc_length: float, n: int = 64) -> PolyCurve:
     ts = np.linspace(0.0, arc_length / R, n)
     pts = R * np.stack([np.cos(ts), np.sin(ts)], axis=1)
     return PolyCurve(vertices=pts, closed=False)
-
-
-def is_convex_arc(curve: PolyCurve) -> bool:
-    """Planar, same-sign turning, total turn at most pi."""
-    within_pi = external_angles(curve)[None].sum(axis=1) <= math.pi + 1e-9
-    return bool(_planar_same_turn(curve.vertices[None], curve.closed, within_pi)[0])
 
 
 def _arm(q: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> dict:

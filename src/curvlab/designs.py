@@ -323,8 +323,6 @@ def exact_lp_feasible(A, b):
             if x > 0 and (leave is None or (rhs[i] * col[leave], basis[i])
                           < (rhs[leave] * x, basis[leave])):
                 leave = i
-        if leave is None:
-            break  # unbounded cannot happen in phase 1; defensive
         Rl = np.append(T[leave, :-1], T[leave, enter])
         Rl //= np.gcd.reduce(Rl)
         # the other rows with a nonzero entry in the entering column; the rest stay

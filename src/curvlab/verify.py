@@ -159,7 +159,7 @@ def check_fenchel(seed=DEFAULT_SEED):
         v = np.where(np.arange(5) < dim, rng.standard_normal((len(dim), k, 5)), 0.0)
         worst = min(worst, float(curves._fenchel(v)["slack"].min()))
     out = [_rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
-                note="worst slack over 1000 random closed polygons, dims 3-5")]
+                note=f"worst slack {worst:.3e} over 1000 random closed polygons, dims 3-5")]
     square = curves.PolyCurve(
         np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]), closed=True)
     sq = curves.fenchel_check(square)

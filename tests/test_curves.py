@@ -147,7 +147,7 @@ def test_circular_arc_discrete_curvature_near_one_over_R():
 def test_convex_arc_builder_matches_requested_turns():
     arc = cu.convex_arc([1.0, 2.0, 1.5], [0.3, 0.7])
     assert np.allclose(cu.external_angles(arc), [0.3, 0.7])
-    assert cu.is_convex_arc(arc)
+    assert cu.arm_check(arc, arc)["hypotheses"]["p_convex_arc"]
 
 
 def test_convex_arc_validation():
@@ -160,9 +160,9 @@ def test_convex_arc_validation():
 def test_is_convex_arc_rejects_nonplanar_and_overturned():
     skew = cu.PolyCurve(np.array(
         [[0, 0, 0], [1, 0, 0], [1.5, 1, 0], [1.5, 1.5, 1]], dtype=float))
-    assert not cu.is_convex_arc(skew)
+    assert not cu.arm_check(skew, skew)["hypotheses"]["p_convex_arc"]
     wiggly = cu.convex_arc([1.0] * 6, [0.8] * 5)  # total turn 4 > pi
-    assert not cu.is_convex_arc(wiggly)
+    assert not cu.arm_check(wiggly, wiggly)["hypotheses"]["p_convex_arc"]
 
 
 def test_arm_lemma_random_instances():
@@ -476,7 +476,7 @@ def per_instance_records(seed, arm_instances=loop_arm_instances,
         for v, dim in zip(rng.standard_normal((np.count_nonzero(ks == k), k, 5)), dims[ks == k]):
             worst = min(worst, cu.fenchel_check(cu.PolyCurve(v[:, :dim], closed=True))["slack"])
     fenchel = _rec("fenchel-random", 0.0, min(worst, 0.0), 1e-9,
-                   note="worst slack over 1000 random closed polygons, dims 3-5")
+                   note=f"worst slack {worst:.3e} over 1000 random closed polygons, dims 3-5")
     rng = np.random.default_rng(seed)
     ks, ambients = rng.integers(3, 11, size=1000).tolist(), rng.integers(2, 6, size=1000).tolist()
     worst, all_ok = math.inf, True
@@ -541,7 +541,6 @@ def test_stacked_kernels_equal_one_curve_checkers():
         for j in range(len(members)):
             one_q, one_p = cu.PolyCurve(q[j]), cu.PolyCurve(p[j])
             assert cu._row(cols, j) == cu.arm_check(one_q, one_p)
-            assert cu._row(cols, j)["hypotheses"]["p_convex_arc"] == cu.is_convex_arc(one_p)
             assert cols["hypotheses_ok"][j] == (j > 0)
         assert not cols["hypotheses"]["q_angles_dominate"][0]  # the turns alone would pass
     Rs = rng.uniform(0.5, 2.0, size=20)
