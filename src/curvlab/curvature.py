@@ -248,15 +248,14 @@ def normal_curvature_global(spec: ImmersionSpec, seed: int = DEFAULT_SEED) -> di
     fd = fundamental_data(jet2(spec, spec.orbit_nodes()))
     vals, _, grad = _direction_search(fd.M, _STATIONARY_TOL, seed)
     best = int(np.argmax(vals))
-    node = FundamentalData(fd.g[0], fd.M[0], fd.whitener[0])
     return {
         "sup": float(vals[best]),
         "per_point_spread": float(vals.max() - vals.min()),
         "n_points": len(vals),
         "stationarity": float(grad[best] / vals[best]) if vals[best] > 0 else 0.0,
-        "pi": petrunin_pi(node),
-        "mean_curvature_norm": float(np.linalg.norm(mean_curvature(node))),
-        "scalar_curvature": scalar_curvature_gauss(node),
+        "pi": float(petrunin_pi(fd)[0]),
+        "mean_curvature_norm": float(np.linalg.norm(mean_curvature(fd)[0])),
+        "scalar_curvature": float(scalar_curvature_gauss(fd)[0]),
     }
 
 

@@ -44,10 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolyCurve:
-    """Polygonal curve: ordered vertices, optionally closed.
-
-    ``edges`` (the closing edge last if closed) is built once, read-only.
-    """
+    """Polygonal curve: ordered vertices, optionally closed; readers compute the edges."""
 
     vertices: np.ndarray  # N x d
     closed: bool = False
@@ -55,17 +52,7 @@ class PolyCurve:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", v)
-        edges, lengths = _edges(v[None], self.closed)  # input not N x d fails its 3-D check
-        for name, value in (("edges", edges[0]), ("_side_lengths", lengths[0])):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def side_lengths(self) -> np.ndarray:
-        """Edge lengths, in edge order (read-only)."""
-        return self._side_lengths
-
-    def chord(self) -> float:
-        return float(_chord(self.vertices[None])[0])
+        _edges(v[None], self.closed)  # validates: input not N x d fails its 3-D check
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,7 @@ def _fenchel(v: np.ndarray) -> dict:
 
 def external_angles(curve: PolyCurve) -> np.ndarray:
     """Turning angle in [0, pi] at each interior vertex (all vertices if closed)."""
-    return _turns(curve.edges[None], curve._side_lengths[None], curve.closed)[0]
+    return _turns(*_edges(curve.vertices[None], curve.closed), curve.closed)[0]
 
 
 def total_curvature(curve: PolyCurve) -> float:
@@ -512,7 +499,8 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
     """
     if not curve.closed:
         raise ValueError("crofton_check needs a closed curve")
-    u = curve.edges / curve._side_lengths[:, None]
+    e, lengths = _edges(curve.vertices[None], closed=True)
+    u = e[0] / lengths[0, :, None]
     if u.shape[1] == 2:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
     elif u.shape[1] != 3:

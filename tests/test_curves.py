@@ -40,6 +40,22 @@ def test_square_turns_right_angles():
     assert math.isclose(cu.total_curvature(sq), 2.0 * math.pi, rel_tol=1e-12)
 
 
+def test_vertex_edit_moves_every_reader_alike():
+    # vertices is a writeable array: every reader must see an in-place edit
+    sq = cu.PolyCurve(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float), closed=True)
+    sq.vertices[2] = (0.5, 0.2)
+    tk = cu.total_curvature(sq)
+    assert tk == cu.fenchel_check(sq)["total_curvature"]
+    assert tk > 2.0 * math.pi + 1.0
+    cr = cu.crofton_check(sq)
+    # target reads total_curvature; mc_estimate reads crofton_check's own edges
+    assert cr["target"] == 4.0 * tk and cr["rel_err"] < 0.05
+    sq.vertices[1] = sq.vertices[0]
+    for reader in (cu.total_curvature, cu.fenchel_check, cu.crofton_check):
+        with pytest.raises(ValueError, match="zero-length"):
+            reader(sq)
+
+
 @pytest.mark.parametrize("k", [3, 5, 8, 17, 100])
 def test_regular_polygon_turns_evenly(k):
     pk = regular_polygon(k)
@@ -136,7 +152,7 @@ def test_helix_total_curvature_oracle():
 def test_circular_arc_discrete_curvature_near_one_over_R():
     arc = cu.circular_arc(R=2.0, arc_length=3.0, n=2000)
     angs = cu.external_angles(arc)
-    sides = arc.side_lengths()
+    sides = np.linalg.norm(np.diff(arc.vertices, axis=0), axis=1)
     curv = np.max(angs / (0.5 * (sides[:-1] + sides[1:])))
     assert abs(curv - 0.5) < 1e-6
     half_turn = 0.5 * (3.0 / 2.0) / 1999
@@ -185,7 +201,7 @@ def test_arm_lemma_congruent_copy_has_zero_slack():
 
 def test_arm_lemma_straightened_arm_strictly_longer():
     p, _ = cu.random_arm_instance(k=6, seed=11)
-    sides = p.side_lengths()
+    sides = np.linalg.norm(np.diff(p.vertices, axis=0), axis=1)
     straight = cu.PolyCurve(np.column_stack(
         [np.concatenate([[0.0], np.cumsum(sides)]), np.zeros(len(sides) + 1)]))
     res = cu.arm_check(straight, p)
@@ -197,11 +213,15 @@ def test_arm_chord_monotone_in_each_turn():
     # shrinking any single turn of a convex arc increases the chord
     sides = [1.0, 0.7, 1.3, 0.9]
     angs = np.array([0.4, 0.6, 0.5])
-    base = cu.convex_arc(sides, angs).chord()
+
+    def chord(arc):
+        return np.linalg.norm(arc.vertices[-1] - arc.vertices[0])
+
+    base = chord(cu.convex_arc(sides, angs))
     for i in range(3):
         smaller = angs.copy()
         smaller[i] -= 0.05
-        assert cu.convex_arc(sides, smaller).chord() > base
+        assert chord(cu.convex_arc(sides, smaller)) > base
 
 
 def test_arm_check_reports_violated_hypotheses():
@@ -663,7 +683,8 @@ def test_crofton_skew_polygon():
 def dense_crofton(curve, n_dirs, rng):
     """crofton_check's (mc_estimate, resampled) from one dense (edges, directions)
     evaluation per round: the construction the direction blocks replaced."""
-    e = curve.edges
+    v = curve.vertices
+    e = np.concatenate([np.diff(v, axis=0), v[:1] - v[-1:]])  # closing edge last
     u = e / np.linalg.norm(e, axis=1, keepdims=True)
     if u.shape[1] == 2:
         u = np.hstack([u, np.zeros((u.shape[0], 1))])
