@@ -70,10 +70,10 @@ class Design:
         object.__setattr__(self, "weights", w)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError("points must be an N x n array")
-        with np.errstate(over="ignore"):  # an overflowing norm or sum is inf: rejected
-            if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-12):
+        with np.errstate(over="ignore"):  # NaN, and an overflowing norm or sum, fail <= 1e-12
+            if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12):
                 raise ValueError("design points must be unit vectors within 1e-12")
-            if w.shape != (pts.shape[0],) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            if w.shape != (pts.shape[0],) or np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-12:
                 raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
 
     @property
@@ -381,12 +381,12 @@ def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
             return RationalDesign(n=n, points=tuple(tuple(Fraction(x, D) for x in s)
                                                     for s, D, _ in keep),
                                   multiplicities=tuple(int(w * Q) for *_, w in keep))
-        # how close a least-squares relaxation of the rational system got, for
-        # diagnostics; int / int rounds correctly, as float(Fraction) does
+        height *= 2
+    if height > 1:  # how close the last height's least-squares relaxation got, for diagnostics
+        # int / int rounds correctly, as float(Fraction) does
         Af, bf = (A / D4).astype(float), b.astype(float)
         sol, *_ = np.linalg.lstsq(Af, bf, rcond=None)
         last_residual = float(np.linalg.norm(Af @ np.clip(sol, 0, None) - bf, ord=np.inf))
-        height *= 2
     raise HeightExhausted(
         f"no rational design found for n={n} up to height {height_max}",
         residual=last_residual,
@@ -423,23 +423,42 @@ def _moment_jacobian(v: np.ndarray, E: np.ndarray) -> np.ndarray:
     return J.reshape(K, N * n)
 
 
+def _damped_steps(J: np.ndarray, r: np.ndarray):
+    """lam -> the step d solving (J^T J + lam I) d = -J^T r, from one eigh for every lam.
+
+    Wide J (K <= P): J J^T = Q diag(sig) Q^T, d = -J^T Q (Q^T r / (sig + lam));
+    tall J: J^T J = Q diag(sig) Q^T, d = -Q (Q^T J^T r / (sig + lam)); sig clipped
+    at 0.  J J^T is singular along |s|^4 = 1, where the moment residual is rounding;
+    a larger part of r in J's left null space would be amplified by 1/lam.
+    """
+    if J.shape[0] <= J.shape[1]:
+        sig, Q = np.linalg.eigh(J @ J.T)
+        c, sig = Q.T @ r, np.maximum(sig, 0)
+        return lambda lam: -J.T @ (Q @ (c / (sig + lam)))
+    sig, Q = np.linalg.eigh(J.T @ J)
+    c, sig = Q.T @ (J.T @ r), np.maximum(sig, 0)
+    return lambda lam: -Q @ (c / (sig + lam))
+
+
 def _levenberg_marquardt(residual, jacobian, x: np.ndarray):
     """Minimize |residual(x)|^2 from x; returns the last accepted (x, residual(x)).
 
-    Each step d solves [J; sqrt(lam) I] d = [-r; 0] in the least-squares sense.
-    lam falls 10x after a step that lowers the cost and rises 10x after one that
-    does not (which is then discarded).  Stops after _LM_STEPS steps or once
-    |d| <= 1e-15 |x|.
+    Each step d solves [J; sqrt(lam) I] d = [-r; 0] in the least-squares sense,
+    by _damped_steps.  lam falls 10x after a step that lowers the cost and rises
+    10x after one that does not (which is then discarded).  Stops after _LM_STEPS
+    steps or once |d| <= 1e-15 |x|.  J is evaluated and factored once per point,
+    before the first step from it; a rejected step changes only lam, so its retry
+    reuses that factorization.
     """
-    r, J, lam = residual(x), jacobian(x), 1e-3
-    eye, zeros = np.eye(x.size), np.zeros(x.size)
+    r, lam, steps = residual(x), 1e-3, None
     for _ in range(_LM_STEPS):
-        d = np.linalg.lstsq(np.vstack([J, math.sqrt(lam) * eye]),
-                            np.concatenate([-r, zeros]), rcond=None)[0]
+        if steps is None:  # a new point: the first, or the last step was accepted
+            steps = _damped_steps(jacobian(x), r)
+        d = steps(lam)
         x_new = x + d
         r_new = residual(x_new)
         if r_new @ r_new < r @ r:
-            x, r, J, lam = x_new, r_new, jacobian(x_new), lam / 10
+            x, r, lam, steps = x_new, r_new, lam / 10, None
         else:
             lam *= 10
         if np.linalg.norm(d) <= 1e-15 * np.linalg.norm(x):

@@ -90,6 +90,18 @@ def test_cross_is_not_a_design():
     assert abs(res["residual"] - 1.0 / 8.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_design_rejects_nonfinite_points_and_weights(bad):
+    unit, half = [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]
+    for points in ([[bad, bad], [1.0, 0.0]], [[bad, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, bad]]):
+        with pytest.raises(ValueError, match="^design points must be unit vectors within 1e-12$"):
+            dg.Design(n=2, points=points, weights=half)
+    for weights in ([bad, 0.5], [0.5, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1 within"):
+            dg.Design(n=2, points=unit, weights=weights)
+    assert dg.Design(n=2, points=unit, weights=half).N == 2
+
+
 def test_s0_design():
     d = dg.Design(n=1, points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5]))
     assert by_index(1, dg.quartic_moment_tensor(d))[(4,)] == 1.0
@@ -539,6 +551,28 @@ def test_hilbert_height_exhausted():
     assert exc.value.residual is not None
 
 
+@pytest.mark.parametrize("height_max", [8, 15])
+def test_hilbert_relaxed_residual_is_computed_at_the_last_height_only(height_max, monkeypatch):
+    # every height is infeasible; the one least-squares diagnostic reads the last
+    # height tried, the largest power of two <= height_max: 8 for both
+    n, heights, lstsq_calls = 2, [], []
+    real_lstsq = np.linalg.lstsq
+    monkeypatch.setattr(dg, "exact_lp_feasible", lambda A, b: heights.append(A.shape[1]))
+    monkeypatch.setattr(dg.np.linalg, "lstsq",
+                        lambda *a, **k: lstsq_calls.append(a) or real_lstsq(*a, **k))
+    with pytest.raises(dg.HeightExhausted) as exc:
+        dg.hilbert_rational_design(n, height_max=height_max)
+    assert heights == [len(dg.rational_sphere_points(n, 2**k)) for k in range(4)]
+    assert len(lstsq_calls) == 1
+    # reference: the relaxation over the height-8 points, monomials taken in Fractions
+    pts = dg.rational_sphere_points(n, 8)
+    A = [[float(math.prod(x**a for x, a in zip(s, alpha))) for s in pts]
+         for alpha in dg.multi_indices(n)] + [[1.0] * len(pts)]
+    A, b = np.array(A), np.append(dg.isotropic_moment_tensor(n), 1.0)
+    sol = real_lstsq(A, b, rcond=None)[0]
+    assert exc.value.residual == float(np.max(np.abs(A @ np.clip(sol, 0, None) - b)))
+
+
 def test_degree2_consequence():
     # trace contraction: sum w_i s_i s_i^T = I/n for every accepted design
     for d in [dg.pentagon_design(), dg.hilbert_rational_design(2).to_float()]:
@@ -680,6 +714,58 @@ def test_levenberg_marquardt_step_solves_the_augmented_system(monkeypatch):
     x, r = dg._levenberg_marquardt(lambda x: A @ x - A @ x_true, lambda x: A, x0)
     assert np.allclose(x, x_true, rtol=0, atol=1e-12)
     assert np.max(np.abs(r)) < 1e-14
+
+
+@pytest.mark.parametrize("n, N", [(3, 11), (4, 23), (5, 40), (3, 4), (4, 6)])
+def test_damped_step_has_small_backward_error(n, N):
+    # wide J (K <= nN) at the converging shapes, tall J at the too-small ones; the
+    # wide Gram matrix J J^T is singular along |s|^4 = 1, where the moment residual
+    # is zero up to rounding.  Forward agreement with lstsq is not asked: on a tall
+    # J at tiny lam the system itself is ill-conditioned.
+    rng = np.random.default_rng(40 + n)
+    E = dg._exponents(n)
+    v = rng.standard_normal((N, n))
+    J = dg._moment_jacobian(v, E)
+    assert (J.shape[0] <= J.shape[1]) == (N > 6)
+    s = v / np.linalg.norm(v, axis=1, keepdims=True)
+    r = dg._moment_residual(s, E, dg.isotropic_moment_tensor(n))
+    g = J.T @ r
+    steps = dg._damped_steps(J, r)
+    for lam in 10.0 ** np.arange(-12, 4):
+        d = steps(lam)
+        assert np.linalg.norm(J.T @ (J @ d) + lam * d + g) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_levenberg_marquardt_factors_once_per_point(monkeypatch):
+    # one eigh per Jacobian, and one Jacobian per point a step starts from: the
+    # start and each accepted step's point.  A rejected step reuses the factorization.
+    real_eigh, real_lm, log, runs = np.linalg.eigh, dg._levenberg_marquardt, [], []
+    monkeypatch.setattr(dg.np.linalg, "eigh", lambda a: log.append("eigh") or real_eigh(a))
+
+    def counting_lm(residual, jacobian, x):
+        costs = []
+
+        def counted_residual(x):
+            r = residual(x)
+            costs.append(r @ r)
+            return r
+
+        log.clear()
+        out = real_lm(counted_residual, lambda x: log.append("jacobian") or jacobian(x), x)
+        factored = log.count("jacobian")
+        assert log == ["jacobian", "eigh"] * factored
+        accepted = sum(c < min(costs[:i]) for i, c in enumerate(costs) if i)
+        runs.append((factored, accepted, len(costs) - 1))
+        return out
+
+    monkeypatch.setattr(dg, "_levenberg_marquardt", counting_lm)
+    for n, N, seed in ((3, 11, 0), (4, 23, 0xC0FFEE), (3, 4, 1)):
+        dg.optimize_design(n, N, seed=seed, iters=2)
+    assert len(runs) == 4  # (3, 4) does not converge: both restarts run
+    for factored, accepted, steps in runs:
+        assert accepted <= factored <= accepted + 1
+    # at (3, 4) a third of the steps are rejected
+    assert all(steps > factored + 10 for factored, _, steps in runs[2:])
 
 
 def test_optimize_design_needs_enough_points():
