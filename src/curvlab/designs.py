@@ -206,8 +206,9 @@ def design_ratio(d, c):
 # rational sphere points
 
 def _sphere_numerators(n: int, height: int) -> list[tuple[tuple[int, ...], int]]:
-    """The points of rational_sphere_points(n, height), in its order, as Python-int
-    pairs (num, D): the point num / D, D > 0 the lcm of its coordinates' denominators.
+    """The first point of each antipodal pair of rational_sphere_points(n, height), in
+    its order, as (num, D): num / D, D > 0 the lcm of its denominators.  A point and
+    its antipode have the same quartic LP column, so the antipode is only marked seen.
 
     a = P / Q in Q^{n-1} (Q the lcm of the coordinates' denominators) maps to
     x = (2PQ, Q^2 - |P|^2) / (Q^2 + |P|^2), taken over the gcd of those n + 1
@@ -215,8 +216,6 @@ def _sphere_numerators(n: int, height: int) -> list[tuple[tuple[int, ...], int]]
     """
     if n < 1 or height < 1:
         raise ValueError("n >= 1 and height >= 1 required")
-    if n == 1:
-        return [((1,), 1), ((-1,), 1)]
     vals = sorted({Fraction(p, q) for q in range(1, height + 1)
                    for p in range(-height, height + 1)})
     seen, out = set(), []
@@ -227,10 +226,9 @@ def _sphere_numerators(n: int, height: int) -> list[tuple[tuple[int, ...], int]]
         v = [2 * Q * x for x in P] + [Q2 - P2]
         g = math.gcd(Q2 + P2, *v)
         num, D = tuple(x // g for x in v), (Q2 + P2) // g
-        for pt in ((num, D), (tuple(-x for x in num), D)):
-            if pt not in seen:
-                seen.add(pt)
-                out.append(pt)
+        if (num, D) not in seen:
+            seen.update({(num, D), (tuple(-x for x in num), D)})
+            out.append((num, D))
     return out
 
 
@@ -238,10 +236,11 @@ def rational_sphere_points(n: int, height: int):
     """Exact rational unit vectors via inverse stereographic projection.
 
     x = (2a, 1 - |a|^2) / (1 + |a|^2) for all rational a in Q^{n-1} whose
-    coordinates have numerator and denominator bounded by ``height``; closed
-    under the antipodal map (which preserves exact rationality).
+    coordinates have numerator and denominator bounded by ``height``; each point
+    of _sphere_numerators is followed by its (also rational) antipode.
     """
-    return [tuple(Fraction(x, D) for x in num) for num, D in _sphere_numerators(n, height)]
+    return [tuple(Fraction(s * x, D) for x in num)
+            for num, D in _sphere_numerators(n, height) for s in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +262,7 @@ def exact_lp_feasible(A, b):
     Fraction-coercible entries), b has length m.  Returns a list of k exact
     Fractions with A p = b and p >= 0, or None if infeasible.  Python int and
     Fraction entries are taken as they are; any other entry x becomes Fraction(x).
-
-    A repeated column of A enters the tableau once, at its first index, and its
-    later copies get p = 0: row operations keep copies equal, so a later copy
-    has its first copy's reduced cost and a higher index, Bland's rule never
-    picks it, and the pivots and the vertex are those of the full system.  (A
-    rational sphere point and its antipode have equal quartic columns.)
+    Columns are taken as given: Bland's rule never enters a later copy of a column.
 
     The tableau is one integer array T of m + 1 rows: row i is [R_i | d_i], the
     integer row R_i of [A | I | b] over its positive denominator d_i, and the
@@ -291,25 +285,20 @@ def exact_lp_feasible(A, b):
     """
     m = len(A)
     k = len(A[0]) if m else 0
-    first = {}  # each distinct column of A -> its first index
-    for j, column in enumerate(zip(*A)):
-        first.setdefault(column, j)
-    cols = list(first.values())
     rows = []
     for i, (row, bi) in enumerate(zip(A, b)):
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-               for x in (*(row[j] for j in cols), bi)]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*row, bi)]
         if row[-1] < 0:
             row = [-x for x in row]
         d = math.lcm(*(x.denominator for x in row))
         R = [x.numerator * (d // x.denominator) for x in row]
         # [A_i | e_i | b_i] over d; the artificials start as the basis
         rows.append(R[:-1] + [d * (j == i) for j in range(m)] + R[-1:] + [d])
-    ncols = len(cols) + m
-    basis = [len(cols) + i for i in range(m)]
+    ncols = k + m
+    basis = [k + i for i in range(m)]
     # reduced cost row for objective sum(artificials): z_j - c_j, over dc
     dc = math.lcm(*(R[-1] for R in rows))
-    cost = [sum(dc // R[-1] * R[j] for R in rows) - dc * (len(cols) <= j < ncols)
+    cost = [sum(dc // R[-1] * R[j] for R in rows) - dc * (k <= j < ncols)
             for j in range(ncols + 1)]
     rows.append(cost + [dc])
     big = max(abs(x) for R in rows for x in R)
@@ -344,8 +333,8 @@ def exact_lp_feasible(A, b):
         return None
     p = [Fraction(0)] * k
     for bi, num, den in zip(basis, T[:m, ncols].tolist(), T[:m, -1].tolist()):
-        if bi < len(cols):
-            p[cols[bi]] = Fraction(num, den)
+        if bi < k:
+            p[bi] = Fraction(num, den)
     return p
 
 
@@ -358,10 +347,10 @@ def hilbert_rational_design(n: int, height_max: int = 8) -> RationalDesign:
     double on infeasibility, up to height_max.
 
     The LP gets the integer columns [num_j^alpha ; D_j^4] of s_j = num_j / D_j
-    (_sphere_numerators): column j of the rational system times D_j^4 > 0, with
-    p_j = p'_j D_j^4.  A positive column scale keeps the sign of every reduced
-    cost and scales the entering column's ratios by one factor, so Bland's
-    pivots and vertex stay.
+    (_sphere_numerators, one point per antipodal pair, so the columns are distinct):
+    column j of the rational system times D_j^4 > 0, with p_j = p'_j D_j^4.  A
+    positive column scale keeps the sign of every reduced cost and scales the
+    entering column's ratios by one factor, so Bland's pivots and vertex stay.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

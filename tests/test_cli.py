@@ -466,8 +466,10 @@ def test_design_pipeline_hilbert_verify_torus_curv(tmp_path, capsys):
 # sha256 of the --no-meta output: the designs recorded before the exact LP moved
 # from Fraction to integer arithmetic (n <= 4), and before its matrix became
 # integer columns (n = 5), so the same pivots give the same designs; re-recorded
-# when design hilbert stopped taking --tol, whose line and comma left its meta
+# when design hilbert stopped taking --tol, whose line and comma left its meta;
+# n = 1 recorded before _sphere_numerators lost its n = 1 branch
 HILBERT_SHA256 = {
+    ("--n", "1"): "cbeb0efc481aba2dfdd9585b6992569eeaf1f8c7a9b473e2c80721f3123ec5cc",
     ("--n", "2"): "1587ef67db6e630937f384ddd865dd2fab87018e56957fe9a4aacbfc6b2e4cce",
     ("--n", "3"): "6751f3bdd9067adf78f718623b4eb9bb6a1a7af9dd5391be04d6c98a59845114",
     ("--n", "4", "--height-max", "1"):

@@ -253,7 +253,7 @@ def capture_hilbert_systems(monkeypatch, runs):
     for n, height_max in runs:
         start = len(calls)
         dg.hilbert_rational_design(n, height_max=height_max)
-        systems += [(n, dg.rational_sphere_points(n, 2**k), A, b)
+        systems += [(n, dg.rational_sphere_points(n, 2**k)[::2], A, b)
                     for k, (A, b) in enumerate(calls[start:])]
     return real, systems
 
@@ -282,6 +282,19 @@ def test_hilbert_scaled_vertex_equals_fraction_reference(monkeypatch):
     for (n, pts, _, b), p in zip(systems, vertices):
         scaled_back = None if p is None else [w * point_denominator4(s) for w, s in zip(p, pts)]
         assert scaled_back == fraction_bland_simplex(loop_hilbert_matrix(pts, n), b)
+
+
+def test_hilbert_lp_columns_are_distinct(monkeypatch):
+    # a point and its antipode share their quartic column: _sphere_numerators keeps
+    # one of each pair, so every system the LP gets has pairwise distinct columns
+    _, systems = capture_hilbert_systems(monkeypatch, [(1, 8), (2, 8), (3, 8), (4, 1)])
+    assert len(systems) == 6
+    for *_, A, _ in systems:
+        columns = [tuple(c) for c in A.T.tolist()]
+        assert len(set(columns)) == len(columns)
+    for n, h in [(1, 8), (2, 8), (3, 8), (4, 1)]:
+        points = dg._sphere_numerators(n, h)
+        assert not {(tuple(-x for x in s), D) for s, D in points} & set(points)
 
 
 def b8_orbit_design(first_multiplicity=5):
@@ -382,7 +395,7 @@ def test_rational_sphere_points_equal_the_fraction_loop(n, height):
     assert pts == loop_rational_sphere_points(n, height)  # same points, same order
     # the integer pairs are the points' numerators over the lcm of their denominators
     num, D = dg._integer_points(pts)
-    assert dg._sphere_numerators(n, height) == list(zip(map(tuple, num.tolist()), D.tolist()))
+    assert dg._sphere_numerators(n, height) == list(zip(map(tuple, num.tolist()), D.tolist()))[::2]
 
 
 def test_rational_sphere_points_domain():
@@ -501,14 +514,14 @@ def test_exact_lp_matches_fraction_reference(monkeypatch):
     for n in (1, 2, 3):
         dg.hilbert_rational_design(n)
     dg.hilbert_rational_design(4, height_max=1)
-    assert [A.shape for A, _ in calls] == [(2, 2), (6, 4), (6, 8), (16, 14), (16, 78), (36, 48)]
+    assert [A.shape for A, _ in calls] == [(2, 1), (6, 2), (6, 4), (16, 7), (16, 39), (36, 24)]
     for A, b in calls:
         assert real(A, b) == fraction_bland_simplex(A, b)
 
 
 def test_exact_lp_with_shuffled_duplicate_columns_matches_fraction_reference():
-    # copies of random columns at random places: the LP keeps each column's first
-    # copy, and gives the later ones p = 0, at the vertex of the Fraction simplex
+    # copies of random columns at random places: Bland's rule never enters a later
+    # copy, so the later ones get p = 0, at the vertex of the Fraction simplex
     rng = np.random.default_rng(26)
     copies = 0
     for scale in (1, 2**40):  # 2^40 also crosses into Python ints mid-run
@@ -562,10 +575,10 @@ def test_hilbert_relaxed_residual_is_computed_at_the_last_height_only(height_max
                         lambda *a, **k: lstsq_calls.append(a) or real_lstsq(*a, **k))
     with pytest.raises(dg.HeightExhausted) as exc:
         dg.hilbert_rational_design(n, height_max=height_max)
-    assert heights == [len(dg.rational_sphere_points(n, 2**k)) for k in range(4)]
+    assert heights == [len(dg.rational_sphere_points(n, 2**k)) // 2 for k in range(4)]
     assert len(lstsq_calls) == 1
     # reference: the relaxation over the height-8 points, monomials taken in Fractions
-    pts = dg.rational_sphere_points(n, 8)
+    pts = dg.rational_sphere_points(n, 8)[::2]
     A = [[float(math.prod(x**a for x, a in zip(s, alpha))) for s in pts]
          for alpha in dg.multi_indices(n)] + [[1.0] * len(pts)]
     A, b = np.array(A), np.append(dg.isotropic_moment_tensor(n), 1.0)
