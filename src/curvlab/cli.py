@@ -2,8 +2,11 @@
 
 Exit codes: 0 success; 1 input parse error; 2 optimizer non-convergence;
 3 infeasible / height-exhausted exact construction; 4 checker hypothesis
-violation; 5 verification or consistency failure.  (Flag errors exit 2 via
-argparse.)  A missing or malformed input file (spec, design or curve) exits 1
+violation; 5 verification or consistency failure.  A flag error exits 2 via
+argparse; a bad count, ``--tol`` or ``--seed`` ends in ``not <noun>: '<text>'``
+or ``must be <rule>, got <text>``.  The library checks the range of ``curve bow
+--R``, ``curve arm --ambient`` and ``bounds report --n-min``/``--n-max``, so
+these, like a missing or malformed input file (spec, design or curve), exit 1
 with a one-line ``error:`` message, as does an input outside a routine's
 domain, a spec whose forms overflow float64, or one too large for memory.
 The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
@@ -42,41 +45,25 @@ EXIT_HYPOTHESIS = 4
 EXIT_VERIFY = 5
 
 
-def _int_at_least(low: int, what: str):
-    def parse(text: str) -> int:
+def _checked(parse, noun: str, ok, rule: str):
+    """An argparse type: parse(text), then ok(value); either failure is one message."""
+    def check(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be {what} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
-    return parse
+    return check
 
 
-_positive_int = _int_at_least(1, "a positive")
-_nonnegative_int = _int_at_least(0, "a non-negative")
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """A seed: a Python integer literal (7001, 0x42) that is at least 0."""
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer literal: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, "an integer", lambda v: v >= 0, "a non-negative integer")
+_tolerance = _checked(float, "a number", lambda v: 0 <= v < math.inf,
+                      "a finite non-negative number")
+_seed = _checked(lambda t: int(t, 0), "an integer literal", lambda v: v >= 0,
+                 "a non-negative integer")
 
 
 def _env_seed() -> int:
@@ -217,9 +204,7 @@ def cmd_curve(args) -> int:
             _emit({"instances": args.random, "all_ok": ok, "min_slack": min_slack}, args)
             return 0 if ok else EXIT_VERIFY
         if not args.q or not args.p:
-            print("error: arm needs two curve files (q p) or --random K",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("arm needs two curve files (q p) or --random K")
         q = _load_curve(args.q, closed=False)
         p = _load_curve(args.p, closed=False)
         res = curves.arm_check(q, p, tol=args.tol)

@@ -37,8 +37,7 @@ def _rec(check_id, expected, got, tol, note=None):
         "expected": expected,
         "got": got,
         "tol": tol,
-        "pass": bool(abs(got - expected) <= tol)
-        if isinstance(expected, (int, float)) else bool(got == expected),
+        "pass": bool(abs(got - expected) <= tol),  # every expected is an int, float or bool
     }
     if note:
         r["note"] = note

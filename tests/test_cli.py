@@ -148,6 +148,13 @@ def test_curv_clifford_N12_reports_sqrt12(tmp_path, capsys):
     ("design", "hilbert", "--n", "0"),
     ("design", "hilbert", "--n", "2", "--height-max", "0"),
     ("design", "hilbert", "--n", "2", "--height-max", "-1"),
+    # a count that is not an integer at all
+    ("design", "hilbert", "--n", "x"),
+    ("design", "optimize", "--n", "2", "--cardinality", "1.5"),
+    ("design", "optimize", "--n", "2", "--cardinality", "5", "--iters", "x"),
+    ("design", "hilbert", "--n", "2", "--height-max", "2.0"),
+    ("curve", "crofton", "SPEC", "--dirs", "1e3"),
+    ("curve", "arm", "--random", "x"),
 ])
 def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys):
     argv = [sphere_spec if a == "SPEC" else a for a in argv]
@@ -156,8 +163,10 @@ def test_nonpositive_counts_exit_2_with_one_line_error(argv, sphere_spec, capsys
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].endswith("must be a positive integer, got "
-                                         + argv[-1])
+    flag, text = argv[-2:]
+    message = (f"must be a positive integer, got {text}" if text.lstrip("-").isdigit()
+               else f"not an integer: {text!r}")
+    assert err.splitlines()[-1].endswith(f"argument {flag}: {message}")
 
 
 def test_negative_random_count_exits_2_with_one_line_error(capsys):
@@ -169,6 +178,14 @@ def test_negative_random_count_exits_2_with_one_line_error(capsys):
     assert err.splitlines()[-1].endswith("must be a non-negative integer, got -1")
     # 0 still means "no generated instances": the curve files are then required
     assert cli.main(["curve", "arm", "--random", "0"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [["curve", "arm"], ["curve", "arm", "--random", "0"],
+                                  ["curve", "arm", "Q"]])
+def test_arm_without_two_files_or_random_exits_1_with_one_line_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: arm needs two curve files (q p) or --random K\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
