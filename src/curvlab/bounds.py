@@ -116,13 +116,19 @@ def bessel_j_zero(nu: float) -> float:
     with zero diagonal and off-diagonal 1/(2 sqrt((nu+k)(nu+k+1))), k = 1..K-1:
     at a zero of J_nu the recurrence J_{nu+k-1} + J_{nu+k+1} = (2(nu+k)/x) J_{nu+k}
     is an eigenvalue problem in 1/x (Ikebe, Math. Comp. 29, 1975).  K = 80
-    truncates it well below one ulp for nu <= 40.
+    truncates it well below one ulp for nu <= 40.  With a zero diagonal the
+    matrix is bipartite (odd rows meet even columns only), so its eigenvalues
+    are +- the singular values of the K/2 x K/2 upper bidiagonal block with
+    diagonal off[0::2] and superdiagonal off[1::2] (Golub & Kahan, SIAM J.
+    Numer. Anal. B 2, 1965); 1/j_nu is the largest, found to high relative
+    accuracy at a quarter of the dense eigensolver's cost.
     """
     if nu < -0.5:
         raise ValueError("nu must be >= -1/2")
     k = np.arange(1, _BESSEL_K)
     off = 0.5 / np.sqrt((nu + k) * (nu + k + 1))
-    return float(1.0 / np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1])
+    half = np.diag(off[0::2]) + np.diag(off[1::2], 1)
+    return float(1.0 / np.linalg.svd(half, compute_uv=False)[0])
 
 
 def bessel_bracket(nu: float) -> tuple[float, float]:

@@ -3,12 +3,13 @@
 Exit codes: 0 success; 1 input parse error; 2 optimizer non-convergence;
 3 infeasible / height-exhausted exact construction; 4 checker hypothesis
 violation; 5 verification or consistency failure.  A flag error exits 2 via
-argparse; a bad count, ``--tol`` or ``--seed`` ends in ``not <noun>: '<text>'``
-or ``must be <rule>, got <text>``.  The library checks the range of ``curve bow
---R``, ``curve arm --ambient`` and ``bounds report --n-min``/``--n-max``, so
-these, like a missing or malformed input file (spec, design or curve), exit 1
-with a one-line ``error:`` message, as does an input outside a routine's
-domain, a spec whose forms overflow float64, or one too large for memory.
+argparse; every numeric flag (a count, ``--tol``, ``--seed``, ``--R``,
+``--ambient``, ``--n-min``, ``--n-max``) ends in ``not <noun>: '<text>'`` or
+``must be <rule>, got <text>``, and ``curve arm --ambient`` without
+``--random`` is a flag error too.  A missing or malformed input file (spec,
+design or curve) exits 1 with a one-line ``error:`` message, as do an input
+outside a routine's domain (``--n-min`` above ``--n-max`` among them), a spec
+whose forms overflow float64, or one too large for memory.
 The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
 overrides it, and an explicit --seed flag wins over both.
 ``curv`` searches the orbit space (one node for a homogeneous kind, two for
@@ -64,6 +65,10 @@ _tolerance = _checked(float, "a number", lambda v: 0 <= v < math.inf,
                       "a finite non-negative number")
 _seed = _checked(lambda t: int(t, 0), "an integer literal", lambda v: v >= 0,
                  "a non-negative integer")
+_radius = _checked(float, "a number", lambda v: 0 < v and 2 * math.pi * v < math.inf,
+                   "a positive number with 2 pi R finite")
+_ambient = _checked(int, "an integer", lambda v: v >= 2, "an integer >= 2")
+_dimension = _checked(int, "an integer", lambda v: 1 <= v <= 64, "an integer from 1 to 64")
 
 
 def _env_seed() -> int:
@@ -198,11 +203,14 @@ def cmd_curve(args) -> int:
     if args.curve_cmd == "arm":
         if args.random:
             rng = np.random.default_rng(args.seed)
+            ambient = 3 if args.ambient is None else args.ambient
             ok, min_slack = curves._random_arm_summary(
-                rng.integers(3, 11, size=args.random), [args.ambient] * args.random, rng,
+                rng.integers(3, 11, size=args.random), [ambient] * args.random, rng,
                 tol=args.tol)
             _emit({"instances": args.random, "all_ok": ok, "min_slack": min_slack}, args)
             return 0 if ok else EXIT_VERIFY
+        if args.ambient is not None:  # a flag the files would not read
+            args.parser.error("argument --ambient: read only with --random")
         if not args.q or not args.p:
             raise ValueError("arm needs two curve files (q p) or --random K")
         q = _load_curve(args.q, closed=False)
@@ -318,11 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--random", type=_nonnegative_int, default=0,
                     help="run this many generated instances instead of files "
                          "(0: read the files)")
-    pa.add_argument("--ambient", type=int, default=3)
+    pa.add_argument("--ambient", type=_ambient, default=None,
+                    help="ambient dimension of the --random instances (default 3)")
+    pa.set_defaults(parser=pa)  # for the --ambient error, in the subcommand's words
     common(pa, tol=1e-9)
     pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
     pb.add_argument("file")
-    pb.add_argument("--R", type=float, required=True, help="curvature bound 1/R")
+    pb.add_argument("--R", type=_radius, required=True, help="curvature bound 1/R")
     common(pb, tol=1e-9)
     pc = csub.add_parser("crofton", help="height-function critical point count")
     pc.add_argument("file")
@@ -332,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = add("bounds", "curvature bound tables",
                cmd_bounds).add_subparsers(dest="bounds_cmd", required=True)
     pr = bsub.add_parser("report", help="bound table with consistency checks")
-    pr.add_argument("--n-min", type=int, default=1)
-    pr.add_argument("--n-max", type=int, default=16)
+    pr.add_argument("--n-min", type=_dimension, default=1)
+    pr.add_argument("--n-max", type=_dimension, default=16)
     common(pr)
 
     p = add("verify-paper", "run the full quantitative claim suite", cmd_verify)

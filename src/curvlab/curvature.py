@@ -105,8 +105,8 @@ def curv_dir(fd: FundamentalData, tau):
 # ---------------------------------------------------------------------------
 # direction search
 
-def _random_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """count unit vectors in R^n drawn from default_rng(seed): (count, n)."""
+def _random_directions(n: int, count: int, seed) -> np.ndarray:
+    """(count, n) unit vectors drawn from default_rng(seed); seed is an int or a Generator."""
     w = np.random.default_rng(seed).standard_normal((count, n))
     return np.divide(w, np.linalg.norm(w, axis=1, keepdims=True), out=w)  # no second copy
 
@@ -283,14 +283,24 @@ def petrunin_pi(fd: FundamentalData):
     return _scalar(2.0 / (n * (n + 2)) * (second_form_l2_sq(fd) + 0.5 * np.vecdot(H, H)))
 
 
+_PI_MC_BLOCK = 1 << 15  # samples drawn and summed at a time
+
+
 def petrunin_pi_mc(fd: FundamentalData, n_samples: int = 100_000,
                    seed: int = DEFAULT_SEED):
-    """Monte-Carlo estimate of the same average; cross-validates the closed form."""
-    w = _random_directions(fd.n, n_samples, seed)
-    # sum_s (w_s^T M_c w_s)^2 = Mf_c^T (sum_s ww_s ww_s^T) Mf_c: one (n^2, n^2) moment
-    ww = np.einsum("si,sj->sij", w, w).reshape(n_samples, -1)
+    """Monte-Carlo estimate of the same average; cross-validates the closed form.
+
+    One default_rng(seed) stream, drawn and summed in blocks of 2^15 samples so
+    memory stays bounded; a count that fits one block sums as one draw does."""
+    rng = np.random.default_rng(seed)
+    moment = np.zeros((fd.n * fd.n,) * 2)
+    for start in range(0, n_samples, _PI_MC_BLOCK):
+        w = _random_directions(fd.n, min(_PI_MC_BLOCK, n_samples - start), rng)
+        # sum_s (w_s^T M_c w_s)^2 = Mf_c^T (sum_s ww_s ww_s^T) Mf_c: one (n^2, n^2) moment
+        ww = np.einsum("si,sj->sij", w, w).reshape(len(w), -1)
+        moment += ww.T @ ww
     Mf = fd.M.reshape(*fd.M.shape[:-2], -1)
-    return _scalar(np.einsum("...ck,kl,...cl->...", Mf, ww.T @ ww, Mf) / n_samples)
+    return _scalar(np.einsum("...ck,kl,...cl->...", Mf, moment, Mf) / n_samples)
 
 
 def scalar_curvature_gauss(fd: FundamentalData):

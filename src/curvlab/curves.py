@@ -482,10 +482,11 @@ def _bounded_arcs(Rs, lengths, n: int, dim: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # integral geometry
 
-# Directions per evaluation block: the (edges, block) arrays stay a few MB
-# whatever n_dirs is.  Each round's single draw is unchanged, so counts and
-# resamples do not depend on the block size.
-_CROFTON_BLOCK = 1024
+# Elements of one (edges, directions) block: 2^17 float64 is 1 MiB, so a block
+# of dots stays in cache whatever the edge count (256 directions for a 512-gon)
+# and a short polygon still takes long blocks.  Each round's single draw is
+# unchanged, so counts and resamples do not depend on the block size.
+_CROFTON_BLOCK_ELEMS = 1 << 17
 
 
 def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict:
@@ -495,7 +496,9 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
     4 pi) of the number of critical points of the height function <r, .>
     equals 4 times the total curvature.  Critical points are counted as sign
     changes of <tangent, r> along the edge cycle; directions hitting a tie are
-    resampled and counted.
+    resampled and counted.  Each round's directions are scored in blocks of
+    about 2^17 (edges x directions) dots; the result does not depend on the
+    block size.
     """
     if not curve.closed:
         raise ValueError("crofton_check needs a closed curve")
@@ -506,14 +509,15 @@ def crofton_check(curve: PolyCurve, n_dirs: int = 10_000, seed: int = 0) -> dict
     elif u.shape[1] != 3:
         raise ValueError("curve must live in R^2 or R^3")
     rng = np.random.default_rng(seed)
+    step = max(1, _CROFTON_BLOCK_ELEMS // len(u))
     resampled = 0
     counts = np.empty(n_dirs)
     filled = 0
     while filled < n_dirs:
         batch = rng.standard_normal((n_dirs - filled, 3))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        for start in range(0, batch.shape[0], _CROFTON_BLOCK):
-            dots = u @ batch[start:start + _CROFTON_BLOCK].T
+        for start in range(0, batch.shape[0], step):
+            dots = u @ batch[start:start + step].T
             up = dots > 0  # a generic direction has no zero dot, so this is its sign
             generic = np.abs(dots, out=dots).min(axis=0) > 1e-9
             resampled += int(np.count_nonzero(~generic))

@@ -118,6 +118,38 @@ def test_zero_matches_mpmath(nu):
     assert abs(bd.bessel_j_zero(nu) - want) <= 1e-13 * want
 
 
+def ikebe_first_zero(nu, K=80):
+    """1/lambda_max of the K x K matrix of bessel_j_zero's docstring, in 30 digits:
+    bisection on the Sturm count of its LDL^T pivots, from a bracket of
+    2^-40 relative around bessel_j_zero's value that must hold lambda_max."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(nu)
+        off_sq = [1 / (4 * (nu + k) * (nu + k + 1)) for k in range(1, K)]
+
+        def below(x):  # eigenvalues below x
+            d = -x
+            count = d < 0
+            for b2 in off_sq:
+                d = -x - b2 / d
+                count += d < 0
+            return count
+        lam = 1 / mpmath.mpf(bd.bessel_j_zero(float(nu)))
+        lo, hi = lam * (1 - mpmath.mpf(2) ** -40), lam * (1 + mpmath.mpf(2) ** -40)
+        assert (below(lo), below(hi)) == (K - 1, K)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) == K else (mid, hi)
+        return 1 / lo
+
+
+def test_zero_is_the_top_eigenvalue_of_the_recurrence_matrix():
+    # the bidiagonal half-block's sigma_max is the 80 x 80 matrix's lambda_max
+    # to 4 eps relative at every order (a dense eigvalsh of it misses by 9.4 eps)
+    for nu in np.arange(-0.5, 40.25, 0.5):
+        want = ikebe_first_zero(nu)
+        assert abs(bd.bessel_j_zero(float(nu)) - want) <= 4 * np.finfo(float).eps * want, nu
+
+
 @pytest.mark.parametrize("nu", range(1, 11))
 def test_bracket_contains_zero(nu):
     lo, hi = bd.bessel_bracket(float(nu))

@@ -344,7 +344,6 @@ def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     (["curve", "arm", "FILE"], "csv", "0.0,0.0\n0.0,1.3407807929942597e+154\n"),
     (["curve", "bow", "--R", "1"], "csv", "0,0\n1e154,0\n2e154,0\n"),
     (["curve", "crofton"], "csv", "1e308,0,0\n1e308,1,0\n1e308,1,1\n1e308,0,1\n"),
-    (["curve", "bow", "--R", "1e308"], "csv", "0,0\n1,0\n2,1\n"),
     (["design", "verify"], "json", '{"n": 2, "points": [[1e308, 1e308]]}'),
     (["design", "torus"], "json", '{"n": 2, "points": [[1e308, 1e308]]}'),
     (["design", "verify"], "json",
@@ -355,9 +354,9 @@ def test_non_finite_csv_curve_exits_parse(tmp_path, capsys):
     (["curv"], "json", '{"kind": "torus_linear", "rows": [[1, 0], [0, 1]], "scale": 1e300}'),
     # r + rho overflows, so the Jacobian holds inf, on which an SVD can hang
     (["curv"], "json", '{"kind": "tube", "r": 1.7e308, "n1": 2, "n2": 1, "rho": 1.6e308}'),
-], ids=["fenchel-edge", "arm-edge", "bow-chord", "crofton-vertex-sum", "bow-R",
-        "verify-norm", "torus-norm", "verify-weight-sum", "curv-sphere-metric",
-        "curv-tube-metric", "curv-product-metric", "curv-torus-hessian", "curv-tube-jacobian"])
+], ids=["fenchel-edge", "arm-edge", "bow-chord", "crofton-vertex-sum", "verify-norm",
+        "torus-norm", "verify-weight-sum", "curv-sphere-metric", "curv-tube-metric",
+        "curv-product-metric", "curv-torus-hessian", "curv-tube-jacobian"])
 def test_float64_overflow_exits_parse_with_one_line(argv, suffix, text, tmp_path, capsys):
     path = tmp_path / f"input.{suffix}"
     path.write_text(text)
@@ -560,9 +559,13 @@ def test_curve_arm_random_output_is_pinned(ambient, capsys):
 
 
 def test_curve_arm_random_rejects_ambient_1(capsys):
-    code, out, err = run(capsys, "curve", "arm", "--random", "3", "--ambient", "1")
-    assert code == 1 and out == ""
-    assert err == "error: k >= 3 and ambient_n >= 2 required\n"
+    # argparse's checker rejects it before the library's own range check
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve", "arm", "--random", "3", "--ambient", "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "curvlab curve arm: error: argument --ambient: must be an integer >= 2, got 1")
 
 
 def test_curve_arm_missing_files_exits_parse(capsys):
@@ -614,7 +617,12 @@ def test_curve_bow_rejects_nonpositive_or_nonfinite_radius(R, tmp_path, capsys):
     from curvlab import curves as cu
     f = tmp_path / "arc.csv"
     f.write_text(curve_csv(cu.circular_arc(R=1.0, arc_length=2.0, n=20)))
-    _assert_one_line_parse_error(*run(capsys, "curve", "bow", str(f), "--R", R))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve", "bow", str(f), "--R", R])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == ("curvlab curve bow: error: argument --R: "
+                                    f"must be a positive number with 2 pi R finite, got {R}")
 
 
 def test_curve_crofton_circle(tmp_path, capsys):
@@ -922,6 +930,9 @@ PARSE_CASES = [
       for cmd in ("curv", "design", "curve", "bounds", "verify-paper")),
     ["design", "torus", "--help"], ["design", "hilbert", "--n", "0"], ["design", "bogus"],
     ["curve", "arm", "--help"], ["curve", "bow", "x"], ["bounds", "report", "--n-min", "a"],
+    ["bounds", "report", "--n-max", "65"], ["curve", "bow", "x", "--R", "1e308"],
+    ["curve", "arm", "--random", "3", "--ambient", "1.5"],
+    ["curve", "arm", "q", "p", "--ambient", "3"],
     ["curv"], ["curv", "x", "--points", "0"], ["curv", "x", "--tol", "-1"],
     ["verify-paper", "--help"],
 ]
@@ -943,7 +954,17 @@ PARSE_ERRORS = {
     "design bogus": "curvlab design: error: argument design_cmd: invalid choice: 'bogus'",
     "curve bow x": "curvlab curve bow: error: the following arguments are required: --R",
     "bounds report --n-min a":
-        "curvlab bounds report: error: argument --n-min: invalid int value: 'a'",
+        "curvlab bounds report: error: argument --n-min: not an integer: 'a'",
+    "bounds report --n-max 65":
+        "curvlab bounds report: error: argument --n-max: must be an integer from 1 to 64, got 65",
+    # 2 pi R overflows float64
+    "curve bow x --R 1e308": "curvlab curve bow: error: argument --R: "
+                             "must be a positive number with 2 pi R finite, got 1e308",
+    "curve arm --random 3 --ambient 1.5":
+        "curvlab curve arm: error: argument --ambient: not an integer: '1.5'",
+    # the files are not opened: the flag they would not read is rejected first
+    "curve arm q p --ambient 3":
+        "curvlab curve arm: error: argument --ambient: read only with --random",
     "curv": "curvlab curv: error: the following arguments are required: spec",
     "curv x --points 0": "curvlab: error: unrecognized arguments: --points 0",
     "curv x --tol -1":

@@ -151,6 +151,25 @@ def test_petrunin_pi_mc_equals_the_broadcast_outer_product(seed):
             assert cv.petrunin_pi_mc(fd, n_samples=300, seed=seed) == ref
 
 
+@pytest.mark.parametrize("n_samples", [2**15, 70_001])
+def test_petrunin_pi_mc_in_blocks_equals_one_draw(n_samples):
+    # one default_rng stream cut into blocks of 2^15 samples: a count that
+    # fits one block sums as one draw does, a longer one to rounding
+    rng = np.random.default_rng(3)
+    for n, C in [(1, 2), (2, 4), (3, 3), (4, 2)]:
+        H = rng.standard_normal((C, n, n))
+        fd = cv.FundamentalData(g=np.eye(n), M=H + H.mT, whitener=np.eye(n))
+        w = cv._random_directions(n, n_samples, 0xC0FFEE)
+        ww = (w[:, :, None] * w[:, None, :]).reshape(n_samples, -1)
+        Mf = fd.M.reshape(C, -1)
+        ref = np.einsum("ck,kl,cl->", Mf, ww.T @ ww, Mf) / n_samples
+        got = cv.petrunin_pi_mc(fd, n_samples=n_samples, seed=0xC0FFEE)
+        if n_samples <= cv._PI_MC_BLOCK:
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 1e-14 * ref
+
+
 def test_scalar_curvature_gauss_on_spheres():
     # Sc(S^n(R)) = n(n-1)/R^2
     for n, R in [(2, 1.0), (3, 2.0), (2, 0.5)]:

@@ -736,6 +736,24 @@ def test_blocked_crofton_equals_dense_reference_when_directions_resample(monkeyp
     assert (res["mc_estimate"], res["resampled"]) == (mc, resampled)
 
 
+@pytest.mark.parametrize("budget", [1, 7, 2**10, 2**17, 2**22])
+def test_crofton_is_the_same_for_every_block_budget(budget, monkeypatch):
+    # the budget of (edges x directions) elements per block only cuts each
+    # round's draw, from one direction per block up to a whole round per block
+    circle = cu.circle_curve(1.0).polygon(512)
+    vertices = np.random.default_rng(4).standard_normal((7, 3))
+    vertices[1] = vertices[0] + (0.0, 1.0, 0.0)
+    skew = cu.PolyCurve(vertices, closed=True)
+    real_rng = np.random.default_rng
+    want = [dense_crofton(circle, 2500, real_rng(0xC0FFEE)),
+            dense_crofton(skew, 2500, TieDraws(real_rng(3)))]
+    monkeypatch.setattr(cu, "_CROFTON_BLOCK_ELEMS", budget)
+    got = [cu.crofton_check(circle, n_dirs=2500, seed=0xC0FFEE)]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TieDraws(real_rng(seed)))
+    got.append(cu.crofton_check(skew, n_dirs=2500, seed=3))
+    assert [(r["mc_estimate"], r["resampled"]) for r in got] == want
+
+
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
 def test_bow_rejects_nonpositive_or_nonfinite_radius(R):
     with pytest.raises(ValueError, match="finite and positive"):
