@@ -5,13 +5,14 @@ Exit codes: 0 success; 1 input parse error; 2 optimizer non-convergence;
 violation; 5 verification or consistency failure.  A flag error exits 2 via
 argparse; every numeric flag (a count, ``--tol``, ``--seed``, ``--R``,
 ``--ambient``, ``--n-min``, ``--n-max``) ends in ``not <noun>: '<text>'`` or
-``must be <rule>, got <text>``, and ``curve arm --ambient`` without
-``--random`` is a flag error too.  A missing or malformed input file (spec,
-design or curve) exits 1 with a one-line ``error:`` message, as do an input
-outside a routine's domain (``--n-min`` above ``--n-max`` among them), a spec
-whose forms overflow float64, or one too large for memory.
-The default random seed is 0xC0FFEE; the CURVLAB_SEED environment variable
-overrides it, and an explicit --seed flag wins over both.
+``must be <rule>, got <text>``; ``curve arm --ambient`` without ``--random``
+and ``curve arm`` files with ``--random K`` (K >= 1) are flag errors too.  A
+missing or malformed input file (spec, design or curve) exits 1 with a
+one-line ``error:`` message, as do an input outside a routine's domain
+(``--n-min`` above ``--n-max`` among them), a spec whose forms overflow
+float64, or one too large for memory.  The default random seed is 0xC0FFEE;
+CURVLAB_SEED overrides it (a bad value exits 1 with ``error: CURVLAB_SEED:``
+and one of ``--seed``'s two messages); an explicit --seed wins over both.
 ``curv`` searches the orbit space (one node for a homogeneous kind, two for
 the tube), reads the pointwise invariants at the first node, and its
 ``status`` is OK when the search converged to ``--tol`` (see curvature).
@@ -73,15 +74,10 @@ _dimension = _checked(int, "an integer", lambda v: 1 <= v <= 64, "an integer fro
 
 def _env_seed() -> int:
     raw = os.environ.get("CURVLAB_SEED")
-    if not raw:
-        return DEFAULT_SEED
     try:
-        seed = int(raw, 0)
-    except ValueError:
-        raise ValueError(f"CURVLAB_SEED must be an integer literal, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"CURVLAB_SEED must be a non-negative integer literal, got {raw!r}")
-    return seed
+        return _seed(raw) if raw else DEFAULT_SEED
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"CURVLAB_SEED: {e}") from None
 
 
 def _meta(args) -> dict:
@@ -202,6 +198,8 @@ def cmd_curve(args) -> int:
         return 0 if res["ok"] else EXIT_VERIFY
     if args.curve_cmd == "arm":
         if args.random:
+            if args.q:  # files the random run would not read
+                args.parser.error("argument --random: not allowed with curve files")
             rng = np.random.default_rng(args.seed)
             ambient = 3 if args.ambient is None else args.ambient
             ok, min_slack = curves._random_arm_summary(
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0: read the files)")
     pa.add_argument("--ambient", type=_ambient, default=None,
                     help="ambient dimension of the --random instances (default 3)")
-    pa.set_defaults(parser=pa)  # for the --ambient error, in the subcommand's words
+    pa.set_defaults(parser=pa)  # for the flag errors, in the subcommand's words
     common(pa, tol=1e-9)
     pb = csub.add_parser("bow", help="chord bound for curvature-bounded curves")
     pb.add_argument("file")

@@ -187,24 +187,20 @@ def _direction_search(M: np.ndarray, tol: float, seed: int):
     scales every step exactly, and the ascent stops at tol in those units, so
     relative to the form's scale.  Returns sqrt(F) (B,), the maximizing unit
     directions (B, n) and the tangential gradient of sqrt(F) there (B,), in
-    the units of M; a zero form gives 0 along e_0 (any nonzero form is searched).
+    the units of M.  A zero form takes scale 1 and stops at its first
+    stationarity test (its gradient is 0), so it gives 0 along its first start.
     """
     B, C, n, _ = M.shape
-    curv, grad, w = np.zeros(B), np.zeros(B), np.eye(1, n).repeat(B, axis=0)
-    live = np.any(M != 0.0, axis=(1, 2, 3))
-    if live.any():
-        scale = np.ldexp(1.0, np.frexp(np.abs(M[live]).max(axis=(1, 2, 3)))[1])
-        Ml = M[live] / scale[:, None, None, None]
-        cand = _random_directions(n, _N_CANDIDATES, seed)
-        outer = np.einsum("ki,kj->ijk", cand, cand).reshape(n * n, -1)
-        q = (Ml.reshape(-1, n * n) @ outer).reshape(len(Ml), C, -1)
-        top = np.argsort(-np.einsum("bck,bck->bk", q, q), axis=1,
-                         kind="stable")[:, :_N_STARTS]
-        Fk, wk, gk = _ascend(Ml, cand[top], _MAX_ASCENT_STEPS, tol)
-        best = np.arange(len(Ml)), np.argmax(Fk, axis=1)
-        curv[live], w[live] = np.sqrt(Fk[best]) * scale, wk[best]
-        grad[live] = gk[best] * scale
-    return curv, w, grad
+    scale = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=(1, 2, 3), initial=0.0))[1])
+    M = M / scale[:, None, None, None]
+    cand = _random_directions(n, _N_CANDIDATES, seed)
+    outer = np.einsum("ki,kj->ijk", cand, cand).reshape(n * n, -1)
+    q = (M.reshape(-1, n * n) @ outer).reshape(B, C, _N_CANDIDATES)
+    top = np.argsort(-np.einsum("bck,bck->bk", q, q), axis=1,
+                     kind="stable")[:, :_N_STARTS]
+    Fk, wk, gk = _ascend(M, cand[top], _MAX_ASCENT_STEPS, tol)
+    best = np.arange(B), np.argmax(Fk, axis=1)
+    return np.sqrt(Fk[best]) * scale, wk[best], gk[best] * scale
 
 
 def normal_curvature_at(fd: FundamentalData, seed: int = DEFAULT_SEED,

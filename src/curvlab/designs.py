@@ -277,11 +277,10 @@ def exact_lp_feasible(A, b):
     expression per pivot.  T is int64 while p max|T_i| + max|a_i| max|R_l|,
     which bounds every entry of that expression, is at most 2^63 - 1 (checked
     in Python ints before each pivot, and max|T| on the initial tableau).  A
-    positive row scale moves no sign or ratio, so int64 rows are reduced by
-    their gcds only where that check fails, which leaves the rows of a tableau
-    reduced on every pivot, and the check runs again; T holds Python ints
-    (dtype object), reduced on every pivot, from the first pivot where it
-    still fails.
+    positive row scale moves no sign or ratio, so where that check fails every
+    row the pivot updates is reduced by its gcd (a reduced row divides by 1)
+    and the check runs again; T holds Python ints (dtype object), reduced on
+    every pivot, from the first pivot where it still fails.
     """
     m = len(A)
     k = len(A[0]) if m else 0
@@ -303,7 +302,6 @@ def exact_lp_feasible(A, b):
     rows.append(cost + [dc])
     big = max(abs(x) for R in rows for x in R)
     T = np.array(rows, dtype=np.int64 if big <= _INT64_MAX else object)
-    stale = np.zeros(m + 1, dtype=bool)  # int64 rows updated since their gcd reduction
     while (T[m, :ncols] > 0).any():
         enter = int(np.argmax(T[m, :ncols] > 0))
         col, rhs = T[:m, enter].tolist(), T[:m, ncols].tolist()
@@ -318,8 +316,7 @@ def exact_lp_feasible(A, b):
         upd = np.flatnonzero((T[:, enter] != 0) & (np.arange(m + 1) != leave))
         new = T[upd]
         if T.dtype != object and _int64_update_overflows(new, enter, Rl):
-            s = stale[upd]
-            new[s] //= np.gcd.reduce(new[s], axis=1, keepdims=True)
+            new //= np.gcd.reduce(new, axis=1, keepdims=True)
             if _int64_update_overflows(new, enter, Rl):
                 T, new, Rl = (x.astype(object) for x in (T, new, Rl))
         a = new[:, enter:enter + 1].copy()
@@ -327,7 +324,7 @@ def exact_lp_feasible(A, b):
         new[:, :-1] -= a * Rl[:-1]
         if T.dtype == object:
             new //= np.gcd.reduce(new, axis=1, keepdims=True)
-        T[upd], T[leave], stale[upd], stale[leave] = new, Rl, True, False
+        T[upd], T[leave] = new, Rl
         basis[leave] = enter
     if T[m, ncols] != 0:
         return None

@@ -70,10 +70,6 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _to_float(x) -> float:
-    return float(_fraction(x)) if isinstance(x, str) else float(x)
-
-
 def _count(x) -> int:
     if isinstance(x, float) and x.is_integer():
         x = int(x)
@@ -85,7 +81,7 @@ def _count(x) -> int:
 def _real(x) -> float:
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
-            v = _to_float(x)
+            v = float(_fraction(x)) if isinstance(x, str) else float(x)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
         else:
@@ -367,16 +363,16 @@ def clifford_torus(N: int) -> ImmersionSpec:
 def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpec:
     """Linear sub-torus of the Clifford M-torus.
 
-    ``rows`` is an M x n matrix whose rows are unit direction vectors; the
-    angle of torus factor i is sqrt(M) * scale * <rows_i, u>.  The default
-    scale sqrt(n/M) makes the pullback metric of a degree-4 design row matrix
-    exactly Euclidean.  ``weights`` are optional per-factor squared amplitudes
-    (nonnegative, summing to 1); the default is uniform, which recovers the
-    equal-amplitude Clifford wrapping.
+    ``rows`` is an M x n matrix of numbers whose rows are unit direction
+    vectors; the angle of torus factor i is sqrt(M) * scale * <rows_i, u>.
+    The default scale sqrt(n/M) makes the pullback metric of a degree-4
+    design row matrix exactly Euclidean.  ``weights`` are optional per-factor
+    squared amplitudes (numbers, nonnegative, summing to 1); the default is
+    uniform, which recovers the equal-amplitude Clifford wrapping.
     """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("torus_linear rows must all have the same length")
-    L = np.array([[_to_float(x) for x in row] for row in rows], dtype=float)
+    L = np.array(rows, dtype=float)
     if L.ndim != 2 or L.shape[0] < 1:
         raise ValueError("rows must be a nonempty matrix")
     M, n = L.shape
@@ -391,7 +387,7 @@ def torus_linear(rows, scale: float | None = None, weights=None) -> ImmersionSpe
     if weights is None:
         w = np.full(M, 1.0 / M)
     else:
-        w = np.asarray([_to_float(x) for x in weights], dtype=float)
+        w = np.array(weights, dtype=float)
         if w.shape != (M,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-10:
             raise ValueError("weights must be nonnegative and sum to 1")
     return TorusLinear(rows=tuple(tuple(row) for row in L), scale=float(scale),

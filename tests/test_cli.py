@@ -251,7 +251,7 @@ def test_negative_env_seed_exits_parse_with_one_line(argv, sphere_spec, tmp_path
     monkeypatch.setenv("CURVLAB_SEED", "-7")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (cli.EXIT_PARSE, "")
-    assert err == "error: CURVLAB_SEED must be a non-negative integer literal, got '-7'\n"
+    assert err == "error: CURVLAB_SEED: must be a non-negative integer, got -7\n"
 
 
 def _assert_one_line_parse_error(code, out, err):
@@ -871,7 +871,7 @@ def test_malformed_env_seed_exits_parse_with_one_line(sphere_spec, capsys, monke
     code, out, err = run(capsys, "verify-paper", "--only", "scope")
     assert code == cli.EXIT_PARSE
     assert not out
-    assert err == "error: CURVLAB_SEED must be an integer literal, got 'zz'\n"
+    assert err == "error: CURVLAB_SEED: not an integer literal: 'zz'\n"
     # an explicit --seed wins, and the environment is then not read
     code, out, _ = run(capsys, "curv", sphere_spec, "--seed", "5",
                        "--no-meta")
@@ -933,6 +933,8 @@ PARSE_CASES = [
     ["bounds", "report", "--n-max", "65"], ["curve", "bow", "x", "--R", "1e308"],
     ["curve", "arm", "--random", "3", "--ambient", "1.5"],
     ["curve", "arm", "q", "p", "--ambient", "3"],
+    ["curve", "arm", "q.json", "p.json", "--random", "3"],
+    ["curve", "arm", "q.json", "--random", "3"],
     ["curv"], ["curv", "x", "--points", "0"], ["curv", "x", "--tol", "-1"],
     ["verify-paper", "--help"],
 ]
@@ -965,6 +967,11 @@ PARSE_ERRORS = {
     # the files are not opened: the flag they would not read is rejected first
     "curve arm q p --ambient 3":
         "curvlab curve arm: error: argument --ambient: read only with --random",
+    # likewise the random run would not read the files
+    "curve arm q.json p.json --random 3":
+        "curvlab curve arm: error: argument --random: not allowed with curve files",
+    "curve arm q.json --random 3":
+        "curvlab curve arm: error: argument --random: not allowed with curve files",
     "curv": "curvlab curv: error: the following arguments are required: spec",
     "curv x --points 0": "curvlab: error: unrecognized arguments: --points 0",
     "curv x --tol -1":

@@ -103,7 +103,10 @@ def test_normal_curvature_at_zero_form():
     # the catalog, so synthesize a flat jet directly
     J = np.array([[1.0], [0.0]])
     jet = im.Jet2(point=np.zeros(2), jac=J, hess=np.zeros((2, 1, 1)))
-    assert cv.normal_curvature_at(cv.fundamental_data(jet)) == 0.0
+    fd = cv.fundamental_data(jet)
+    assert cv.normal_curvature_at(fd) == 0.0
+    curv, t = cv.normal_curvature_at(fd, return_direction=True)
+    assert curv == 0.0 and t @ fd.g @ t == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mean_curvature_of_sphere():
@@ -687,7 +690,7 @@ def test_power_of_two_scaling_leaves_the_search_bit_identical():
 
 
 def test_zero_forms_in_a_stack_give_zero_and_leave_the_others_bit_identical():
-    # the live mask returns e_0 for the zero lanes without entering the ascent
+    # a zero lane takes scale 1 and stops at the ascent's first stationarity test
     rng = np.random.default_rng(9)
     M = np.zeros((4, 6, 4, 4))
     M[1], M[3] = (random_form(rng, 4, 6).M for _ in range(2))
@@ -695,7 +698,7 @@ def test_zero_forms_in_a_stack_give_zero_and_leave_the_others_bit_identical():
         curv, w, grad = cv._direction_search(M, 1e-9, 7)
         singles = [cv._direction_search(M[b:b + 1], 1e-9, 7) for b in (1, 3)]
     assert np.all(curv[[0, 2]] == 0.0) and np.all(grad[[0, 2]] == 0.0)
-    assert np.array_equal(w[[0, 2]], np.eye(1, 4).repeat(2, axis=0))
+    assert np.allclose(np.linalg.norm(w[[0, 2]], axis=1), 1.0, rtol=0, atol=1e-15)
     for b, (c1, w1, g1) in zip((1, 3), singles):
         assert curv[b] == c1[0] > 0 and grad[b] == g1[0] and np.array_equal(w[b], w1[0])
 
